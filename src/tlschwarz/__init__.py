@@ -8,7 +8,6 @@ bounds on desk-scale problems.
 
 from .sparsemat import (
     SparseMat,
-    Graph,
     MatrixMarketError,
     symmetrized_graph,
     read_matrix_market,

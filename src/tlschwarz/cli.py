@@ -32,7 +32,8 @@ def build_parser():
     cfg.add_argument("--combine", choices=["additive", "deflated"], default=None)
 
     slv = p.add_argument_group("solver")
-    slv.add_argument("--solver", choices=["cg", "gmres"], default="cg")
+    slv.add_argument("--solver", choices=["cg", "gmres"], default=None,
+                     help="default: cg for a symmetric preconditioner, gmres otherwise")
     slv.add_argument("--tol", type=float, default=1e-8)
     slv.add_argument("--maxit", type=int, default=500)
     slv.add_argument("--report", help="write the report here (+ .history for residuals)")

@@ -286,7 +286,7 @@ class ExperimentConfig:
     coarse: str = "auto"
     one_level: str | None = None
     combine: str | None = None
-    solver: str = "cg"
+    solver: str | None = None  # None: "cg" for a symmetric preconditioner, else "gmres"
     tol: float = 1e-8
     maxit: int = 500
     report_path: str | None = None
@@ -336,10 +336,14 @@ def run_experiment(config):
         one_level=config.one_level,
         combine=config.combine,
     )
-    if config.solver == "cg":
+    solver = config.solver or ("cg" if precond.is_symmetric else "gmres")
+    if solver == "cg":
+        if not precond.is_symmetric:
+            raise ValueError("solver 'cg' needs a symmetric preconditioner; "
+                             "use 'gmres' or a symmetric setup (asm, additive)")
         x, solve_report = krylov.pcg(matrix, precond, rhs, tol=config.tol,
                                      maxit=config.maxit, track_tridiagonal=True)
-    elif config.solver == "gmres":
+    elif solver == "gmres":
         x, solve_report = krylov.gmres(matrix, precond, rhs, tol=config.tol,
                                        maxit=config.maxit)
     else:

@@ -5,6 +5,11 @@ every node to exactly one owner ("interior" sets); overlap is added as layers
 of breadth-first neighbors around each interior set.  The local ordering of a
 subdomain is always: interior nodes first, then layer 1, layer 2, ... with
 each group sorted by ascending global index.
+
+The graph is the boolean scipy CSR pattern from ``symmetrized_graph``.
+Components and seed distances come from ``scipy.sparse.csgraph``; overlap
+layers and the subdomain conflict graph are sparse products with the
+subdomain incidence matrix.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 
 @dataclass(frozen=True)
@@ -80,59 +87,10 @@ class SubdomainMap:
         """Size of the outermost layer (zero when there are no layers)."""
         return self.layers[-1].size if self.layers else 0
 
-    def restrict(self, v):
-        return np.asarray(v)[self.indices]
-
-    def scatter_add(self, out, w):
-        np.add.at(out, self.indices, w)
-        return out
-
 
 def boolean_pou(smap):
     """Partition-of-unity weights for one subdomain (1 on interior, 0 on layers)."""
     return smap.pou_mask.astype(np.float64)
-
-
-def _connected_components(graph):
-    seen = np.zeros(graph.n, dtype=bool)
-    comps = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        frontier = np.asarray([start], dtype=np.int64)
-        while frontier.size:
-            nxt = graph.frontier_neighbors(frontier)
-            nxt = np.unique(nxt[~seen[nxt]])
-            seen[nxt] = True
-            comp.extend(nxt.tolist())
-            frontier = nxt
-        comps.append(np.sort(np.asarray(comp, dtype=np.int64)))
-    return comps
-
-
-def _bfs_distances(graph, sources, allowed=None):
-    """Hop distances from a source set; -1 where unreachable.
-
-    If ``allowed`` is given, the search only walks through allowed nodes.
-    """
-    dist = np.full(graph.n, -1, dtype=np.int64)
-    sources = np.asarray(sources, dtype=np.int64)
-    if allowed is not None:
-        sources = sources[allowed[sources]]
-    dist[sources] = 0
-    frontier = sources
-    d = 0
-    while frontier.size:
-        d += 1
-        cand = np.unique(graph.frontier_neighbors(frontier))
-        cand = cand[dist[cand] < 0]
-        if allowed is not None:
-            cand = cand[allowed[cand]]
-        dist[cand] = d
-        frontier = cand
-    return dist
 
 
 def _grow_subdomain(graph, seed, target, unassigned):
@@ -145,7 +103,7 @@ def _grow_subdomain(graph, seed, target, unassigned):
     unassigned[seed] = False
     frontier = np.asarray([seed], dtype=np.int64)
     while len(picked) < target and frontier.size:
-        ring = np.unique(graph.frontier_neighbors(frontier))
+        ring = np.unique(graph[frontier].indices)
         ring = ring[unassigned[ring]]
         if ring.size == 0:
             break
@@ -168,25 +126,35 @@ def partition_graph(graph, n_subdomains):
     attached to the adjacent subdomain with the fewest nodes.  Deterministic
     for a given graph and subdomain count.
 
-    Disconnected graphs are handled by splitting the subdomain budget across
-    components in proportion to their sizes.
+    Components come from ``csgraph.connected_components``, and the subdomain
+    budget is split across them in proportion to their sizes.  The hop
+    distance to the assigned nodes is kept in one array and lowered after
+    each new subdomain by a multi-source ``csgraph.dijkstra`` from that
+    subdomain alone: the distance to a union of sets is the minimum over the
+    sets, and the search is cut off at the current largest distance, beyond
+    which no node can improve.
     """
-    n = graph.n
+    n = graph.shape[0]
     if not (1 <= n_subdomains <= n):
         raise ValueError(f"subdomain count {n_subdomains} out of range for {n} nodes")
 
-    comps = _connected_components(graph)
+    graph = graph.astype(np.float64)  # csgraph's dtype: convert once, not per search
+    _, labels = csgraph.connected_components(graph, directed=False)
+    by_label = np.argsort(labels, kind="stable")
+    comps = np.split(by_label, np.cumsum(np.bincount(labels))[:-1])
     comps.sort(key=lambda c: (-c.size, int(c[0])))
     budgets = _component_budgets([c.size for c in comps], n_subdomains)
 
     owner = np.full(n, -1, dtype=np.int64)
+    unassigned = np.ones(n, dtype=bool)
+    dist = np.full(n, np.inf)
     next_id = 0
     zero_budget = []
     for comp, n_parts in zip(comps, budgets):
         if n_parts == 0:
             zero_budget.append(comp)
             continue
-        _partition_component(graph, comp, n_parts, next_id, owner)
+        _partition_component(graph, comp, n_parts, next_id, owner, unassigned, dist)
         next_id += n_parts
 
     # Components that got no subdomain of their own are appended to the
@@ -223,30 +191,26 @@ def _component_budgets(sizes, n_parts):
     return budget
 
 
-def _partition_component(graph, comp, n_parts, first_id, owner):
-    in_comp = np.zeros(graph.n, dtype=bool)
-    in_comp[comp] = True
-    unassigned = in_comp.copy()
+def _partition_component(graph, comp, n_parts, first_id, owner, unassigned, dist):
     target = -(-comp.size // n_parts)  # ceil
-    assigned = []
+    seed = int(comp[0])
     for s in range(n_parts):
-        if s == 0:
-            seed = int(comp[0])
-        else:
-            dist = _bfs_distances(graph, np.asarray(assigned), allowed=in_comp)
-            cand = comp[unassigned[comp]]
-            seed = int(cand[np.argmax(dist[cand])])
         remaining_after = n_parts - 1 - s
         goal = min(target, int(unassigned[comp].sum()) - remaining_after)
         picked = _grow_subdomain(graph, seed, goal, unassigned)
         owner[picked] = first_id + s
-        assigned.extend(picked)
+        if remaining_after:
+            near = csgraph.dijkstra(graph, indices=picked, unweighted=True,
+                                    min_only=True, limit=dist[comp].max())
+            np.minimum(dist, near, out=dist)
+            cand = comp[unassigned[comp]]
+            seed = int(cand[np.argmax(dist[cand])])
 
     # Attach blocked leftovers to the adjacent subdomain with fewest nodes.
     while unassigned[comp].any():
         progressed = False
         for u in comp[unassigned[comp]]:
-            nbr_owners = owner[graph.neighbors(u)]
+            nbr_owners = owner[graph.indices[graph.indptr[u]:graph.indptr[u + 1]]]
             nbr_owners = np.unique(nbr_owners[nbr_owners >= 0])
             if nbr_owners.size == 0:
                 continue
@@ -280,55 +244,59 @@ def extend_overlap(graph, part, overlap):
 
     Layer k of subdomain i contains exactly the nodes at hop distance k from
     the interior set, sorted by ascending global index.  Trailing layers are
-    empty once a subdomain saturates the graph.
+    empty once a subdomain saturates the graph.  With S the n-by-N owner
+    incidence and G the graph, layer k is the pattern of (G+I)^k S minus
+    that of (G+I)^(k-1) S; the products are formed transposed, so that each
+    subdomain is one sorted CSR row.
     """
     if overlap < 1:
         raise ValueError("overlap must be at least 1")
-    maps = []
-    for i in range(part.n_subdomains):
-        interior = part.interior(i)
-        visited = np.zeros(graph.n, dtype=bool)
-        visited[interior] = True
-        layers = []
-        frontier = interior
-        for _ in range(overlap):
-            ring = np.unique(graph.frontier_neighbors(frontier))
-            ring = ring[~visited[ring]]
-            visited[ring] = True
-            layers.append(ring)
-            frontier = ring
-        maps.append(SubdomainMap(i, graph.n, interior, tuple(layers)))
-    return maps
+    n = graph.shape[0]
+    n_sub = part.n_subdomains
+    reach = sp.csr_matrix((np.ones(n, dtype=bool), (part.owner, np.arange(n))),
+                          shape=(n_sub, n))
+    step = (graph + sp.identity(n, format="csr")).astype(bool)
+    interiors = _row_sets(reach)
+    layers = []
+    for _ in range(overlap):
+        grown = (reach @ step).tocsr()
+        layers.append(_row_sets((grown != reach).tocsr()))
+        reach = grown
+    return [SubdomainMap(i, n, interiors[i], tuple(layer[i] for layer in layers))
+            for i in range(n_sub)]
+
+
+def _row_sets(m):
+    """Sorted column indices of every row of a CSR matrix."""
+    m.sort_indices()
+    return np.split(m.indices, m.indptr[1:-1])
 
 
 def color_subdomains(maps):
     """Greedy coloring of the subdomain intersection graph.
 
-    Two subdomains conflict when their overlapping index sets intersect.
-    Subdomains are colored largest-degree-first (ties by index) with the
-    smallest available color.  Returns (number of colors, color per
-    subdomain); the count bounds how many subdomains can touch any node.
+    Two subdomains conflict when their overlapping index sets intersect,
+    i.e. the conflict graph is the off-diagonal pattern of S^T S, with S the
+    n-by-N incidence of the overlapping index sets.  Subdomains are colored
+    largest-degree-first (ties by index) with the smallest available color.
+    Returns (number of colors, color per subdomain); the count bounds how
+    many subdomains can touch any node.
     """
     n_sub = len(maps)
     if n_sub == 0:
         raise ValueError("no subdomains to color")
-    n = maps[0].n_global
-    incident = [[] for _ in range(n)]
-    for s in maps:
-        for node in s.indices:
-            incident[node].append(s.index)
-    adj = [set() for _ in range(n_sub)]
-    for subs in incident:
-        for a in subs:
-            for b in subs:
-                if a != b:
-                    adj[a].add(b)
-    order = sorted(range(n_sub), key=lambda i: (-len(adj[i]), i))
+    sizes = [s.n_local for s in maps]
+    cover = sp.csr_matrix(
+        (np.ones(sum(sizes), dtype=bool),
+         (np.repeat([s.index for s in maps], sizes), np.concatenate([s.indices for s in maps]))),
+        shape=(n_sub, maps[0].n_global),
+    )
+    adj = (cover @ cover.T).tocsr()
+    adj.setdiag(False)
+    adj.eliminate_zeros()
+    degree = np.diff(adj.indptr)
     colors = np.full(n_sub, -1, dtype=np.int64)
-    for i in order:
-        used = {colors[j] for j in adj[i] if colors[j] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[i] = c
+    for i in np.argsort(-degree, kind="stable"):
+        used = colors[adj.indices[adj.indptr[i]:adj.indptr[i + 1]]]
+        colors[i] = np.setdiff1d(np.arange(used.size + 1), used)[0]
     return int(colors.max()) + 1, colors

@@ -87,7 +87,7 @@ class Preconditioner:
     """Built two-level Schwarz preconditioner; apply with ``.apply(r)``."""
 
     def __init__(self, matrix, maps, blocks, local_solves, harmonic, bases,
-                 pou_bases, coarse, one_level, combine, k_c, colors, report):
+                 pou_bases, coarse, one_level, combine, k_c, report):
         self.matrix = matrix
         self.maps = maps
         self.blocks = blocks
@@ -99,7 +99,6 @@ class Preconditioner:
         self.one_level = one_level
         self.combine = combine
         self.k_c = k_c
-        self.colors = colors
         self.report = report
 
     @property
@@ -193,7 +192,7 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     else:
         part = owner if isinstance(owner, Partition) else Partition(n_subdomains, owner)
     maps = extend_overlap(graph, part, overlap)
-    k_c, colors = color_subdomains(maps)
+    k_c, _ = color_subdomains(maps)
 
     blocks = [extract_local_blocks(matrix, s) for s in maps]
     local_solves = [factor_dense(b.a, symmetric, b.subdomain) for b in blocks]
@@ -254,4 +253,4 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         nnz_coarse=cs.nnz_a00 if cs is not None else 0,
     )
     return Preconditioner(matrix, maps, blocks, local_solves, harmonic, bases,
-                          pou_bases, cs, one_level, combine, k_c, colors, report)
+                          pou_bases, cs, one_level, combine, k_c, report)

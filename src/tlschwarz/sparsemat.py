@@ -131,9 +131,6 @@ class SparseMat:
     def __matmul__(self, v):
         return self.matvec(v)
 
-    def transpose(self):
-        return SparseMat(self._csr.T.tocsr(), symmetric=self.symmetric)
-
     def to_dense(self):
         if self.nrows > DENSE_GUARD:
             raise ValueError(
@@ -155,44 +152,22 @@ class SparseMat:
         return f"SparseMat({self.nrows}x{self.ncols}, nnz={self.nnz}{sym})"
 
 
-class Graph:
-    """Undirected graph stored as CSR-style adjacency, no self-loops."""
-
-    def __init__(self, indptr, adjacency):
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.adjacency = np.asarray(adjacency, dtype=np.int64)
-        self.n = self.indptr.size - 1
-
-    def neighbors(self, i):
-        return self.adjacency[self.indptr[i]:self.indptr[i + 1]]
-
-    def degree(self, i):
-        return int(self.indptr[i + 1] - self.indptr[i])
-
-    def frontier_neighbors(self, nodes):
-        """Union of neighbor lists of ``nodes`` (unsorted, with repeats)."""
-        if len(nodes) == 0:
-            return np.empty(0, dtype=np.int64)
-        parts = [self.adjacency[self.indptr[u]:self.indptr[u + 1]] for u in nodes]
-        return np.concatenate(parts)
-
-
 def symmetrized_graph(matrix):
-    """Adjacency of the symmetrized sparsity pattern.
+    """Symmetrized sparsity pattern as a boolean scipy CSR matrix.
 
     Nodes are the rows of the (square) matrix; an edge {i, j}, i != j, is
-    present whenever entry (i, j) or (j, i) is numerically nonzero.
+    present whenever entry (i, j) or (j, i) is numerically nonzero.  The
+    result has sorted column indices, no stored zeros and no self-loops, so
+    it can go straight into ``scipy.sparse.csgraph`` and sparse products.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError("sparsity graph requires a square matrix")
-    a = matrix.scipy()
-    pattern = sp.csr_matrix((np.abs(a.data), a.indices.copy(), a.indptr.copy()), shape=a.shape)
-    pattern.eliminate_zeros()
-    pattern = pattern + pattern.T
-    pattern.setdiag(0.0)
+    pattern = matrix.scipy() != 0
+    pattern = (pattern + pattern.T).tocsr()
+    pattern.setdiag(False)
     pattern.eliminate_zeros()
     pattern.sort_indices()
-    return Graph(pattern.indptr.copy(), pattern.indices.astype(np.int64))
+    return pattern
 
 
 # -- Matrix Market ---------------------------------------------------------

@@ -91,3 +91,26 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert "converged = True" in proc.stdout
+
+
+def test_nonsymmetric_preconditioner_defaults_to_gmres(capsys, monkeypatch):
+    import tlschwarz.krylov
+
+    def no_cg(*args, **kwargs):
+        raise AssertionError("CG must not run on a nonsymmetric preconditioner")
+
+    monkeypatch.setattr(tlschwarz.krylov, "pcg", no_cg)
+    code, out, err = run(capsys, "--kind", "advection2d", "--m", "30", "--N", "4")
+    assert code == 0, err
+    assert "combine = deflated" in out
+    assert "converged = True" in out
+    assert "condition_estimate" not in out
+
+
+def test_explicit_cg_on_nonsymmetric_preconditioner_rejected(capsys):
+    code, out, err = run(capsys, "--kind", "advection2d", "--m", "30", "--N", "4",
+                         "--solver", "cg")
+    assert code != 0
+    assert "error_type = ValueError" in err
+    assert "symmetric preconditioner" in err
+    assert out == ""

@@ -20,17 +20,6 @@ def path_graph(n):
     return symmetrized_graph(laplace1d(n))
 
 
-def graph_dijkstra(graph):
-    """Independent all-pairs hop distances for ring verification."""
-    rows, cols = [], []
-    for i in range(graph.n):
-        for j in graph.neighbors(i):
-            rows.append(i)
-            cols.append(j)
-    adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(graph.n, graph.n))
-    return dijkstra(adj.tocsr(), unweighted=True)
-
-
 class TestPartition:
     def test_path7_two_subdomains(self):
         part = partition_graph(path_graph(7), 2)
@@ -122,7 +111,7 @@ class TestOverlap:
         mat = random_spd(80, seed=5)
         g = symmetrized_graph(mat)
         part = random_partition(80, 4, seed=6)
-        dist = graph_dijkstra(g)
+        dist = dijkstra(g, unweighted=True)  # independent all-pairs hop distances
         for delta in (1, 2, 3):
             maps = extend_overlap(g, part, delta)
             for smap in maps:
