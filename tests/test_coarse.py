@@ -2,9 +2,12 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tlschwarz import (
+    CoarseSpace,
     Partition,
+    SparseMat,
     assemble_coarse_basis,
     boolean_pou,
     build_harmonic,
@@ -251,6 +254,23 @@ class TestGalerkin:
         space = galerkin_coarse(mat, space)
         np.testing.assert_allclose(space.a00, space.a00.T, atol=1e-12)
         assert np.linalg.eigvalsh(space.a00).min() > 0
+
+    @pytest.mark.parametrize("dense", [
+        np.diag([1.0, -1.0, 2.0]),  # negative pivot
+        np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),  # zero diagonal
+    ])
+    def test_indefinite_symmetric_coarse_operator_raises(self, dense):
+        mat = SparseMat.from_dense(dense, symmetric=True)
+        space = CoarseSpace(SparseMat(sp.identity(3, format="csr")), ((0, 3),))
+        with pytest.raises(RuntimeError, match="not positive definite"):
+            galerkin_coarse(mat, space)
+
+    @pytest.mark.parametrize("last", [2.0, 2.0 + 2.0 ** -51])  # exactly, numerically
+    def test_singular_nonsymmetric_coarse_operator_raises(self, last):
+        mat = SparseMat.from_dense([[1.0, 2.0], [1.0, last]])
+        space = CoarseSpace(SparseMat(sp.identity(2, format="csr")), ((0, 2),))
+        with pytest.raises(RuntimeError, match="numerically singular"):
+            galerkin_coarse(mat, space)
 
     def test_empty_coarse_passthrough(self):
         mat = random_spd(20, seed=38)

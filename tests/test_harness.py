@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,31 @@ class TestGenerators:
         diff = mat.to_dense() - mat.to_dense().T
         assert np.linalg.norm(diff) > 0
         assert not mat.symmetric
+
+    # sha256 of indptr, indices (int64) and data (float64), recorded from the
+    # point-by-point reference generators: any rewrite must match bit for bit
+    @pytest.mark.parametrize("spec, digest", [
+        (ProblemSpec("poisson2d", 3), "1eeccb249b5c0238"),
+        (ProblemSpec("poisson2d", 7), "6a3fcb50e1b5bb20"),
+        (ProblemSpec("poisson2d", 16), "3d36889fc784cfe7"),
+        (ProblemSpec("poisson3d", 3), "6b353cda97ccde5c"),
+        (ProblemSpec("poisson3d", 7), "868d2bc47debd6b2"),
+        (ProblemSpec("hetero-diffusion2d", 3, channel_seed=5), "4098b80cb78b6dd7"),
+        (ProblemSpec("hetero-diffusion2d", 7), "6106e4ffc72c6fbd"),
+        (ProblemSpec("hetero-diffusion2d", 16, contrast=37.5, channel_seed=3), "448b26d214298e0a"),
+        (ProblemSpec("advection2d", 3, velocity=(0.0, 1.0)), "0a66674e3dd4f2df"),
+        (ProblemSpec("advection2d", 7), "cb335d7affbdf65f"),
+        (ProblemSpec("advection2d", 16, velocity=(-1.0, 0.5), eps=0.5), "6e57f32758e9c5fb"),
+        (ProblemSpec("advection2d", 16, velocity=(0.3, -2.0)), "63605b87018a905f"),
+    ])
+    def test_fingerprint(self, spec, digest):
+        mat, _ = generate(spec)
+        h = hashlib.sha256()
+        for a, dtype in ((mat.indptr, np.int64), (mat.indices, np.int64), (mat.data, np.float64)):
+            a = np.asarray(a, dtype=dtype)
+            h.update(np.int64(a.size).tobytes())
+            h.update(a.tobytes())
+        assert h.hexdigest()[:16] == digest
 
     def test_validation(self):
         with pytest.raises(ValueError):

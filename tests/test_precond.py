@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
 from tlschwarz import (
     ProblemSpec,
     SparseMat,
+    SubdomainSetupError,
     estimate_condition,
     generate,
     setup,
@@ -181,6 +184,37 @@ class TestDefaultsAndErrors:
         owner = np.array([0] * 5 + [1] * 5)
         pre = setup(mat, 2, overlap=1, coarse="none", owner=owner)
         np.testing.assert_array_equal(pre.maps[0].interior, np.arange(5))
+
+
+def two_components(good, bad, symmetric):
+    """Block-diagonal matrix whose second 4-node component is ``bad``."""
+    mat = SparseMat(sp.csr_matrix(sp.block_diag([good, bad])), symmetric=symmetric)
+    return mat, np.array([0] * 4 + [1] * 4)
+
+
+class TestLocalFactorErrors:
+    """Each subdomain is one component, so its local block is that component."""
+
+    def test_singular_nonsymmetric_block_names_subdomain(self):
+        good = np.array([[4.0, -1, 0, 0], [-2, 4, -1, 0], [0, -2, 4, -1], [0, 0, -2, 4]])
+        bad = np.array([[2.0, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, -1, 2, -1]])
+        mat, owner = two_components(good, bad, symmetric=False)
+        with pytest.raises(SubdomainSetupError, match="subdomain 1") as info:
+            setup(mat, 2, overlap=1, owner=owner)
+        assert info.value.subdomain == 1
+
+    @pytest.mark.parametrize("diag, off", [
+        ([1.0, 1.0, 1.0, 1.0], 2.0),  # indefinite, positive diagonal
+        ([0.0, 0.0, 0.0, 0.0], 1.0),  # indefinite, zero diagonal
+        ([1.0, 2.0, 2.0, 1.0], -1.0),  # singular, positive semidefinite
+    ])
+    def test_symmetric_block_not_positive_definite_names_subdomain(self, diag, off):
+        bad = np.diag(diag) + off * (np.eye(4, k=1) + np.eye(4, k=-1))
+        good = laplace1d(4).to_dense()
+        mat, owner = two_components(good, bad, symmetric=True)
+        with pytest.raises(SubdomainSetupError, match="subdomain 1") as info:
+            setup(mat, 2, overlap=1, owner=owner)
+        assert info.value.subdomain == 1
 
 
 class TestReport:
