@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve, qr
+from scipy.linalg import qr
 
-from .sparsemat import SparseMat
+from .sparsemat import SparseMat, factor_blocks
 
 DROP_TOL = 1e-10
 
@@ -26,7 +26,7 @@ class CoarseSpace:
 
     basis: SparseMat
     ranges: tuple  # per-subdomain (start, end) column ranges
-    a00: np.ndarray | None = None
+    a00: sp.csc_matrix | None = None
     nnz_a00: int = 0
     _solve: object = None
 
@@ -158,26 +158,19 @@ def rank_filter(space, maps, drop_tol=DROP_TOL):
 def galerkin_coarse(matrix, space):
     """Form and factor the coarse operator: basis^T * matrix * basis.
 
-    The triple product is computed sparsely; the small dense result is
-    symmetrized when the fine matrix carries the verified symmetry flag and
-    factored by Cholesky (symmetric) or pivoted LU.
+    The sparse product is symmetrized when the fine matrix carries the
+    verified symmetry flag, and its zeros are dropped.  Its SuperLU factor
+    must show it positive definite (symmetric) or numerically nonsingular.
     """
     if space.n_coarse == 0:
         return space
     b = space.basis.scipy()
-    product = (b.T @ (matrix.scipy() @ b)).toarray()
+    a00 = (b.T @ (matrix.scipy() @ b)).tocsc()
     if matrix.symmetric:
-        product = 0.5 * (product + product.T)
-    nnz = int(np.count_nonzero(product))
-    if matrix.symmetric:
-        try:
-            fac = cho_factor(product)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"coarse operator is not positive definite: {exc}") from exc
-        solve = lambda rhs: cho_solve(fac, rhs)
-    else:
-        lu, piv = lu_factor(product)
-        if np.abs(np.diag(lu)).min() <= product.shape[0] * np.finfo(float).eps * np.abs(lu).max():
-            raise RuntimeError("coarse operator is numerically singular")
-        solve = lambda rhs: lu_solve((lu, piv), rhs)
-    return CoarseSpace(space.basis, space.ranges, a00=product, nnz_a00=nnz, _solve=solve)
+        a00 = (0.5 * (a00 + a00.T)).tocsc()
+    a00.eliminate_zeros()
+    lu, failed = factor_blocks([a00], matrix.symmetric)
+    if failed is not None:
+        raise RuntimeError("coarse operator is not positive definite" if matrix.symmetric
+                           else "coarse operator is numerically singular")
+    return CoarseSpace(space.basis, space.ranges, a00=a00, nnz_a00=a00.nnz, _solve=lu.solve)

@@ -16,7 +16,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 from . import krylov
-from .precond import setup, Preconditioner
+from .precond import setup, stacked_blocks, Preconditioner
 from .sparsemat import SparseMat, load_matrix_market, load_vector
 from .spectral import select_pou_modes, select_harmonic_modes
 
@@ -44,8 +44,8 @@ class ProblemSpec:
 def generate(spec):
     """Build (matrix, rhs) for a problem spec; rhs is always A * ones."""
     builders = {
-        "poisson2d": _poisson2d,
-        "poisson3d": _poisson3d,
+        "poisson2d": lambda spec: _laplacian(spec.m, 2),
+        "poisson3d": lambda spec: _laplacian(spec.m, 3),
         "hetero-diffusion2d": _hetero2d,
         "advection2d": _advection2d,
     }
@@ -53,38 +53,32 @@ def generate(spec):
     return matrix, matrix.matvec(np.ones(matrix.nrows))
 
 
-def _poisson2d(spec):
-    m = spec.m
-    h2 = (m + 1) ** 2
-    rows, cols, vals = [], [], []
-    idx = lambda i, j: i + j * m
-    for j in range(m):
-        for i in range(m):
-            k = idx(i, j)
-            rows.append(k); cols.append(k); vals.append(4.0 * h2)
-            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < m and 0 <= jj < m:
-                    rows.append(k); cols.append(idx(ii, jj)); vals.append(-1.0 * h2)
-    return SparseMat.from_coo(m * m, m * m, rows, cols, vals, symmetric=True)
+def _stencil_matrix(m, dim, centre, neighbours, symmetric):
+    """Matrix of a (2*dim+1)-point stencil on the m^dim grid.
+
+    Grid point (i, j, ...) is unknown i + j*m + ...  ``centre`` is the
+    diagonal and ``neighbours`` maps (axis, step) to the coupling with the
+    point one step (+1 or -1) along that axis; each value is a scalar or an
+    array over the grid.  Couplings that leave the grid are dropped: that
+    eliminates the homogeneous Dirichlet boundary.
+    """
+    grid = np.arange(m ** dim).reshape((m,) * dim, order="F")
+    rows, cols, vals = [grid.ravel()], [grid.ravel()], [np.broadcast_to(centre, grid.shape).ravel()]
+    for (axis, step), coupling in neighbours.items():
+        position = np.indices(grid.shape)[axis] + step
+        inside = (position >= 0) & (position < m)
+        rows.append(grid[inside])
+        cols.append(np.roll(grid, -step, axis)[inside])
+        vals.append(np.broadcast_to(coupling, grid.shape)[inside])
+    return SparseMat.from_coo(grid.size, grid.size, np.concatenate(rows), np.concatenate(cols),
+                              np.concatenate(vals), symmetric=symmetric)
 
 
-def _poisson3d(spec):
-    m = spec.m
+def _laplacian(m, dim):
+    """Five-point (2-D) or seven-point (3-D) Laplacian scaled by 1/h^2."""
     h2 = (m + 1) ** 2
-    rows, cols, vals = [], [], []
-    idx = lambda i, j, k: i + m * (j + m * k)
-    for k in range(m):
-        for j in range(m):
-            for i in range(m):
-                p = idx(i, j, k)
-                rows.append(p); cols.append(p); vals.append(6.0 * h2)
-                for d in ((-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)):
-                    ii, jj, kk = i + d[0], j + d[1], k + d[2]
-                    if 0 <= ii < m and 0 <= jj < m and 0 <= kk < m:
-                        rows.append(p); cols.append(idx(ii, jj, kk)); vals.append(-1.0 * h2)
-    n = m ** 3
-    return SparseMat.from_coo(n, n, rows, cols, vals, symmetric=True)
+    neighbours = {(axis, step): -1.0 * h2 for axis in range(dim) for step in (-1, 1)}
+    return _stencil_matrix(m, dim, 2.0 * dim * h2, neighbours, symmetric=True)
 
 
 def _hetero2d(spec):
@@ -102,25 +96,17 @@ def _hetero2d(spec):
     kappa = np.ones((m, m))
     kappa[:, channels] = spec.contrast  # horizontal channels: constant along i
 
-    def harm(a, b):
-        return 2.0 * a * b / (a + b)
-
-    rows, cols, vals = [], [], []
-    idx = lambda i, j: i + j * m
-    for j in range(m):
-        for i in range(m):
-            k = idx(i, j)
-            diag = 0.0
-            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < m and 0 <= jj < m:
-                    c = harm(kappa[i, j], kappa[ii, jj])
-                    diag += c
-                    rows.append(k); cols.append(idx(ii, jj)); vals.append(-c * h2)
-                else:
-                    diag += kappa[i, j]  # edge to the Dirichlet boundary
-            rows.append(k); cols.append(k); vals.append(diag * h2)
-    return SparseMat.from_coo(m * m, m * m, rows, cols, vals, symmetric=True)
+    padded = np.pad(kappa, 1, constant_values=np.nan)  # nan marks the boundary
+    near = {(0, -1): padded[:-2, 1:-1], (0, 1): padded[2:, 1:-1],
+            (1, -1): padded[1:-1, :-2], (1, 1): padded[1:-1, 2:]}
+    diag = np.zeros((m, m))
+    neighbours = {}
+    for (axis, step), other in near.items():
+        c = 2.0 * kappa * other / (kappa + other)
+        # an edge to the Dirichlet boundary carries the point's own coefficient
+        diag += np.where(np.isnan(c), kappa, c)
+        neighbours[axis, step] = -c * h2
+    return _stencil_matrix(m, 2, diag * h2, neighbours, symmetric=True)
 
 
 def _advection2d(spec):
@@ -130,27 +116,14 @@ def _advection2d(spec):
     h2 = (m + 1) ** 2
     vx, vy = spec.velocity
     eps = spec.eps
-    rows, cols, vals = [], [], []
-    idx = lambda i, j: i + j * m
-
-    def add(k, kk, v):
-        rows.append(k); cols.append(kk); vals.append(v)
-
-    for j in range(m):
-        for i in range(m):
-            k = idx(i, j)
-            diag = 4.0 * eps * h2 + (abs(vx) + abs(vy)) / h
-            for di, dj, coeff in (
-                (-1, 0, -eps * h2 - (vx / h if vx > 0 else 0.0)),
-                (1, 0, -eps * h2 + (vx / h if vx < 0 else 0.0)),
-                (0, -1, -eps * h2 - (vy / h if vy > 0 else 0.0)),
-                (0, 1, -eps * h2 + (vy / h if vy < 0 else 0.0)),
-            ):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < m and 0 <= jj < m:
-                    add(k, idx(ii, jj), coeff)
-            add(k, k, diag)
-    return SparseMat.from_coo(m * m, m * m, rows, cols, vals, symmetric=False)
+    diag = 4.0 * eps * h2 + (abs(vx) + abs(vy)) / h
+    neighbours = {
+        (0, -1): -eps * h2 - (vx / h if vx > 0 else 0.0),
+        (0, 1): -eps * h2 + (vx / h if vx < 0 else 0.0),
+        (1, -1): -eps * h2 - (vy / h if vy > 0 else 0.0),
+        (1, 1): -eps * h2 + (vy / h if vy < 0 else 0.0),
+    }
+    return _stencil_matrix(m, 2, diag, neighbours, symmetric=False)
 
 
 # -- theory-side quantities --------------------------------------------------
@@ -166,30 +139,20 @@ def lambda_star(matrix, maps, dense_cutoff=400, tol=1e-6, maxit=2000):
     n = matrix.nrows
     if not matrix.symmetric:
         raise ValueError("lambda_star is defined for symmetric matrices")
+    restrict, local = stacked_blocks(matrix, maps)
+    stacked = (restrict.T @ sp.block_diag(local) @ restrict).tocsr()
     if n <= dense_cutoff:
-        dense = matrix.to_dense()
-        total = np.zeros((n, n))
-        for smap in maps:
-            ix = np.ix_(smap.indices, smap.indices)
-            total[ix] += dense[ix]
-        vals = eigh(total, dense, eigvals_only=True)
+        vals = eigh(stacked.toarray(), matrix.to_dense(), eigvals_only=True)
         return max(float(vals[-1]), 1.0)
-    lu = splu(matrix.scipy().tocsc())
     a = matrix.scipy()
-    local = [a[s.indices][:, s.indices].tocsr() for s in maps]
-
-    def stacked(v):
-        out = np.zeros(n)
-        for smap, block in zip(maps, local):
-            out[smap.indices] += block @ v[smap.indices]
-        return out
+    lu = splu(a.tocsc())
 
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(maxit):
-        sv = stacked(v)
+        sv = stacked @ v
         lam_next = float(v @ sv) / float(v @ (a @ v))
         w = lu.solve(sv)
         w /= np.linalg.norm(w)
@@ -354,8 +317,7 @@ def run_experiment(config):
             and precond.coarse is not None
             and precond.report.coarse_kind in ("full", "gevp")):
         variant = "full" if precond.report.coarse_kind == "full" else "shrunk"
-        theory = _bound_verdict(matrix, precond, variant)
-        bound_check = theory
+        bound_check = _bound_verdict(matrix, precond, variant, config.tau, config.nu)
 
     lines = [precond.report.to_text(), solve_report.to_text()]
     if bound_check is not None:
@@ -375,14 +337,14 @@ def run_experiment(config):
     return ExperimentResult(matrix, rhs, x, precond, solve_report, bound_check, report_text)
 
 
-def _bound_verdict(matrix, precond, variant):
+def _bound_verdict(matrix, precond, variant, tau, nu):
+    """Check the bound on the symmetric (asm, additive) operator with the run's tau and nu."""
     if precond.is_symmetric:
         theory_pc = precond
     else:
         theory_pc = setup(
             matrix, precond.report.n_subdomains, overlap=precond.report.overlap,
-            tau=precond.bases[0].threshold if precond.bases else 0.1,
-            nu=None, coarse=precond.report.coarse_kind,
+            tau=tau, nu=nu, coarse=precond.report.coarse_kind,
             one_level="asm", combine="additive",
         )
     measured = krylov.estimate_condition(matrix, theory_pc)

@@ -1,7 +1,8 @@
 """Preconditioned Krylov solvers and condition-number estimation.
 
 Both solvers start from the zero vector, stop on the unpreconditioned
-relative residual, and report the full residual history.  GMRES builds one
+relative residual, and report the full residual history; a solve that stops
+on its tolerance is converged only if ||b - A x|| meets it too.  GMRES builds one
 unrestarted basis with modified Gram-Schmidt plus a conditional second
 orthogonalization pass; to keep that basis from exhausting memory the
 iteration cap is a hard 1000.
@@ -20,12 +21,10 @@ REORTH_TOL = 1e-8
 
 
 class BreakdownError(RuntimeError):
-    """Conjugate-gradient breakdown: the matrix is not positive definite."""
+    """Conjugate-gradient breakdown: matrix or preconditioner not positive definite."""
 
-    def __init__(self, iteration, curvature):
-        super().__init__(
-            f"non-positive curvature {curvature:.3e} at iteration {iteration}; matrix is not SPD"
-        )
+    def __init__(self, iteration, message):
+        super().__init__(f"{message} at iteration {iteration}")
         self.iteration = iteration
 
 
@@ -35,6 +34,7 @@ class SolveReport:
     converged: bool
     residuals: np.ndarray  # relative residual norms, one per iteration plus the start
     wall_time: float
+    true_residual: float  # ||b - A x|| / ||b|| of the returned iterate
     cond_estimate: float | None = None
 
     def to_text(self):
@@ -42,6 +42,7 @@ class SolveReport:
             f"iterations = {self.iterations}",
             f"converged = {self.converged}",
             f"final_relative_residual = {self.residuals[-1]:.6e}",
+            f"true_relative_residual = {self.true_residual:.6e}",
             f"wall_time_s = {self.wall_time:.6f}",
         ]
         if self.cond_estimate is not None:
@@ -58,8 +59,9 @@ def _apply_precond(precond, r):
 def pcg(matrix, precond, b, tol=1e-8, maxit=500, callback=None, track_tridiagonal=False):
     """Preconditioned conjugate gradients from the zero start.
 
-    Stops when ||b - A x|| <= tol * ||b||; the recursive residual is replaced
-    by the true residual every 25 iterations to guard against drift.  With
+    Stops when the recursive residual reaches tol * ||b||; it is replaced by
+    the true residual every 25 iterations to guard against drift.  Raises
+    BreakdownError when p'Ap <= 0 or r'z <= 0 (matrix or preconditioner not SPD).  With
     ``track_tridiagonal`` the report carries a condition estimate of the
     preconditioned operator from the underlying three-term recurrence.
     """
@@ -68,20 +70,26 @@ def pcg(matrix, precond, b, tol=1e-8, maxit=500, callback=None, track_tridiagona
     x = np.zeros_like(b)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return x, SolveReport(0, True, np.zeros(1), time.perf_counter() - t0)
+        return x, SolveReport(0, True, np.zeros(1), time.perf_counter() - t0, 0.0)
     r = b.copy()
-    z = _apply_precond(precond, r)
-    p = z.copy()
-    rz = float(r @ z)
+    p = np.zeros_like(b)
     history = [1.0]
     alphas, betas = [], []
-    converged = False
-    it = 0
+    rz, it = 0.0, 0
     for it in range(1, maxit + 1):
+        z = _apply_precond(precond, r)
+        rz_next = float(r @ z)
+        if rz_next <= 0.0:
+            raise BreakdownError(it, f"non-positive r'z {rz_next:.3e}; preconditioner is not SPD")
+        beta = rz_next / rz if it > 1 else 0.0
+        if it > 1:
+            betas.append(beta)
+        p = z + beta * p
+        rz = rz_next
         ap = matrix.matvec(p)
         curvature = float(p @ ap)
         if curvature <= 0.0:
-            raise BreakdownError(it, curvature)
+            raise BreakdownError(it, f"non-positive curvature {curvature:.3e}; matrix is not SPD")
         alpha = rz / curvature
         x += alpha * p
         r -= alpha * ap
@@ -92,18 +100,14 @@ def pcg(matrix, precond, b, tol=1e-8, maxit=500, callback=None, track_tridiagona
         if callback is not None:
             callback(it, x.copy())
         if history[-1] <= tol:
-            converged = True
             break
-        z = _apply_precond(precond, r)
-        rz_next = float(r @ z)
-        beta = rz_next / rz
-        betas.append(beta)
-        p = z + beta * p
-        rz = rz_next
+    true_res = float(np.linalg.norm(b - matrix.matvec(x))) / bnorm
+    converged = history[-1] <= tol and true_res <= tol
     cond = None
     if track_tridiagonal and alphas:
         cond = _cond_from_recurrence(alphas, betas)
-    report = SolveReport(it, converged, np.asarray(history), time.perf_counter() - t0, cond)
+    report = SolveReport(it, converged, np.asarray(history), time.perf_counter() - t0,
+                         true_res, cond)
     return x, report
 
 
@@ -130,7 +134,7 @@ def gmres(matrix, precond, b, tol=1e-8, maxit=500, callback=None):
     The Arnoldi recurrence runs on A M^{-1}, so the least-squares residual it
     minimizes is the plain unpreconditioned residual and the stopping test
     needs no extra matvec.  The returned iterate is mapped back through the
-    preconditioner at the end.
+    preconditioner at the end, which is exact only for a fixed linear one.
     """
     t0 = time.perf_counter()
     if maxit > GMRES_MAXIT_CAP:
@@ -139,7 +143,7 @@ def gmres(matrix, precond, b, tol=1e-8, maxit=500, callback=None):
     n = b.size
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n), SolveReport(0, True, np.zeros(1), time.perf_counter() - t0)
+        return np.zeros(n), SolveReport(0, True, np.zeros(1), time.perf_counter() - t0, 0.0)
     m = min(maxit, n)
     basis = np.zeros((n, m + 1))
     hess = np.zeros((m + 1, m))
@@ -182,7 +186,6 @@ def gmres(matrix, precond, b, tol=1e-8, maxit=500, callback=None):
         if callback is not None:
             callback(k, None)
         if history[-1] <= tol:
-            converged = True
             break
         if hnext <= 1e-14 * bnorm:
             converged = True  # exact solution in the current space
@@ -191,7 +194,10 @@ def gmres(matrix, precond, b, tol=1e-8, maxit=500, callback=None):
     y = solve_triangular(hess[:k, :k], g[:k])
     inner = basis[:, :k] @ y
     x = _apply_precond(precond, inner)
-    report = SolveReport(k, converged, np.asarray(history), time.perf_counter() - t0)
+    true_res = float(np.linalg.norm(b - matrix.matvec(x))) / bnorm
+    if history[-1] <= tol:  # stopped on the tolerance, not at a happy breakdown
+        converged = true_res <= tol
+    report = SolveReport(k, converged, np.asarray(history), time.perf_counter() - t0, true_res)
     return x, report
 
 

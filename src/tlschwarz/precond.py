@@ -13,9 +13,10 @@ Two-level combinations with the coarse solve Q r = basis A00^{-1} basis^T r:
 * ``deflated`` — Q r + (I - Q A) one_level(r - A Q r); the coarse residual
   of the output vanishes identically.
 
-Each subdomain's build and solve touches only its own data, so the per-
-subdomain work can run concurrently; the reduction always adds results in
-subdomain order, which keeps sequential runs bit-reproducible.
+Each level is one sparse operator with one SuperLU factor: the one-level
+part is P B^{-1} R, with R the stacked 0/1 subdomain restrictions, B the
+block-diagonal matrix of the subdomain blocks and P = R^T (asm) or R^T times
+the partition-of-unity mask (ras); the coarse operator A00 stays sparse.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import coarse as coarse_mod
 from . import spectral
 from .partition import color_subdomains, extend_overlap, partition_graph, Partition
-from .sparsemat import symmetrized_graph
-from .subdomain import build_harmonic, extract_local_blocks, factor_dense
+from .sparsemat import factor_blocks, symmetrized_graph
+from .subdomain import SubdomainSetupError, build_harmonic, extract_local_blocks
 
 ONE_LEVEL_KINDS = ("asm", "ras")
 COMBINE_KINDS = ("none", "additive", "deflated")
@@ -86,13 +88,14 @@ class SetupReport:
 class Preconditioner:
     """Built two-level Schwarz preconditioner; apply with ``.apply(r)``."""
 
-    def __init__(self, matrix, maps, blocks, local_solves, harmonic, bases,
+    def __init__(self, matrix, maps, blocks, restrict, prolong, local_lu, bases,
                  pou_bases, coarse, one_level, combine, k_c, report):
         self.matrix = matrix
         self.maps = maps
         self.blocks = blocks
-        self.local_solves = local_solves
-        self.harmonic = harmonic
+        self.restrict = restrict
+        self.prolong = prolong
+        self.local_lu = local_lu
         self.bases = bases
         self.pou_bases = pou_bases
         self.coarse = coarse
@@ -111,14 +114,7 @@ class Preconditioner:
         return self.matrix.symmetric and self.one_level == "asm" and self.combine != "deflated"
 
     def apply_one_level(self, r):
-        r = np.asarray(r, dtype=np.float64)
-        out = np.zeros(self.n)
-        for smap, solve in zip(self.maps, self.local_solves):
-            y = solve(r[smap.indices])
-            if self.one_level == "ras":
-                y = y * smap.pou_mask
-            np.add.at(out, smap.indices, y)
-        return out
+        return self.prolong @ self.local_lu.solve(self.restrict @ r)
 
     def coarse_apply(self, r):
         cs = self.coarse
@@ -133,9 +129,6 @@ class Preconditioner:
         qr_ = self.coarse_apply(r)
         w = self.apply_one_level(r - self.matrix.matvec(qr_))
         return qr_ + w - self.coarse_apply(self.matrix.matvec(w))
-
-    def __call__(self, r):
-        return self.apply(r)
 
 
 def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
@@ -195,9 +188,14 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     k_c, _ = color_subdomains(maps)
 
     blocks = [extract_local_blocks(matrix, s) for s in maps]
-    local_solves = [factor_dense(b.a, symmetric, b.subdomain) for b in blocks]
+    restrict, local = stacked_blocks(matrix, maps)
+    weights = np.concatenate([s.pou_mask for s in maps]) if one_level == "ras" else 1.0
+    prolong = restrict.T.multiply(weights).tocsr()
+    local_lu, failed = factor_blocks(local, symmetric)
+    if failed is not None:
+        raise SubdomainSetupError(failed, "local block is not positive definite" if symmetric
+                                  else "local block is numerically singular")
 
-    harmonic = None
     bases = None
     pou_bases = None
     cs = None
@@ -210,16 +208,10 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
                 spectral.select_pou_modes(b, s.pou_mask, nu)
                 for b, s in zip(blocks, maps)
             ]
-        if coarse == "gevp":
-            bases = [
-                spectral.select_harmonic_modes(b, s.pou_mask, h, tau)
-                for b, s, h in zip(blocks, maps, harmonic)
-            ]
-        elif coarse == "svd":
-            bases = [
-                spectral.svd_harmonic_modes(b, s.pou_mask, h, tau)
-                for b, s, h in zip(blocks, maps, harmonic)
-            ]
+        select = {"gevp": spectral.select_harmonic_modes,
+                  "svd": spectral.svd_harmonic_modes}.get(coarse)
+        if select is not None:
+            bases = [select(b, s.pou_mask, h, tau) for b, s, h in zip(blocks, maps, harmonic)]
         variant = {"full": "full", "gevp": "shrunk", "svd": "svd"}[coarse]
         column_blocks = [
             coarse_mod.subdomain_coarse_columns(
@@ -252,5 +244,15 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         nnz_matrix=matrix.nnz,
         nnz_coarse=cs.nnz_a00 if cs is not None else 0,
     )
-    return Preconditioner(matrix, maps, blocks, local_solves, harmonic, bases,
+    return Preconditioner(matrix, maps, blocks, restrict, prolong, local_lu, bases,
                           pou_bases, cs, one_level, combine, k_c, report)
+
+
+def stacked_blocks(matrix, maps):
+    """Stacked 0/1 restriction R (one row per local unknown) and the sparse
+    subdomain blocks A_i, so that R^T blockdiag(A_i) R = sum_i R_i^T A_i R_i."""
+    a = matrix.scipy()
+    idx = np.concatenate([s.indices for s in maps])
+    restrict = sp.csr_matrix((np.ones(idx.size), (np.arange(idx.size), idx)),
+                             shape=(idx.size, matrix.nrows))
+    return restrict, [a[s.indices][:, s.indices] for s in maps]

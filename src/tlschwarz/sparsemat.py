@@ -1,4 +1,4 @@
-"""Sparse matrices in compressed-row form, sparsity graphs, and Matrix Market I/O.
+"""Sparse CSR matrices, sparsity graphs, block-diagonal SuperLU factors, Matrix Market I/O.
 
 The on-disk format is Matrix Market (coordinate or array, real, general or
 symmetric storage).  The writer always emits general coordinate format with 17
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 # Largest row count for which an explicit dense copy is allowed.  Everything
 # in this package that densifies a block goes through SparseMat.to_dense or
@@ -128,9 +129,6 @@ class SparseMat:
             raise ValueError(f"dimension mismatch: matrix is {self.shape}, vector has shape {v.shape}")
         return self._csr @ v
 
-    def __matmul__(self, v):
-        return self.matvec(v)
-
     def to_dense(self):
         if self.nrows > DENSE_GUARD:
             raise ValueError(
@@ -168,6 +166,40 @@ def symmetrized_graph(matrix):
     pattern.eliminate_zeros()
     pattern.sort_indices()
     return pattern
+
+
+def factor_blocks(blocks, symmetric):
+    """One SuperLU factor of the block-diagonal matrix of square sparse ``blocks``.
+
+    Returns ``(lu, failed)``, ``failed`` being the first block that fails its
+    test or None (``lu`` is None after an exactly zero pivot column).  A
+    symmetric block must keep symmetric pivoting with positive pivots, i.e. be
+    positive definite; any other block must keep every pivot above
+    n * eps * max|U| of that block.  Elimination never couples two blocks.
+    """
+    try:
+        if symmetric:
+            lu = splu(sp.block_diag(blocks, format="csc"), permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0, options={"SymmetricMode": True})
+        else:
+            lu = splu(sp.block_diag(blocks, format="csc"))
+    except RuntimeError:  # exactly singular: find the block on its own
+        failed = [0] if len(blocks) == 1 else [
+            i for i, b in enumerate(blocks) if factor_blocks([b], symmetric)[1] is not None]
+        if not failed:
+            raise
+        return None, failed[0]
+    sizes = np.array([b.shape[0] for b in blocks])
+    starts = np.cumsum(sizes) - sizes
+    pivots = lu.U.diagonal()[lu.perm_c]  # in the original column order
+    if symmetric:
+        bad = (lu.perm_r != lu.perm_c) | (pivots <= 0)
+    else:
+        colmax = abs(lu.U).max(axis=0).toarray().ravel()[lu.perm_c]
+        limit = sizes * np.finfo(float).eps * np.maximum.reduceat(colmax, starts)
+        bad = np.abs(pivots) <= np.repeat(limit, sizes)
+    bad = np.flatnonzero(bad)
+    return lu, (int(np.searchsorted(starts, bad[0], side="right")) - 1 if bad.size else None)
 
 
 # -- Matrix Market ---------------------------------------------------------

@@ -259,6 +259,15 @@ class TestRunExperiment:
         assert adv.solve_report.converged
         assert adv.bound_check is None  # nonsymmetric: no certified bound
 
+    def test_ras_bound_uses_the_run_thresholds(self):
+        # the bound for a ras run is checked on the asm operator built with the
+        # same tau and nu, so it must match the asm run's certificate
+        runs = {one: run_experiment(ExperimentConfig(kind="poisson2d", m=12, n_subdomains=4,
+                                                     nu=1.5, one_level=one))
+                for one in ("asm", "ras")}
+        assert runs["ras"].bound_check["inputs"] == runs["asm"].bound_check["inputs"]
+        assert runs["ras"].bound_check["measured"] == runs["asm"].bound_check["measured"]
+
     def test_unknown_solver(self):
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(kind="poisson2d", m=5, solver="banana"))

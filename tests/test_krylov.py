@@ -64,6 +64,29 @@ class TestPcg:
             pcg(mat, None, np.array([0.0, 1.0]), tol=1e-10)
         assert info.value.iteration >= 1
 
+    def test_indefinite_preconditioner_raises(self):
+        mat, b = generate(ProblemSpec("poisson2d", 10))
+        signs = (-1.0) ** np.arange(mat.nrows)
+
+        class Alternating:
+            def apply(self, r):
+                return signs * r
+
+        with pytest.raises(BreakdownError, match="preconditioner is not SPD"):
+            pcg(mat, Alternating(), b, tol=1e-8, maxit=200)
+
+    def test_true_residual_decides_convergence(self):
+        # kappa = 1e10 and b along the smallest eigenvector: the recursive
+        # residual reaches round-off while the true one stalls near eps * kappa
+        q = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        mat = SparseMat.from_dense(q @ np.diag([1.0, 1e10]) @ q.T)
+        b = q[:, 0]
+        x, report = pcg(mat, None, b, tol=1e-10, maxit=24)
+        true_rel = np.linalg.norm(b - mat.matvec(x)) / np.linalg.norm(b)
+        assert report.residuals[-1] <= 1e-10 < true_rel
+        assert not report.converged
+        assert report.true_residual == true_rel
+
     def test_zero_rhs(self):
         mat = laplace1d(10)
         x, report = pcg(mat, None, np.zeros(10))
@@ -133,6 +156,24 @@ class TestGmres:
         assert report.converged
         assert report.iterations <= 3
         np.testing.assert_allclose(mat.matvec(x), b, atol=1e-10)
+
+    def test_drifting_preconditioner_not_converged(self):
+        # the final map back through a preconditioner whose scale changes on
+        # every call spoils the iterate although the least-squares residual is tiny
+        mat, b = generate(ProblemSpec("poisson2d", 10))
+
+        class Drifting:
+            calls = 0
+
+            def apply(self, r):
+                self.calls += 1
+                return r * self.calls
+
+        x, report = gmres(mat, Drifting(), b, tol=1e-8)
+        true_rel = np.linalg.norm(b - mat.matvec(x)) / np.linalg.norm(b)
+        assert report.residuals[-1] <= 1e-8 < true_rel
+        assert not report.converged
+        assert report.true_residual == true_rel
 
     def test_maxit_cap(self):
         mat = laplace1d(5)

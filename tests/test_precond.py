@@ -229,7 +229,7 @@ class TestReport:
         for count, blocks in zip(rep.mode_counts, pre.blocks):
             assert count <= blocks.n_boundary
         assert rep.nnz_matrix == mat.nnz
-        assert rep.nnz_coarse == np.count_nonzero(pre.coarse.a00)
+        assert rep.nnz_coarse == np.count_nonzero(pre.coarse.a00.toarray())
 
     def test_complexities_are_exact_fractions(self):
         from fractions import Fraction

@@ -28,7 +28,7 @@ class TestParse:
     def test_banded7_matvec_column(self, banded7):
         e = np.zeros(7)
         e[1] = 1.0
-        np.testing.assert_allclose(banded7 @ e, [2, 4, 7, 0, 0, 0, 0])
+        np.testing.assert_allclose(banded7.matvec(e), [2, 4, 7, 0, 0, 0, 0])
 
     def test_symmetric_storage_expands(self):
         text = "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 2\n2 1 -1\n2 2 2\n"
@@ -144,13 +144,13 @@ class TestSparseMat:
     def test_matvec_identity(self):
         eye = SparseMat.identity(5)
         v = np.arange(5.0)
-        np.testing.assert_array_equal(eye @ v, v)
+        np.testing.assert_array_equal(eye.matvec(v), v)
 
     def test_matvec_vs_dense(self):
         mat = random_spd(40, seed=3)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(40)
-        np.testing.assert_allclose(mat @ v, mat.to_dense() @ v, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(mat.matvec(v), mat.to_dense() @ v, rtol=1e-13, atol=1e-13)
 
     def test_value_out_of_range(self, banded7):
         with pytest.raises(IndexError):
