@@ -194,6 +194,19 @@ class TestBounds:
         measured = estimate_condition(mat, pre)
         assert measured <= theoretical_bound(inputs, "shrunk")
 
+    @pytest.mark.parametrize("kind, m, n_sub, nu, expected", [
+        ("poisson2d", 12, 4, None, (3, 2.3983864772441987, 0.08241624485513435, 10.426478816873761)),
+        ("poisson2d", 12, 4, 1.5, (3, 1.420294666431597, 0.08241624485513435, 10.426478816873761)),
+        ("hetero-diffusion2d", 20, 16, None,
+         (5, 3.4545241734256007, 0.09889623623546923, 42.630863320750564)),
+    ])
+    def test_shrunk_constants_pinned(self, kind, m, n_sub, nu, expected):
+        mat, _ = generate(ProblemSpec(kind, m))
+        inputs = derive_bound_inputs(setup(mat, n_sub, nu=nu), "shrunk")
+        assert inputs.k_c == expected[0]
+        np.testing.assert_allclose([inputs.nu, inputs.tau, inputs.lam_star], expected[1:],
+                                   rtol=1e-12)
+
     def test_shrunk_requires_selection(self):
         mat, _ = generate(ProblemSpec("poisson2d", 8))
         pre = setup(mat, 2, overlap=2, coarse="full")

@@ -9,6 +9,7 @@ from tlschwarz import (
     SubdomainSetupError,
     estimate_condition,
     generate,
+    pcg,
     setup,
 )
 
@@ -102,6 +103,36 @@ class TestAgainstDenseOracle:
         rng = np.random.default_rng(8)
         r = rng.standard_normal(64)
         np.testing.assert_allclose(pre.apply(r), oracle @ r, atol=1e-10)
+
+
+class TestEdgeCases:
+    @staticmethod
+    def poisson5():
+        return generate(ProblemSpec("poisson2d", 5))[0]
+
+    @pytest.mark.parametrize("case, n_coarse", [
+        ("one node per subdomain", 25),
+        ("overlap covers the graph", 0),
+        ("1x1 system", 0),
+        ("disconnected blocks", 10),
+    ])
+    def test_converges_and_matches_oracle(self, case, n_coarse):
+        p5 = self.poisson5()
+        mat, n_sub, overlap = {
+            "one node per subdomain": (p5, 25, 2),
+            "overlap covers the graph": (p5, 4, 30),
+            "1x1 system": (SparseMat(sp.csr_matrix([[3.0]]), symmetric=True), 1, 2),
+            "disconnected blocks": (
+                SparseMat(sp.block_diag([p5.scipy(), p5.scipy()]).tocsr(), symmetric=True), 4, 2),
+        }[case]
+        pre = setup(mat, n_sub, overlap=overlap)
+        assert pre.report.n_coarse == n_coarse
+        b = mat.matvec(np.ones(mat.nrows))
+        _, report = pcg(mat, pre, b, tol=1e-10)
+        assert report.converged
+        oracle = dense_oracle(pre)
+        np.testing.assert_allclose(dense_apply(pre), oracle, rtol=0,
+                                   atol=1e-12 * np.abs(oracle).max())
 
 
 class TestDeflation:

@@ -3,6 +3,7 @@ import pytest
 
 from tlschwarz import (
     HarmonicFactor,
+    LocalBlocks,
     Partition,
     SubdomainMap,
     SubdomainSetupError,
@@ -143,6 +144,17 @@ class TestHarmonicExtension:
         _, factor = fixture_1d3()
         with pytest.raises(ValueError):
             factor.apply(np.ones(5))
+
+    @pytest.mark.parametrize("a, symmetric", [
+        ([[1.0, 2.0, 0.0], [2.0, 1.0, 1.0], [0.0, 1.0, 3.0]], True),  # indefinite inner block
+        ([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]], False),  # singular inner block
+    ])
+    def test_failing_inner_block_names_subdomain(self, a, symmetric):
+        blocks = LocalBlocks(subdomain=3, a=np.array(a), n_interior=2, layer_sizes=(1,),
+                             symmetric=symmetric)
+        with pytest.raises(SubdomainSetupError, match="subdomain 3") as info:
+            build_harmonic(blocks)
+        assert info.value.subdomain == 3
 
 
 class TestSplitting:
