@@ -33,7 +33,6 @@ from .subdomain import (
     HarmonicFactor,
     SubdomainSetupError,
     extract_local_blocks,
-    factor_dense,
     build_harmonic,
     spsd_splitting,
 )

@@ -49,33 +49,26 @@ class CoarseSpace:
         return self._solve(rhs)
 
 
-def subdomain_coarse_columns(smap, blocks, factor, variant,
-                             harmonic_basis=None, pou_basis=None):
+def subdomain_coarse_columns(smap, factor, variant, harmonic_basis=None, pou_basis=None):
     """Local coarse columns of one subdomain, already mask-weighted.
 
     variant "full"   — every harmonic extension column (one per boundary-ring
                        node), plus any partition-of-unity modes.
-    variant "shrunk" — harmonic extension applied to the selected modes of
-                       the harmonic pencil, plus any partition-of-unity modes.
-    variant "svd"    — the selected Euclidean singular vectors as they are
-                       (their construction already confines them to the
-                       interior).
+    variant "shrunk" — the selected modes of the harmonic pencil (already
+                       harmonic extensions), plus any partition-of-unity modes.
+    variant "svd"    — the selected Euclidean singular vectors (their
+                       construction already confines them to the interior,
+                       so the mask leaves them as they are).
     """
     d = smap.pou_mask.astype(np.float64)[:, None]
     cols = []
     if variant == "full":
         cols.append(factor.extension * d)
-    elif variant == "shrunk":
+    elif variant in ("shrunk", "svd"):
         if harmonic_basis is None:
-            raise ValueError("shrunk variant needs the harmonic-pencil basis")
+            raise ValueError(f"{variant} variant needs the selected harmonic basis")
         if harmonic_basis.n_selected:
-            lifted = factor.extension @ harmonic_basis.vectors[blocks.n_inner:, :]
-            cols.append(lifted * d)
-    elif variant == "svd":
-        if harmonic_basis is None:
-            raise ValueError("svd variant needs the singular-vector basis")
-        if harmonic_basis.n_selected:
-            cols.append(harmonic_basis.vectors)
+            cols.append(harmonic_basis.vectors * d)
     else:
         raise ValueError(f"unknown coarse variant {variant!r}")
     if pou_basis is not None and pou_basis.n_selected:

@@ -18,7 +18,7 @@ from scipy.sparse.linalg import splu
 from . import krylov
 from .precond import setup, stacked_blocks, Preconditioner
 from .sparsemat import SparseMat, load_matrix_market, load_vector
-from .spectral import select_pou_modes, select_harmonic_modes
+from .spectral import select_pou_modes
 
 PROBLEM_KINDS = ("poisson2d", "poisson3d", "hetero-diffusion2d", "advection2d")
 
@@ -209,26 +209,21 @@ def derive_bound_inputs(precond, variant, dense_cutoff=400):
 
     ``nu`` is the largest partition-of-unity eigenvalue not represented in
     the coarse space (all of them when those modes are disabled), clamped to
-    one; ``tau`` is the largest harmonic singular value left unselected.
+    one, recomputed from the dense local blocks at the threshold the setup
+    report records; ``tau`` is the largest harmonic singular value left
+    unselected, as recorded in the report.
     """
     if not precond.matrix.symmetric:
         raise ValueError("bound constants are defined for the symmetric theory")
-    nu = 1.0
-    for blocks, smap, basis in zip(
-        precond.blocks, precond.maps,
-        precond.pou_bases or [None] * len(precond.blocks),
-    ):
-        if basis is None:
-            spectrum = select_pou_modes(blocks, smap.pou_mask, np.inf).all_values
-            largest_out = float(spectrum[0]) if spectrum.size else 0.0
-        else:
-            largest_out = basis.largest_unselected
-        nu = max(nu, largest_out)
+    report = precond.report
+    threshold = np.inf if report.nu is None else report.nu
+    nu = max([1.0] + [select_pou_modes(b, s.pou_mask, threshold).largest_unselected
+                      for b, s in zip(precond.blocks, precond.maps)])
     tau = 0.0
     if variant == "shrunk":
-        if precond.bases is None:
+        if not report.largest_unselected:
             raise ValueError("shrunk bound needs the harmonic-pencil selection")
-        tau = max(b.largest_unselected for b in precond.bases)
+        tau = max(report.largest_unselected)
     lam = lambda_star(precond.matrix, precond.maps, dense_cutoff=dense_cutoff)
     return BoundInputs(k_c=precond.k_c, nu=nu, tau=tau, lam_star=lam)
 

@@ -31,7 +31,7 @@ from . import coarse as coarse_mod
 from . import spectral
 from .partition import color_subdomains, extend_overlap, partition_graph, Partition
 from .sparsemat import factor_blocks, symmetrized_graph
-from .subdomain import SubdomainSetupError, build_harmonic, extract_local_blocks
+from .subdomain import LocalBlocks, SubdomainSetupError, build_harmonic, extract_local_blocks
 
 ONE_LEVEL_KINDS = ("asm", "ras")
 COMBINE_KINDS = ("none", "additive", "deflated")
@@ -40,7 +40,13 @@ COARSE_KINDS = ("none", "full", "gevp", "svd", "auto")
 
 @dataclass(frozen=True)
 class SetupReport:
-    """Sizes and accounting captured while building a preconditioner."""
+    """Sizes and accounting captured while building a preconditioner.
+
+    ``nu`` is the partition-of-unity threshold that was applied (None when
+    no such modes were selected) and ``largest_unselected`` holds, per
+    subdomain, the largest value the harmonic selection left out (empty
+    when no selection ran); they are what the bound check needs.
+    """
 
     n: int
     n_subdomains: int
@@ -54,6 +60,9 @@ class SetupReport:
     mode_counts: tuple
     nnz_matrix: int
     nnz_coarse: int
+    tau: float
+    nu: float | None
+    largest_unselected: tuple
 
     @property
     def grid_complexity(self):
@@ -79,6 +88,9 @@ class SetupReport:
             f"mode_counts = {','.join(str(c) for c in self.mode_counts)}",
             f"nnz_matrix = {self.nnz_matrix}",
             f"nnz_coarse = {self.nnz_coarse}",
+            f"tau = {self.tau}",
+            f"nu = {self.nu}",
+            f"largest_unselected = {','.join(f'{v:.6e}' for v in self.largest_unselected)}",
             f"grid_complexity = {float(self.grid_complexity):.6f}",
             f"operator_complexity = {float(self.operator_complexity):.6f}",
         ]
@@ -88,16 +100,13 @@ class SetupReport:
 class Preconditioner:
     """Built two-level Schwarz preconditioner; apply with ``.apply(r)``."""
 
-    def __init__(self, matrix, maps, blocks, restrict, prolong, local_lu, bases,
-                 pou_bases, coarse, one_level, combine, k_c, report):
+    def __init__(self, matrix, maps, restrict, prolong, local_lu, coarse, one_level, combine,
+                 k_c, report):
         self.matrix = matrix
         self.maps = maps
-        self.blocks = blocks
         self.restrict = restrict
         self.prolong = prolong
         self.local_lu = local_lu
-        self.bases = bases
-        self.pou_bases = pou_bases
         self.coarse = coarse
         self.one_level = one_level
         self.combine = combine
@@ -107,6 +116,11 @@ class Preconditioner:
     @property
     def n(self):
         return self.matrix.nrows
+
+    @property
+    def blocks(self):
+        """Dense local blocks, cut from the matrix anew on each access."""
+        return [extract_local_blocks(self.matrix, s) for s in self.maps]
 
     @property
     def is_symmetric(self):
@@ -187,7 +201,6 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     maps = extend_overlap(graph, part, overlap)
     k_c, _ = color_subdomains(maps)
 
-    blocks = [extract_local_blocks(matrix, s) for s in maps]
     restrict, local = stacked_blocks(matrix, maps)
     weights = np.concatenate([s.pou_mask for s in maps]) if one_level == "ras" else 1.0
     prolong = restrict.T.multiply(weights).tocsr()
@@ -196,30 +209,25 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         raise SubdomainSetupError(failed, "local block is not positive definite" if symmetric
                                   else "local block is numerically singular")
 
-    bases = None
-    pou_bases = None
+    bases = [None] * len(maps)
+    pou_bases = [None] * len(maps)
     cs = None
     mode_counts = tuple(0 for _ in maps)
 
     if coarse != "none":
+        blocks = [LocalBlocks.of(s, a, symmetric) for s, a in zip(maps, local)]
         harmonic = [build_harmonic(b) for b in blocks]
         if nu is not None:
-            pou_bases = [
-                spectral.select_pou_modes(b, s.pou_mask, nu)
-                for b, s in zip(blocks, maps)
-            ]
+            pou_bases = [spectral.select_pou_modes(b, s.pou_mask, nu)
+                         for b, s in zip(blocks, maps)]
         select = {"gevp": spectral.select_harmonic_modes,
                   "svd": spectral.svd_harmonic_modes}.get(coarse)
         if select is not None:
             bases = [select(b, s.pou_mask, h, tau) for b, s, h in zip(blocks, maps, harmonic)]
         variant = {"full": "full", "gevp": "shrunk", "svd": "svd"}[coarse]
         column_blocks = [
-            coarse_mod.subdomain_coarse_columns(
-                s, b, h, variant,
-                harmonic_basis=bases[i] if bases is not None else None,
-                pou_basis=pou_bases[i] if pou_bases is not None else None,
-            )
-            for i, (s, b, h) in enumerate(zip(maps, blocks, harmonic))
+            coarse_mod.subdomain_coarse_columns(s, h, variant, harmonic_basis=b, pou_basis=p)
+            for s, h, b, p in zip(maps, harmonic, bases, pou_bases)
         ]
         cs = coarse_mod.assemble_coarse_basis(maps, column_blocks, matrix.nrows)
         cs = coarse_mod.rank_filter(cs, maps, drop_tol=drop_tol)
@@ -243,9 +251,12 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         mode_counts=mode_counts,
         nnz_matrix=matrix.nnz,
         nnz_coarse=cs.nnz_a00 if cs is not None else 0,
+        tau=tau,
+        nu=nu if coarse != "none" else None,
+        largest_unselected=tuple(b.largest_unselected for b in bases if b is not None),
     )
-    return Preconditioner(matrix, maps, blocks, restrict, prolong, local_lu, bases,
-                          pou_bases, cs, one_level, combine, k_c, report)
+    return Preconditioner(matrix, maps, restrict, prolong, local_lu, cs, one_level, combine,
+                          k_c, report)
 
 
 def stacked_blocks(matrix, maps):

@@ -8,7 +8,9 @@ Three selections feed the coarse space:
 * ``select_harmonic_modes`` — eigenvectors of the pencil ((DP)^T A (DP), A)
   with P the harmonic extension; eigenvalues are squares of the A-weighted
   singular values of DP, and vectors with singular value above the threshold
-  are kept.
+  are kept.  The left side lives on the boundary ring, so the pencil is
+  solved there, as the boundary Schur-complement pencil (E^T D A D E, E^T A E)
+  with E the extension columns, and its vectors are lifted by E.
 * ``svd_harmonic_modes`` — plain Euclidean left singular vectors of DP above
   the threshold; the fallback that needs no symmetry.
 
@@ -102,8 +104,8 @@ def select_pou_modes(blocks, pou_mask, threshold):
     if threshold <= 1.0:
         raise ValueError("threshold must exceed 1")
     d = pou_mask.astype(np.float64)
-    lhs = blocks.a * np.outer(d, d)
-    vals, vecs = sym_gevp(lhs, blocks.a)
+    a = blocks.dense
+    vals, vecs = sym_gevp(a * np.outer(d, d), a)
     sel_vecs, sel_vals = _select_above(vals, vecs, threshold)
     return SpectralBasis(KIND_POU, float(threshold), sel_vecs, sel_vals, vals)
 
@@ -111,25 +113,28 @@ def select_pou_modes(blocks, pou_mask, threshold):
 def select_harmonic_modes(blocks, pou_mask, factor, threshold):
     """Modes of the masked harmonic-extension pencil above threshold.
 
-    The left side is nonzero only on the boundary-ring block, so at most
-    n_boundary eigenvalues are nonzero and at most that many vectors are
-    selectable.  Stored values are the A-weighted singular values (square
-    roots of the pencil eigenvalues).
+    The left side is nonzero only on the boundary-ring block, so the n_local
+    pencil has n_inner zero eigenvalues and the others are those of the
+    n_boundary pencil (E^T D A D E, E^T A E); E^T A E is the boundary Schur
+    complement.  Selected vectors are E w: full local vectors, orthonormal in
+    the block's inner product.  Stored values are the A-weighted singular
+    values (square roots of the pencil eigenvalues), padded with the
+    n_inner zeros.
     """
     if not blocks.symmetric:
         raise ValueError("harmonic-pencil modes require a symmetric block")
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
-    m = blocks.n_local
-    ni = blocks.n_inner
-    masked = factor.extension * pou_mask[:, None].astype(np.float64)
-    gram = masked.T @ blocks.a @ masked
-    lhs = np.zeros((m, m))
-    lhs[ni:, ni:] = 0.5 * (gram + gram.T)
-    vals, vecs = sym_gevp(lhs, blocks.a)
+    ext = factor.extension
+    masked = ext * pou_mask[:, None].astype(np.float64)
+    lhs = masked.T @ (blocks.a @ masked)
+    schur = ext.T @ (blocks.a @ ext)
+    vals, vecs = sym_gevp(0.5 * (lhs + lhs.T), 0.5 * (schur + schur.T))
     sigmas = np.sqrt(np.clip(vals, 0.0, None))
     sel_vecs, sel_vals = _select_above(sigmas, vecs, threshold)
-    return SpectralBasis(KIND_HARMONIC, float(threshold), sel_vecs, sel_vals, sigmas)
+    all_values = np.concatenate([sigmas, np.zeros(blocks.n_inner)])
+    return SpectralBasis(KIND_HARMONIC, float(threshold), _fix_signs(ext @ sel_vecs), sel_vals,
+                         all_values)
 
 
 def svd_harmonic_modes(blocks, pou_mask, factor, threshold):

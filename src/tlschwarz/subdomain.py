@@ -1,4 +1,4 @@
-"""Per-subdomain dense blocks and the harmonic boundary extension.
+"""Per-subdomain blocks and the harmonic boundary extension.
 
 For a subdomain with local ordering (interior, layer 1, ..., layer d) the
 "inner" part is everything except the outermost layer, and the "boundary
@@ -6,17 +6,21 @@ ring" is that outermost layer.  The harmonic extension maps boundary-ring
 values to the full subdomain by solving the inner block against the
 inner-to-ring coupling; it is the projection used both to split the local
 matrix into a positive-semidefinite piece and to build coarse basis vectors.
+
+A block's matrix is either the sparse cut that ``setup`` factors for the
+one-level part or a dense copy from ``extract_local_blocks``; the harmonic
+extension reads either, and only the dense pencils and the splitting make a
+dense n_local x n_local copy.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
+import scipy.sparse as sp
 
-from .sparsemat import DENSE_GUARD
+from .sparsemat import DENSE_GUARD, factor_blocks
 
 
 class SubdomainSetupError(RuntimeError):
@@ -29,13 +33,20 @@ class SubdomainSetupError(RuntimeError):
 
 @dataclass(frozen=True)
 class LocalBlocks:
-    """Dense local matrix of one subdomain plus its index bookkeeping."""
+    """Local matrix of one subdomain (dense array or scipy sparse) plus its
+    index bookkeeping."""
 
     subdomain: int
-    a: np.ndarray
+    a: np.ndarray | sp.spmatrix
     n_interior: int
     layer_sizes: tuple
     symmetric: bool
+
+    @classmethod
+    def of(cls, smap, a, symmetric):
+        """Blocks of subdomain ``smap`` whose local matrix ``a`` is in its local ordering."""
+        return cls(smap.index, a, smap.interior.size, tuple(l.size for l in smap.layers),
+                   symmetric)
 
     @property
     def n_local(self):
@@ -49,50 +60,25 @@ class LocalBlocks:
     def n_inner(self):
         return self.n_local - self.n_boundary
 
+    @property
+    def dense(self):
+        """The local matrix as a dense array (a new copy when ``a`` is sparse)."""
+        if not sp.issparse(self.a):
+            return self.a
+        if self.n_local > DENSE_GUARD:
+            raise ValueError(
+                f"subdomain {self.subdomain} has {self.n_local} nodes; dense guard is {DENSE_GUARD}"
+            )
+        return self.a.toarray()
+
 
 def extract_local_blocks(matrix, smap):
     """Dense principal submatrix of the subdomain in its local ordering."""
-    if smap.n_local > DENSE_GUARD:
-        raise ValueError(
-            f"subdomain {smap.index} has {smap.n_local} nodes; dense guard is {DENSE_GUARD}"
-        )
     idx = smap.indices
-    local = matrix.scipy()[idx][:, idx].toarray()
+    local = LocalBlocks.of(smap, matrix.scipy()[idx][:, idx], matrix.symmetric).dense
     if not np.all(np.isfinite(local)):
         raise ValueError(f"subdomain {smap.index}: non-finite entries in local block")
-    return LocalBlocks(
-        subdomain=smap.index,
-        a=local,
-        n_interior=smap.interior.size,
-        layer_sizes=tuple(l.size for l in smap.layers),
-        symmetric=matrix.symmetric,
-    )
-
-
-def factor_dense(a, symmetric, subdomain):
-    """Factor a dense block; Cholesky when symmetric, pivoted LU otherwise.
-
-    Returns a solve callable accepting a vector or a matrix of columns.
-    """
-    if a.shape[0] == 0:
-        return lambda rhs: np.zeros_like(rhs, dtype=np.float64)
-    try:
-        if symmetric:
-            fac = cho_factor(a)
-            return lambda rhs: cho_solve(fac, rhs)
-        with warnings.catch_warnings():
-            # scipy warns on exactly-singular pivots; we raise our own error below
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(a)
-        if np.abs(np.diag(lu)).min() <= a.shape[0] * np.finfo(float).eps * np.abs(lu).max():
-            raise SubdomainSetupError(subdomain, "local block is numerically singular")
-        return lambda rhs: lu_solve((lu, piv), rhs)
-    except SubdomainSetupError:
-        raise
-    except np.linalg.LinAlgError as exc:
-        raise SubdomainSetupError(subdomain, f"factorization failed: {exc}") from exc
-    except ValueError as exc:
-        raise SubdomainSetupError(subdomain, f"factorization failed: {exc}") from exc
+    return LocalBlocks.of(smap, local, matrix.symmetric)
 
 
 class HarmonicFactor:
@@ -102,7 +88,9 @@ class HarmonicFactor:
     replaces everything else by minus the inner-block solve of the coupling
     times those values.  The operator is a projection: applying it twice
     gives the same result, and its complement is orthogonal to its range in
-    the local-matrix inner product when the block is symmetric.
+    the local-matrix inner product when the block is symmetric.  The inner
+    block is factored sparsely; one that fails its factorization test raises
+    ``SubdomainSetupError``.
     """
 
     def __init__(self, blocks):
@@ -111,13 +99,16 @@ class HarmonicFactor:
         self.n_inner = ni
         self.n_boundary = nb
         self.n_local = blocks.n_local
-        coupling = blocks.a[:ni, ni:]
         self._ext = np.zeros((blocks.n_local, nb))
-        if nb:
-            inner_solve = factor_dense(blocks.a[:ni, :ni], blocks.symmetric, blocks.subdomain)
-            if ni:
-                self._ext[:ni] = -inner_solve(coupling)
-            self._ext[ni:] = np.eye(nb)
+        self._ext[ni:] = np.eye(nb)
+        if ni and nb:
+            a = sp.csc_array(blocks.a)
+            lu, failed = factor_blocks([a[:ni, :ni]], blocks.symmetric)
+            if failed is not None:
+                raise SubdomainSetupError(
+                    blocks.subdomain, "inner block is not positive definite" if blocks.symmetric
+                    else "inner block is numerically singular")
+            self._ext[:ni] = -lu.solve(a[:ni, ni:].toarray())
 
     @property
     def extension(self):
@@ -149,10 +140,10 @@ def spsd_splitting(blocks, factor):
         raise ValueError("positive-semidefinite splitting requires a symmetric block")
     m = blocks.n_local
     if blocks.n_boundary == 0:
-        return blocks.a.copy()
+        return blocks.dense.copy()
     e = np.eye(m)
     e[:, blocks.n_inner:] -= factor.extension
-    tilde = e.T @ blocks.a @ e
+    tilde = e.T @ blocks.dense @ e
     tilde = 0.5 * (tilde + tilde.T)
     if not np.all(np.isfinite(tilde)):
         raise ValueError(f"subdomain {blocks.subdomain}: splitting produced non-finite values")

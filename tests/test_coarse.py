@@ -40,7 +40,7 @@ def pipeline(mat, part, delta, tau=0.1, variant="shrunk"):
         else:
             basis = select_harmonic_modes(blocks, boolean_pou(smap), factor, tau)
         column_blocks.append(
-            subdomain_coarse_columns(smap, blocks, factor, variant, harmonic_basis=basis)
+            subdomain_coarse_columns(smap, factor, variant, harmonic_basis=basis)
         )
     return maps, column_blocks, assemble_coarse_basis(maps, column_blocks, mat.nrows)
 
@@ -55,7 +55,7 @@ class TestColumns:
         smap = maps[0]
         blocks = extract_local_blocks(banded7, smap)
         factor = build_harmonic(blocks)
-        cols = subdomain_coarse_columns(smap, blocks, factor, "full")
+        cols = subdomain_coarse_columns(smap, factor, "full")
         ni = blocks.n_inner
         expected_top = -np.linalg.solve(blocks.a[:ni, :ni], blocks.a[:ni, ni:])
         np.testing.assert_allclose(cols[:ni], expected_top, atol=1e-12)
@@ -69,7 +69,7 @@ class TestColumns:
         blocks = extract_local_blocks(mat, smap)
         factor = build_harmonic(blocks)
         basis = select_harmonic_modes(blocks, boolean_pou(smap), factor, 0.05)
-        cols = subdomain_coarse_columns(smap, blocks, factor, "shrunk", harmonic_basis=basis)
+        cols = subdomain_coarse_columns(smap, factor, "shrunk", harmonic_basis=basis)
         assert cols.shape == (smap.n_local, basis.n_selected)
         d = smap.pou_mask.astype(float)[:, None]
         expected = (factor.extension @ basis.vectors[blocks.n_inner:, :]) * d
@@ -81,9 +81,9 @@ class TestColumns:
         blocks = extract_local_blocks(banded7, maps[0])
         factor = build_harmonic(blocks)
         with pytest.raises(ValueError, match="variant"):
-            subdomain_coarse_columns(maps[0], blocks, factor, "banana")
+            subdomain_coarse_columns(maps[0], factor, "banana")
         with pytest.raises(ValueError):
-            subdomain_coarse_columns(maps[0], blocks, factor, "shrunk")
+            subdomain_coarse_columns(maps[0], factor, "shrunk")
 
 
 class TestAssembly:

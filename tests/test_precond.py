@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 import scipy.sparse as sp
 
 from tlschwarz import (
+    LocalBlocks,
     ProblemSpec,
     SparseMat,
     SubdomainSetupError,
@@ -105,26 +108,18 @@ class TestAgainstDenseOracle:
         np.testing.assert_allclose(pre.apply(r), oracle @ r, atol=1e-10)
 
 
-class TestEdgeCases:
-    @staticmethod
-    def poisson5():
-        return generate(ProblemSpec("poisson2d", 5))[0]
+P5 = generate(ProblemSpec("poisson2d", 5))[0]
 
-    @pytest.mark.parametrize("case, n_coarse", [
-        ("one node per subdomain", 25),
-        ("overlap covers the graph", 0),
-        ("1x1 system", 0),
-        ("disconnected blocks", 10),
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("mat, n_sub, overlap, n_coarse", [
+        pytest.param(P5, 25, 2, 25, id="one node per subdomain"),
+        pytest.param(P5, 4, 30, 0, id="overlap covers the graph"),
+        pytest.param(SparseMat(sp.csr_matrix([[3.0]]), symmetric=True), 1, 2, 0, id="1x1 system"),
+        pytest.param(SparseMat(sp.block_diag([P5.scipy(), P5.scipy()]).tocsr(), symmetric=True),
+                     4, 2, 10, id="disconnected blocks"),
     ])
-    def test_converges_and_matches_oracle(self, case, n_coarse):
-        p5 = self.poisson5()
-        mat, n_sub, overlap = {
-            "one node per subdomain": (p5, 25, 2),
-            "overlap covers the graph": (p5, 4, 30),
-            "1x1 system": (SparseMat(sp.csr_matrix([[3.0]]), symmetric=True), 1, 2),
-            "disconnected blocks": (
-                SparseMat(sp.block_diag([p5.scipy(), p5.scipy()]).tocsr(), symmetric=True), 4, 2),
-        }[case]
+    def test_converges_and_matches_oracle(self, mat, n_sub, overlap, n_coarse):
         pre = setup(mat, n_sub, overlap=overlap)
         assert pre.report.n_coarse == n_coarse
         b = mat.matvec(np.ones(mat.nrows))
@@ -133,6 +128,27 @@ class TestEdgeCases:
         oracle = dense_oracle(pre)
         np.testing.assert_allclose(dense_apply(pre), oracle, rtol=0,
                                    atol=1e-12 * np.abs(oracle).max())
+
+
+class TestSparseSetup:
+    @pytest.mark.parametrize("kind, coarse", [
+        ("poisson2d", "gevp"), ("poisson2d", "svd"), ("poisson2d", "full"),
+        ("hetero-diffusion2d", "gevp"), ("hetero-diffusion2d", "svd"),
+        ("hetero-diffusion2d", "full"), ("advection2d", "svd"),
+    ])
+    def test_setup_makes_no_dense_local_block(self, monkeypatch, kind, coarse):
+        def refuse(*args):
+            raise AssertionError("setup densified a local block")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tlschwarz") and hasattr(module, "extract_local_blocks"):
+                monkeypatch.setattr(module, "extract_local_blocks", refuse)
+        monkeypatch.setattr(LocalBlocks, "dense", property(refuse))
+        mat, _ = generate(ProblemSpec(kind, 12))
+        pre = setup(mat, 4, overlap=2, coarse=coarse)
+        assert pre.report.n_coarse > 0
+        with pytest.raises(AssertionError, match="densified"):
+            pre.blocks
 
 
 class TestDeflation:

@@ -1,20 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import cholesky, eigh, subspace_angles
 
 from tlschwarz import (
+    ProblemSpec,
     boolean_pou,
     build_harmonic,
     extend_overlap,
     extract_local_blocks,
+    generate,
     select_harmonic_modes,
     select_pou_modes,
+    setup,
+    spsd_splitting,
     svd_harmonic_modes,
     sym_gevp,
     symmetrized_graph,
 )
 
-from conftest import laplace1d, random_partition, random_spd
+from conftest import full_harmonic_pencil, laplace1d, random_partition, random_spd
 
 from test_subdomain import fixture_1d3, make_map
 
@@ -193,6 +200,51 @@ class TestHarmonicModes:
         blocks, factor = fixture_1d3()
         with pytest.raises(ValueError):
             select_harmonic_modes(blocks, np.ones(3), factor, 0.0)
+
+    def test_boundary_pencil_matches_full_pencil(self):
+        # the n_boundary pencil selects the span of the n_local pencil, and
+        # the n_inner zeros it cannot see are appended to its values
+        mat, _ = generate(ProblemSpec("poisson2d", 20))
+        pre = setup(mat, 16, tau=0.1)
+        for blocks, smap in zip(pre.blocks, pre.maps):
+            factor = build_harmonic(blocks)
+            basis = select_harmonic_modes(blocks, boolean_pou(smap), factor, 0.1)
+            sigmas, oracle = full_harmonic_pencil(blocks, boolean_pou(smap), factor, 0.1)
+            assert basis.n_selected == oracle.shape[1] > 0
+            assert subspace_angles(basis.vectors, oracle).max() < 1e-10
+            assert basis.all_values.size == blocks.n_local
+            assert np.all(basis.all_values[blocks.n_boundary:] == 0.0)
+            np.testing.assert_allclose(basis.all_values, sigmas, atol=1e-7)
+
+
+class TestSparseBackedBlocks:
+    """A block carrying the sparse cut gives the dense block's results."""
+
+    @staticmethod
+    def pieces():
+        for blocks, mask, factor in subdomain_pieces(40, 3, 2, seed=120):
+            yield blocks, dataclasses.replace(blocks, a=sp.csr_matrix(blocks.a)), mask, factor
+
+    def test_pou_modes(self):
+        for dense, sparse, mask, _ in self.pieces():
+            want = select_pou_modes(dense, mask, 1.2)
+            got = select_pou_modes(sparse, mask, 1.2)
+            np.testing.assert_array_equal(got.all_values, want.all_values)
+            np.testing.assert_array_equal(got.vectors, want.vectors)
+
+    def test_splitting(self):
+        for dense, sparse, _, factor in self.pieces():
+            np.testing.assert_array_equal(spsd_splitting(sparse, factor),
+                                          spsd_splitting(dense, factor))
+
+    def test_harmonic_extension_and_modes(self):
+        for dense, sparse, mask, factor in self.pieces():
+            sparse_factor = build_harmonic(sparse)
+            np.testing.assert_allclose(sparse_factor.extension, factor.extension, atol=1e-12)
+            want = select_harmonic_modes(dense, mask, factor, 0.1)
+            got = select_harmonic_modes(sparse, mask, sparse_factor, 0.1)
+            np.testing.assert_allclose(got.all_values, want.all_values, atol=1e-12)
+            np.testing.assert_allclose(got.vectors, want.vectors, atol=1e-10)
 
 
 class TestSvdModes:

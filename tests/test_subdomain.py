@@ -10,7 +10,6 @@ from tlschwarz import (
     build_harmonic,
     extend_overlap,
     extract_local_blocks,
-    factor_dense,
     spsd_splitting,
     symmetrized_graph,
 )
@@ -59,41 +58,6 @@ class TestLocalBlocks:
         mat = random_spd(12, seed=5)
         smap = make_map(np.arange(12), [], 12)
         assert extract_local_blocks(mat, smap).symmetric
-
-
-class TestFactorDense:
-    def test_solves_match_numpy(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((8, 8)) + 8 * np.eye(8)
-        solve = factor_dense(a, symmetric=False, subdomain=0)
-        rhs = rng.standard_normal(8)
-        np.testing.assert_allclose(solve(rhs), np.linalg.solve(a, rhs), rtol=1e-12)
-
-    def test_cholesky_path_matches(self):
-        a = laplace1d(6).to_dense()
-        solve = factor_dense(a, symmetric=True, subdomain=1)
-        rhs = np.arange(6, dtype=float)
-        np.testing.assert_allclose(solve(rhs), np.linalg.solve(a, rhs), rtol=1e-12)
-
-    def test_matrix_rhs(self):
-        a = laplace1d(5).to_dense()
-        solve = factor_dense(a, symmetric=True, subdomain=0)
-        rhs = np.eye(5)
-        np.testing.assert_allclose(solve(rhs), np.linalg.inv(a), atol=1e-12)
-
-    def test_singular_block_raises_with_index(self):
-        a = np.zeros((3, 3))
-        with pytest.raises(SubdomainSetupError, match="subdomain 4"):
-            factor_dense(a, symmetric=False, subdomain=4)
-
-    def test_indefinite_cholesky_raises(self):
-        a = np.diag([1.0, -1.0])
-        with pytest.raises(SubdomainSetupError):
-            factor_dense(a, symmetric=True, subdomain=2)
-
-    def test_empty_block(self):
-        solve = factor_dense(np.zeros((0, 0)), symmetric=True, subdomain=0)
-        assert solve(np.zeros(0)).shape == (0,)
 
 
 class TestHarmonicExtension:

@@ -1,0 +1,49 @@
+"""Property sweep over random SPD graph matrices at the edges of the setup.
+
+Graphs may be disconnected, the subdomain count runs up to one node per
+subdomain and the overlap up to covering the whole graph.  Each example
+checks the built operator against the dense oracle and every subdomain's
+boundary-pencil selection against the full local pencil.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import subspace_angles
+
+from tlschwarz import SparseMat, boolean_pou, build_harmonic, select_harmonic_modes, setup
+
+from conftest import full_harmonic_pencil, random_spd
+from test_precond import dense_apply, dense_oracle
+
+TAU = 0.1
+
+
+@st.composite
+def systems(draw):
+    """(matrix, n_subdomains, overlap) with one random SPD block per component."""
+    sizes = draw(st.lists(st.integers(1, 15), min_size=1, max_size=3))
+    seed = draw(st.integers(0, 2**16))
+    blocks = [random_spd(size, seed + k).scipy() for k, size in enumerate(sizes)]
+    matrix = SparseMat(sp.block_diag(blocks, format="csr"), symmetric=True)
+    n = matrix.nrows
+    # small overlaps leave boundary rings to select from; large ones cover the graph
+    overlap = draw(st.one_of(st.integers(1, 2), st.integers(1, n)))
+    return matrix, draw(st.integers(1, n)), overlap
+
+
+@given(systems())
+def test_operator_and_boundary_pencil(system):
+    matrix, n_subdomains, overlap = system
+    pre = setup(matrix, n_subdomains, overlap=overlap, tau=TAU)
+    oracle = dense_oracle(pre)
+    np.testing.assert_allclose(dense_apply(pre), oracle, rtol=0,
+                               atol=1e-12 * np.abs(oracle).max())
+    for blocks, smap in zip(pre.blocks, pre.maps):
+        factor = build_harmonic(blocks)
+        basis = select_harmonic_modes(blocks, boolean_pou(smap), factor, TAU)
+        _, selected = full_harmonic_pencil(blocks, boolean_pou(smap), factor, TAU)
+        assert basis.n_selected == selected.shape[1]
+        if basis.n_selected:
+            assert subspace_angles(basis.vectors, selected).max() < 1e-10
