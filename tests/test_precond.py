@@ -130,6 +130,30 @@ class TestEdgeCases:
                                    atol=1e-12 * np.abs(oracle).max())
 
 
+class TestCoarsePins:
+    # the two full cases and the full nu=1.5 case are rank-deficient: the
+    # filter keeps 214 of 252, 310 of 401 and 40 of 58 columns offered
+    @pytest.mark.parametrize("kind, m, n_sub, options, n_coarse, nnz_coarse, mode_counts", [
+        ("poisson2d", 30, 9, dict(coarse="full"), 214, 28326,
+         (14, 15, 17, 17, 29, 33, 31, 38, 20)),
+        ("hetero-diffusion2d", 30, 16, dict(coarse="full"), 310, 36286,
+         (11, 11, 24, 13, 24, 11, 21, 19, 21, 18, 24, 18, 31, 13, 13, 38)),
+        ("poisson2d", 20, 16, dict(nu=1.5), 152, 8614,
+         (6, 7, 7, 7, 13, 10, 13, 11, 9, 14, 13, 13, 11, 5, 9, 4)),
+        ("poisson2d", 12, 4, dict(coarse="full", nu=1.5), 40, 1472, (8, 8, 12, 12)),
+        ("advection2d", 30, 16, {}, 158, 9490,
+         (2, 11, 13, 11, 13, 2, 12, 6, 12, 9, 14, 10, 13, 8, 4, 18)),
+        ("hetero-diffusion2d", 20, 16, dict(nu=1.5), 138, 7200,
+         (5, 6, 6, 6, 11, 9, 13, 10, 8, 14, 13, 11, 10, 5, 8, 3)),
+    ])
+    def test_coarse_sizes_pinned(self, kind, m, n_sub, options, n_coarse, nnz_coarse,
+                                 mode_counts):
+        mat, _ = generate(ProblemSpec(kind, m))
+        rep = setup(mat, n_sub, overlap=2, **options).report
+        assert (rep.n_coarse, rep.nnz_coarse, rep.mode_counts) == (n_coarse, nnz_coarse,
+                                                                   mode_counts)
+
+
 class TestSparseSetup:
     @pytest.mark.parametrize("kind, coarse", [
         ("poisson2d", "gevp"), ("poisson2d", "svd"), ("poisson2d", "full"),

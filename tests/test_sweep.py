@@ -3,16 +3,27 @@
 Graphs may be disconnected, the subdomain count runs up to one node per
 subdomain and the overlap up to covering the whole graph.  Each example
 checks the built operator against the dense oracle and every subdomain's
-boundary-pencil selection against the full local pencil.
+boundary-pencil selection against the full local pencil.  A sweep over
+coefficient contrast checks that no subdomain loses its coarse columns.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from tlschwarz import SparseMat, boolean_pou, build_harmonic, select_harmonic_modes, setup
+from tlschwarz import (
+    ProblemSpec,
+    SparseMat,
+    boolean_pou,
+    build_harmonic,
+    generate,
+    pcg,
+    select_harmonic_modes,
+    setup,
+)
 
 from conftest import full_harmonic_pencil, random_spd
 from test_precond import dense_apply, dense_oracle
@@ -47,3 +58,23 @@ def test_operator_and_boundary_pencil(system):
         assert basis.n_selected == selected.shape[1]
         if basis.n_selected:
             assert subspace_angles(basis.vectors, selected).max() < 1e-10
+
+
+@pytest.mark.parametrize("channel_seed", [0, 1])
+@pytest.mark.parametrize("contrast", [1e0, 1e2, 1e4, 1e6, 1e8])
+def test_coefficient_contrast_keeps_local_columns(contrast, channel_seed):
+    # the rank filter compares pivots against the largest of any subdomain,
+    # so a low-coefficient subdomain must not lose its columns to that scale
+    matrix, b = generate(ProblemSpec("hetero-diffusion2d", 20, contrast=contrast,
+                                     channel_seed=channel_seed))
+    for coarse in ("gevp", "full"):
+        pre = setup(matrix, 16, overlap=2, tau=TAU, coarse=coarse)
+        for count, blocks, smap in zip(pre.report.mode_counts, pre.blocks, pre.maps):
+            factor = build_harmonic(blocks)
+            if coarse == "gevp":
+                basis = select_harmonic_modes(blocks, boolean_pou(smap), factor, TAU)
+                assert count == basis.n_selected
+            elif np.any(factor.extension * boolean_pou(smap)[:, None]):
+                assert count > 0
+        _, report = pcg(matrix, pre, b, tol=1e-8)
+        assert report.converged
