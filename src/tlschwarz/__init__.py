@@ -47,7 +47,6 @@ from .coarse import (
     CoarseSpace,
     subdomain_coarse_columns,
     assemble_coarse_basis,
-    rank_filter,
     galerkin_coarse,
 )
 from .precond import Preconditioner, SetupReport, setup

@@ -7,7 +7,7 @@ One-level variants:
 * ``ras`` — the same solves weighted by the Boolean partition of unity
   before scattering (cheaper to apply well, but nonsymmetric).
 
-Two-level combinations with the coarse solve Q r = basis A00^{-1} basis^T r:
+Two-level combinations with the coarse solve Q r = Z A00^{-1} Z^T r:
 
 * ``additive`` — one_level(r) + Q r (keeps symmetry with asm).
 * ``deflated`` — Q r + (I - Q A) one_level(r - A Q r); the coarse residual
@@ -131,8 +131,8 @@ class Preconditioner:
         return self.prolong @ self.local_lu.solve(self.restrict @ r)
 
     def coarse_apply(self, r):
-        cs = self.coarse
-        return cs.prolong(cs.solve_coarse(cs.restrict(r)))
+        z = self.coarse.basis.scipy()
+        return z @ self.coarse.lu.solve(z.T @ r)
 
     def apply(self, r):
         if self.coarse is None or self.combine == "none":
@@ -146,7 +146,7 @@ class Preconditioner:
 
 
 def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
-          one_level=None, combine=None, drop_tol=coarse_mod.DROP_TOL, owner=None):
+          one_level=None, combine=None, owner=None):
     """Build a two-level Schwarz preconditioner, fully algebraically.
 
     Parameters
@@ -209,28 +209,15 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         raise SubdomainSetupError(failed, "local block is not positive definite" if symmetric
                                   else "local block is numerically singular")
 
-    bases = [None] * len(maps)
-    pou_bases = [None] * len(maps)
+    bases = ()
     cs = None
     mode_counts = tuple(0 for _ in maps)
 
     if coarse != "none":
-        blocks = [LocalBlocks.of(s, a, symmetric) for s, a in zip(maps, local)]
-        harmonic = [build_harmonic(b) for b in blocks]
-        if nu is not None:
-            pou_bases = [spectral.select_pou_modes(b, s.pou_mask, nu)
-                         for b, s in zip(blocks, maps)]
-        select = {"gevp": spectral.select_harmonic_modes,
-                  "svd": spectral.svd_harmonic_modes}.get(coarse)
-        if select is not None:
-            bases = [select(b, s.pou_mask, h, tau) for b, s, h in zip(blocks, maps, harmonic)]
-        variant = {"full": "full", "gevp": "shrunk", "svd": "svd"}[coarse]
-        column_blocks = [
-            coarse_mod.subdomain_coarse_columns(s, h, variant, harmonic_basis=b, pou_basis=p)
-            for s, h, b, p in zip(maps, harmonic, bases, pou_bases)
-        ]
+        # one subdomain at a time, so at most one dense harmonic extension is alive
+        column_blocks, bases = zip(*(_subdomain_columns(s, a, symmetric, coarse, tau, nu)
+                                     for s, a in zip(maps, local)))
         cs = coarse_mod.assemble_coarse_basis(maps, column_blocks, matrix.nrows)
-        cs = coarse_mod.rank_filter(cs, maps, drop_tol=drop_tol)
         mode_counts = cs.column_counts()
         if cs.n_coarse == 0:
             cs = None
@@ -257,6 +244,22 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     )
     return Preconditioner(matrix, maps, restrict, prolong, local_lu, cs, one_level, combine,
                           k_c, report)
+
+
+def _subdomain_columns(smap, a, symmetric, coarse, tau, nu):
+    """One subdomain's coarse column block, and its harmonic selection (None
+    for the "full" coarse space, which takes every extension column)."""
+    blocks = LocalBlocks.of(smap, a, symmetric)
+    harmonic = build_harmonic(blocks)
+    basis = None
+    if coarse == "full":
+        vectors = harmonic.extension
+    else:
+        select = spectral.select_harmonic_modes if coarse == "gevp" else spectral.svd_harmonic_modes
+        basis = select(blocks, smap.pou_mask, harmonic, tau)
+        vectors = basis.vectors
+    pou = spectral.select_pou_modes(blocks, smap.pou_mask, nu) if nu is not None else None
+    return coarse_mod.subdomain_coarse_columns(smap, vectors, pou_basis=pou), basis
 
 
 def stacked_blocks(matrix, maps):
