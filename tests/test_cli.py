@@ -1,13 +1,75 @@
-import numpy as np
+import dataclasses
+from types import SimpleNamespace
 
-from tlschwarz import ProblemSpec, generate, save_matrix_market, write_vector
+import numpy as np
+import pytest
+
+import tlschwarz.cli
+from tlschwarz import ExperimentConfig, ProblemSpec, generate, save_matrix_market, write_vector
 from tlschwarz.cli import main
+
+EVERY_FLAG = [
+    ("--matrix", "a.mtx", "matrix_path", "a.mtx"),
+    ("--rhs", "b.mtx", "rhs_path", "b.mtx"),
+    ("--kind", "hetero2d", "kind", "hetero2d"),
+    ("--m", "7", "m", 7),
+    ("--N", "3", "n_subdomains", 3),
+    ("--delta", "1", "overlap", 1),
+    ("--tau", "0.2", "tau", 0.2),
+    ("--nu", "1.5", "nu", 1.5),
+    ("--coarse", "full", "coarse", "full"),
+    ("--one-level", "ras", "one_level", "ras"),
+    ("--combine", "deflated", "combine", "deflated"),
+    ("--solver", "gmres", "solver", "gmres"),
+    ("--tol", "1e-6", "tol", 1e-6),
+    ("--maxit", "50", "maxit", 50),
+    ("--report", "r.txt", "report_path", "r.txt"),
+    ("--seed", "4", "seed", 4),
+]
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def captured_config(monkeypatch):
+    """Replace the experiment by a stub that records the config it is given."""
+    seen = []
+
+    def fake_run(config):
+        seen.append(config)
+        return SimpleNamespace(report_text="", solve_report=SimpleNamespace(converged=True))
+
+    monkeypatch.setattr(tlschwarz.cli, "run_experiment", fake_run)
+    return seen
+
+
+def test_defaults_come_from_config(captured_config):
+    assert main(["--kind", "poisson2d"]) == 0
+    assert captured_config == [ExperimentConfig(kind="poisson2d")]
+
+
+def test_every_flag_sets_its_field(captured_config):
+    argv = [tok for flag, value, _, _ in EVERY_FLAG for tok in (flag, value)]
+    expected = ExperimentConfig(**{field: v for _, _, field, v in EVERY_FLAG})
+    default = ExperimentConfig()
+    assert {f.name for f in dataclasses.fields(ExperimentConfig)} == {
+        field for _, _, field, _ in EVERY_FLAG}
+    assert all(getattr(expected, f) != getattr(default, f) for _, _, f, _ in EVERY_FLAG)
+    assert main(argv) == 0
+    assert captured_config == [expected]
+
+
+def test_help_lists_every_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for flag, _, _, _ in EVERY_FLAG:
+        assert flag in out
 
 
 def test_generated_problem_exit_zero(capsys, tmp_path):

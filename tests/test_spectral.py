@@ -20,6 +20,7 @@ from tlschwarz import (
     sym_gevp,
     symmetrized_graph,
 )
+from tlschwarz.spectral import _fix_signs
 
 from conftest import full_harmonic_pencil, laplace1d, random_partition, random_spd
 
@@ -58,6 +59,16 @@ class TestSymGevp:
         for j in range(9):
             col = vecs[:, j]
             assert col[np.argmax(np.abs(col))] > 0
+
+    def test_sign_ties_go_to_first_index(self):
+        vecs = np.array([[-0.5, 0.5, 0.0, 1.0], [0.5, -0.5, -2.0, 0.0]])
+        out = _fix_signs(vecs)
+        assert out is vecs
+        np.testing.assert_array_equal(out, [[0.5, 0.5, 0.0, 1.0], [-0.5, -0.5, 2.0, 0.0]])
+
+    def test_signs_of_empty_blocks(self):
+        for shape in ((0, 0), (3, 0)):
+            assert _fix_signs(np.zeros(shape)).shape == shape
 
     def test_residuals_random(self):
         rng = np.random.default_rng(4)
