@@ -17,7 +17,6 @@ from .sparsemat import (
     read_vector,
     write_vector,
     load_vector,
-    save_vector,
 )
 from .partition import (
     Partition,
@@ -26,7 +25,6 @@ from .partition import (
     extend_overlap,
     color_subdomains,
     boolean_pou,
-    read_owner_file,
 )
 from .subdomain import (
     LocalBlocks,

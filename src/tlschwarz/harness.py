@@ -129,19 +129,21 @@ def _advection2d(spec):
 # -- theory-side quantities --------------------------------------------------
 
 
-def lambda_star(matrix, maps, dense_cutoff=400, tol=1e-6, maxit=2000):
+def lambda_star(matrix, maps):
     """Largest eigenvalue of sum_i R_i^T A_ii R_i u = lambda A u.
 
-    Dense generalized eigensolve below the cutoff; inverse-weighted power
-    iteration above it.  Always at least one (up to round-off) because the
-    subdomains cover every unknown.
+    Dense generalized eigensolve up to ``krylov.DENSE_CUTOFF`` rows; beyond
+    it, inverse-weighted power iteration from a seeded random start, stopped
+    when the Rayleigh quotient changes by at most 1e-6 relative or after 2000
+    steps.  Always at least one (up to round-off) because the subdomains
+    cover every unknown.
     """
     n = matrix.nrows
     if not matrix.symmetric:
         raise ValueError("lambda_star is defined for symmetric matrices")
     restrict, local = stacked_blocks(matrix, maps)
     stacked = (restrict.T @ sp.block_diag(local) @ restrict).tocsr()
-    if n <= dense_cutoff:
+    if n <= krylov.DENSE_CUTOFF:
         vals = eigh(stacked.toarray(), matrix.to_dense(), eigvals_only=True)
         return max(float(vals[-1]), 1.0)
     a = matrix.scipy()
@@ -151,12 +153,12 @@ def lambda_star(matrix, maps, dense_cutoff=400, tol=1e-6, maxit=2000):
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(maxit):
+    for _ in range(2000):
         sv = stacked @ v
         lam_next = float(v @ sv) / float(v @ (a @ v))
         w = lu.solve(sv)
         w /= np.linalg.norm(w)
-        if abs(lam_next - lam) <= tol * max(abs(lam_next), 1.0):
+        if abs(lam_next - lam) <= 1e-6 * max(abs(lam_next), 1.0):
             lam = lam_next
             break
         lam, v = lam_next, w
@@ -204,7 +206,7 @@ def theoretical_bound(inputs, variant):
     raise ValueError(f"unknown bound variant {variant!r}")
 
 
-def derive_bound_inputs(precond, variant, dense_cutoff=400):
+def derive_bound_inputs(precond, variant):
     """Sharp bound constants from a built (symmetric) preconditioner.
 
     ``nu`` is the largest partition-of-unity eigenvalue not represented in
@@ -224,8 +226,8 @@ def derive_bound_inputs(precond, variant, dense_cutoff=400):
         if not report.largest_unselected:
             raise ValueError("shrunk bound needs the harmonic-pencil selection")
         tau = max(report.largest_unselected)
-    lam = lambda_star(precond.matrix, precond.maps, dense_cutoff=dense_cutoff)
-    return BoundInputs(k_c=precond.k_c, nu=nu, tau=tau, lam_star=lam)
+    lam = lambda_star(precond.matrix, precond.maps)
+    return BoundInputs(k_c=report.k_c, nu=nu, tau=tau, lam_star=lam)
 
 
 # -- experiment driver -------------------------------------------------------
@@ -308,7 +310,7 @@ def run_experiment(config):
         raise ValueError(f"unknown solver {config.solver!r}")
 
     bound_check = None
-    if (matrix.symmetric and matrix.nrows <= 400
+    if (matrix.symmetric and matrix.nrows <= krylov.DENSE_CUTOFF
             and precond.coarse is not None
             and precond.report.coarse_kind in ("full", "gevp")):
         variant = "full" if precond.report.coarse_kind == "full" else "shrunk"

@@ -42,9 +42,6 @@ class Partition:
             empty = int(np.nonzero(counts == 0)[0][0])
             raise ValueError(f"subdomain {empty} is empty")
 
-    def interior(self, i):
-        return np.nonzero(self.owner == i)[0]
-
 
 @dataclass(frozen=True)
 class SubdomainMap:
@@ -81,11 +78,6 @@ class SubdomainMap:
     @property
     def n_local(self):
         return self.indices.size
-
-    @property
-    def n_boundary(self):
-        """Size of the outermost layer (zero when there are no layers)."""
-        return self.layers[-1].size if self.layers else 0
 
 
 def boolean_pou(smap):
@@ -220,23 +212,6 @@ def _partition_component(graph, comp, n_parts, first_id, owner, unassigned, dist
             progressed = True
         if not progressed:
             raise RuntimeError("leftover nodes not adjacent to any subdomain")
-
-
-def read_owner_file(text, n_subdomains=None):
-    """Parse an externally computed partition: one owner id per line."""
-    owners = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(("#", "%")):
-            continue
-        try:
-            owners.append(int(line))
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected an integer owner id, got {line!r}") from None
-    owner = np.asarray(owners, dtype=np.int64)
-    if n_subdomains is None:
-        n_subdomains = int(owner.max()) + 1 if owner.size else 0
-    return Partition(n_subdomains, owner)
 
 
 def extend_overlap(graph, part, overlap):

@@ -101,7 +101,7 @@ class Preconditioner:
     """Built two-level Schwarz preconditioner; apply with ``.apply(r)``."""
 
     def __init__(self, matrix, maps, restrict, prolong, local_lu, coarse, one_level, combine,
-                 k_c, report):
+                 report):
         self.matrix = matrix
         self.maps = maps
         self.restrict = restrict
@@ -110,7 +110,6 @@ class Preconditioner:
         self.coarse = coarse
         self.one_level = one_level
         self.combine = combine
-        self.k_c = k_c
         self.report = report
 
     @property
@@ -243,7 +242,7 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         largest_unselected=tuple(b.largest_unselected for b in bases if b is not None),
     )
     return Preconditioner(matrix, maps, restrict, prolong, local_lu, cs, one_level, combine,
-                          k_c, report)
+                          report)
 
 
 def _subdomain_columns(smap, a, symmetric, coarse, tau, nu):

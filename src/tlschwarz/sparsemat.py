@@ -356,7 +356,7 @@ def read_vector(text):
         mat = read_matrix_market(text)
         if mat.ncols != 1:
             raise ValueError(f"expected a single-column vector, got {mat.ncols} columns")
-        return mat.to_dense().ravel()
+        return mat.scipy().toarray().ravel()
     vals = []
     for lineno, toks in _tokenize(text):
         for tok in toks:
@@ -372,8 +372,3 @@ def write_vector(vec):
 def load_vector(path):
     with open(path, "r") as fh:
         return read_vector(fh.read())
-
-
-def save_vector(path, vec):
-    with open(path, "w") as fh:
-        fh.write(write_vector(vec))

@@ -26,10 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-KIND_POU = "pou-gevp"
-KIND_HARMONIC = "harmonic-gevp"
-KIND_SVD = "harmonic-svd"
-
 TIE_GUARD = 1e-12
 
 
@@ -42,8 +38,6 @@ class SpectralBasis:
     available for bound checks.
     """
 
-    kind: str
-    threshold: float
     vectors: np.ndarray
     values: np.ndarray
     all_values: np.ndarray
@@ -59,12 +53,11 @@ class SpectralBasis:
 
 
 def _fix_signs(vecs):
-    """Flip each column so its largest-magnitude component is positive."""
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        k = int(np.argmax(np.abs(col)))
-        if col[k] < 0:
-            vecs[:, j] = -col
+    """Flip, in place, each column whose largest-magnitude component (the
+    first one, on ties) is negative."""
+    if vecs.size:
+        flip = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] < 0
+        vecs[:, flip] = -vecs[:, flip]
     return vecs
 
 
@@ -107,7 +100,7 @@ def select_pou_modes(blocks, pou_mask, threshold):
     a = blocks.dense
     vals, vecs = sym_gevp(a * np.outer(d, d), a)
     sel_vecs, sel_vals = _select_above(vals, vecs, threshold)
-    return SpectralBasis(KIND_POU, float(threshold), sel_vecs, sel_vals, vals)
+    return SpectralBasis(sel_vecs, sel_vals, vals)
 
 
 def select_harmonic_modes(blocks, pou_mask, factor, threshold):
@@ -133,8 +126,7 @@ def select_harmonic_modes(blocks, pou_mask, factor, threshold):
     sigmas = np.sqrt(np.clip(vals, 0.0, None))
     sel_vecs, sel_vals = _select_above(sigmas, vecs, threshold)
     all_values = np.concatenate([sigmas, np.zeros(blocks.n_inner)])
-    return SpectralBasis(KIND_HARMONIC, float(threshold), _fix_signs(ext @ sel_vecs), sel_vals,
-                         all_values)
+    return SpectralBasis(_fix_signs(ext @ sel_vecs), sel_vals, all_values)
 
 
 def svd_harmonic_modes(blocks, pou_mask, factor, threshold):
@@ -151,9 +143,9 @@ def svd_harmonic_modes(blocks, pou_mask, factor, threshold):
     block = factor.extension[:ni, :]
     if block.size == 0:
         empty = np.zeros((m, 0))
-        return SpectralBasis(KIND_SVD, float(threshold), empty, np.zeros(0), np.zeros(0))
+        return SpectralBasis(empty, np.zeros(0), np.zeros(0))
     u, s, _ = np.linalg.svd(block, full_matrices=False)
     keep = s > threshold * (1.0 + TIE_GUARD)
     vectors = np.zeros((m, int(keep.sum())))
     vectors[:ni, :] = u[:, keep]
-    return SpectralBasis(KIND_SVD, float(threshold), _fix_signs(vectors), s[keep], s.copy())
+    return SpectralBasis(_fix_signs(vectors), s[keep], s.copy())

@@ -84,23 +84,19 @@ def extract_local_blocks(matrix, smap):
 class HarmonicFactor:
     """Extension of boundary-ring values into the subdomain interior.
 
-    Applying the factor to a local vector keeps its boundary-ring values and
-    replaces everything else by minus the inner-block solve of the coupling
-    times those values.  The operator is a projection: applying it twice
-    gives the same result, and its complement is orthogonal to its range in
-    the local-matrix inner product when the block is symmetric.  The inner
-    block is factored sparsely; one that fails its factorization test raises
-    ``SubdomainSetupError``.
+    ``extension`` is the dense (n_local, n_boundary) block E: it keeps the
+    boundary-ring values and fills everything else with minus the inner-block
+    solve of the coupling times those values.  The local operator that
+    applies E to the boundary-ring part of a vector is a projection, and its
+    complement is orthogonal to its range in the local-matrix inner product
+    when the block is symmetric.  The inner block is factored sparsely; one
+    that fails its factorization test raises ``SubdomainSetupError``.
     """
 
     def __init__(self, blocks):
         ni, nb = blocks.n_inner, blocks.n_boundary
-        self.subdomain = blocks.subdomain
-        self.n_inner = ni
-        self.n_boundary = nb
-        self.n_local = blocks.n_local
-        self._ext = np.zeros((blocks.n_local, nb))
-        self._ext[ni:] = np.eye(nb)
+        self.extension = np.zeros((blocks.n_local, nb))
+        self.extension[ni:] = np.eye(nb)
         if ni and nb:
             a = sp.csc_array(blocks.a)
             lu, failed = factor_blocks([a[:ni, :ni]], blocks.symmetric)
@@ -108,18 +104,7 @@ class HarmonicFactor:
                 raise SubdomainSetupError(
                     blocks.subdomain, "inner block is not positive definite" if blocks.symmetric
                     else "inner block is numerically singular")
-            self._ext[:ni] = -lu.solve(a[:ni, ni:].toarray())
-
-    @property
-    def extension(self):
-        """Dense (n_local, n_boundary) block of extension columns."""
-        return self._ext
-
-    def apply(self, v):
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.n_local,):
-            raise ValueError("dimension mismatch in harmonic extension")
-        return self._ext @ v[self.n_inner:]
+            self.extension[:ni] = -lu.solve(a[:ni, ni:].toarray())
 
 
 def build_harmonic(blocks):

@@ -9,7 +9,6 @@ from tlschwarz import (
     color_subdomains,
     extend_overlap,
     partition_graph,
-    read_owner_file,
     symmetrized_graph,
 )
 
@@ -23,8 +22,8 @@ def path_graph(n):
 class TestPartition:
     def test_path7_two_subdomains(self):
         part = partition_graph(path_graph(7), 2)
-        np.testing.assert_array_equal(part.interior(0), [0, 1, 2, 3])
-        np.testing.assert_array_equal(part.interior(1), [4, 5, 6])
+        np.testing.assert_array_equal(np.flatnonzero(part.owner == 0), [0, 1, 2, 3])
+        np.testing.assert_array_equal(np.flatnonzero(part.owner == 1), [4, 5, 6])
 
     def test_every_node_owned_once(self):
         g = symmetrized_graph(random_spd(60, seed=1))
@@ -42,7 +41,8 @@ class TestPartition:
 
     def test_singleton_subdomains(self):
         part = partition_graph(path_graph(4), 4)
-        assert sorted(part.interior(i).tolist() for i in range(4)) == [[0], [1], [2], [3]]
+        assert sorted(np.flatnonzero(part.owner == i).tolist() for i in range(4)) == [
+            [0], [1], [2], [3]]
 
     def test_grid_balance(self):
         from tlschwarz import ProblemSpec, generate
@@ -77,13 +77,6 @@ class TestPartition:
             Partition(3, np.array([0, 0, 1, 1]))
         with pytest.raises(ValueError, match="out of range"):
             Partition(2, np.array([0, 2]))
-
-    def test_read_owner_file(self):
-        part = read_owner_file("0\n0\n1\n# comment\n1\n")
-        assert part.n_subdomains == 2
-        np.testing.assert_array_equal(part.owner, [0, 0, 1, 1])
-        with pytest.raises(ValueError, match="line 2"):
-            read_owner_file("0\nx\n")
 
 
 class TestOverlap:

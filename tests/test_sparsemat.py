@@ -12,6 +12,7 @@ from tlschwarz import (
     write_matrix_market,
     write_vector,
 )
+from tlschwarz.sparsemat import DENSE_GUARD
 
 from conftest import laplace1d, random_spd
 
@@ -213,6 +214,11 @@ class TestVectors:
     def test_matrix_market_array(self):
         v = read_vector("%%MatrixMarket matrix array real general\n3 1\n1\n2\n3\n")
         np.testing.assert_allclose(v, [1, 2, 3])
+
+    def test_matrix_market_array_beyond_dense_guard(self):
+        values = np.arange(DENSE_GUARD + 1, dtype=np.float64)
+        text = f"%%MatrixMarket matrix array real general\n{values.size} 1\n" + write_vector(values)
+        np.testing.assert_array_equal(read_vector(text), values)
 
     def test_round_trip_exact(self):
         rng = np.random.default_rng(11)
