@@ -35,7 +35,7 @@ def build_parser():
     cfg.add_argument("--nu", type=float,
                      help="partition-of-unity eigenvalue threshold (off by default)")
     cfg.add_argument("--coarse", choices=["none", "full", "gevp", "svd", "auto"])
-    cfg.add_argument("--one-level", choices=["asm", "ras"], dest="one_level")
+    cfg.add_argument("--one-level", choices=["asm", "ras"])
     cfg.add_argument("--combine", choices=["additive", "deflated"])
 
     slv = p.add_argument_group("solver")

@@ -3,10 +3,9 @@
 Both solvers start from the zero vector, stop on the unpreconditioned
 relative residual, and report the full residual history; at every exit a
 solve is converged iff the true residual ||b - A x|| / ||b|| meets the
-tolerance.  GMRES builds one
-unrestarted basis with modified Gram-Schmidt plus a conditional second
-orthogonalization pass; to keep that basis from exhausting memory the
-iteration cap is a hard 1000.
+tolerance.  GMRES builds one unrestarted basis with modified Gram-Schmidt
+plus a conditional second orthogonalization pass; to keep that basis from
+exhausting memory the iteration cap is a hard 1000.
 """
 
 from __future__ import annotations
@@ -183,7 +182,7 @@ def gmres(matrix, precond, b, tol=1e-8, maxit=500):
         g[j] = cs[j] * g[j]
         k = j + 1
         history.append(abs(g[j + 1]) / bnorm)
-        if history[-1] <= tol or hnext <= 1e-14 * bnorm:  # or the space is invariant
+        if history[-1] <= tol or hnext <= 1e-14 * bnorm:  # met tol, or the space is invariant
             break
         basis[:, j + 1] = w / hnext
     y = solve_triangular(hess[:k, :k], g[:k])

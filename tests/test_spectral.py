@@ -66,6 +66,16 @@ class TestSymGevp:
         assert out is vecs
         np.testing.assert_array_equal(out, [[0.5, 0.5, 0.0, 1.0], [-0.5, -0.5, 2.0, 0.0]])
 
+    def test_signs_match_column_loop(self):
+        rng = np.random.default_rng(4)
+        vecs = rng.integers(-3, 4, size=(7, 40)).astype(np.float64)  # many magnitude ties
+        expected = vecs.copy()
+        for j in range(expected.shape[1]):
+            col = expected[:, j]
+            if col[np.argmax(np.abs(col))] < 0:
+                expected[:, j] = -col
+        np.testing.assert_array_equal(_fix_signs(vecs), expected)
+
     def test_signs_of_empty_blocks(self):
         for shape in ((0, 0), (3, 0)):
             assert _fix_signs(np.zeros(shape)).shape == shape
