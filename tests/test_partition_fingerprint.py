@@ -42,6 +42,12 @@ def _disconnected():
     return SparseMat(sp.block_diag(blocks).tocsr(), symmetric=True)
 
 
+def _isolated():
+    """A poisson2d m=20 block plus 300 identity rows, one isolated node each."""
+    grid, _ = generate(ProblemSpec("poisson2d", 20))
+    return SparseMat(sp.block_diag([grid.scipy(), sp.identity(300)]).tocsr(), symmetric=True)
+
+
 def _problem(kind, m):
     return lambda: generate(ProblemSpec(kind, m))[0]
 
@@ -54,6 +60,10 @@ CASES = {
     "disconnected-N3": (_disconnected, 3, 1),
     "disconnected-N7": (_disconnected, 7, 3),
     "disconnected-N33": (_disconnected, 33, 2),
+    # N < #components: 299 components get no subdomain of their own.
+    "isolated-N4": (_isolated, 4, 2),
+    # The benchmark's own partition: blocked growths and 1804 leftover nodes.
+    "poisson2d-m200-N256": (_problem("poisson2d", 200), 256, 2),
 }
 
 EXPECTED = {
@@ -64,6 +74,8 @@ EXPECTED = {
     "disconnected-N3": ("27f09505efc29dcd", "c8814fc53b34ffb7", "84f2a3ecb02cbddb"),
     "disconnected-N7": ("1080f8ae2641df24", "bc80837de2f9710c", "7a9092642c522ef6"),
     "disconnected-N33": ("e127fb5bf1a0866e", "38c19d18debcb99c", "8bdca19f296ae737"),
+    "isolated-N4": ("35a650517e918cfd", "3cf47ae0610b5395", "6c3b975ddf3d561d"),
+    "poisson2d-m200-N256": ("eb3a811f0d9ad511", "378a936a40edce45", "2889353d75c892d9"),
 }
 
 
