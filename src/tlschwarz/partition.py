@@ -6,10 +6,10 @@ of breadth-first neighbors around each interior set.  The local ordering of a
 subdomain is always: interior nodes first, then layer 1, layer 2, ... with
 each group sorted by ascending global index.
 
-The graph is the boolean scipy CSR pattern from ``symmetrized_graph``.
-Components and seed distances come from ``scipy.sparse.csgraph``; overlap
-layers and the subdomain conflict graph are sparse products with the
-subdomain incidence matrix.
+The graph is the boolean scipy CSR pattern from ``symmetrized_graph``, read
+through its ``indptr``/``indices``.  Components and seed distances come from
+``scipy.sparse.csgraph``; overlap layers and the subdomain conflict graph
+are sparse products with the subdomain incidence matrix.
 """
 
 from __future__ import annotations
@@ -85,34 +85,33 @@ def boolean_pou(smap):
     return smap.pou_mask.astype(np.float64)
 
 
-def _grow_subdomain(graph, seed, target, unassigned):
-    """Grow one subdomain breadth-first from seed through unassigned nodes.
+def _grow_subdomain(graph, seed, target, sid, owner):
+    """Grow subdomain ``sid`` breadth-first from seed, writing ``owner``.
 
-    Rings are taken whole in distance order; the final ring is truncated by
-    ascending global index to hit the target size exactly.
+    Free nodes are taken in whole rings in distance order; the final ring is
+    truncated by ascending global index to hit the target size exactly.
+    Returns the nodes taken.
     """
-    picked = [seed]
-    unassigned[seed] = False
-    frontier = np.asarray([seed], dtype=np.int64)
-    while len(picked) < target and frontier.size:
-        ring = np.unique(graph[frontier].indices)
-        ring = ring[unassigned[ring]]
+    ptr, nbrs = graph.indptr, graph.indices
+    owner[seed] = sid
+    rings = [np.asarray([seed], dtype=np.int64)]
+    size = 1
+    while size < target:
+        ring = np.unique(np.concatenate([nbrs[ptr[u]:ptr[u + 1]] for u in rings[-1]]))
+        ring = ring[owner[ring] < 0][: target - size]  # sorted: keep smallest indices
         if ring.size == 0:
             break
-        room = target - len(picked)
-        if ring.size > room:
-            ring = ring[:room]  # rings come out sorted; keep smallest indices
-        unassigned[ring] = False
-        picked.extend(ring.tolist())
-        frontier = ring
-    return picked
+        owner[ring] = sid
+        rings.append(ring)
+        size += ring.size
+    return np.concatenate(rings)
 
 
 def partition_graph(graph, n_subdomains):
     """Partition a graph into connected-ish subdomains by greedy BFS growing.
 
     The first seed in a component is its smallest node index; every later
-    seed is the unassigned node farthest (in hops) from all assigned nodes,
+    seed is the free node farthest (in hops) from all assigned nodes,
     ties broken by smallest index.  Each subdomain grows breadth-first to
     about ceil(n/N) nodes; nodes left over when growth gets blocked are
     attached to the adjacent subdomain with the fewest nodes.  Deterministic
@@ -124,7 +123,8 @@ def partition_graph(graph, n_subdomains):
     each new subdomain by a multi-source ``csgraph.dijkstra`` from that
     subdomain alone: the distance to a union of sets is the minimum over the
     sets, and the search is cut off at the current largest distance, beyond
-    which no node can improve.
+    which no node can improve.  ``owner`` (negative while a node is free)
+    and a running node count per subdomain are the only assignment state.
     """
     n = graph.shape[0]
     if not (1 <= n_subdomains <= n):
@@ -138,7 +138,7 @@ def partition_graph(graph, n_subdomains):
     budgets = _component_budgets([c.size for c in comps], n_subdomains)
 
     owner = np.full(n, -1, dtype=np.int64)
-    unassigned = np.ones(n, dtype=bool)
+    sizes = np.zeros(n_subdomains, dtype=np.int64)
     dist = np.full(n, np.inf)
     next_id = 0
     zero_budget = []
@@ -146,15 +146,15 @@ def partition_graph(graph, n_subdomains):
         if n_parts == 0:
             zero_budget.append(comp)
             continue
-        _partition_component(graph, comp, n_parts, next_id, owner, unassigned, dist)
+        _partition_component(graph, comp, n_parts, next_id, owner, sizes, dist)
         next_id += n_parts
 
     # Components that got no subdomain of their own are appended to the
     # currently smallest subdomain (only possible when N < #components).
     for comp in zero_budget:
-        counts = np.bincount(owner[owner >= 0], minlength=n_subdomains)
-        target = int(np.argmin(counts))
+        target = int(np.argmin(sizes))
         owner[comp] = target
+        sizes[target] += comp.size
 
     return Partition(n_subdomains, owner)
 
@@ -183,35 +183,34 @@ def _component_budgets(sizes, n_parts):
     return budget
 
 
-def _partition_component(graph, comp, n_parts, first_id, owner, unassigned, dist):
+def _partition_component(graph, comp, n_parts, first_id, owner, sizes, dist):
     target = -(-comp.size // n_parts)  # ceil
+    free = comp.size
     seed = int(comp[0])
-    for s in range(n_parts):
-        remaining_after = n_parts - 1 - s
-        goal = min(target, int(unassigned[comp].sum()) - remaining_after)
-        picked = _grow_subdomain(graph, seed, goal, unassigned)
-        owner[picked] = first_id + s
+    for sid in range(first_id, first_id + n_parts):
+        remaining_after = first_id + n_parts - 1 - sid
+        taken = _grow_subdomain(graph, seed, min(target, free - remaining_after), sid, owner)
+        sizes[sid] = taken.size
+        free -= taken.size
         if remaining_after:
-            near = csgraph.dijkstra(graph, indices=picked, unweighted=True,
+            near = csgraph.dijkstra(graph, indices=taken, unweighted=True,
                                     min_only=True, limit=dist[comp].max())
             np.minimum(dist, near, out=dist)
-            cand = comp[unassigned[comp]]
+            cand = comp[owner[comp] < 0]
             seed = int(cand[np.argmax(dist[cand])])
 
     # Attach blocked leftovers to the adjacent subdomain with fewest nodes.
-    while unassigned[comp].any():
-        progressed = False
-        for u in comp[unassigned[comp]]:
+    left = comp[owner[comp] < 0]
+    while left.size:
+        for u in left:
             nbr_owners = owner[graph.indices[graph.indptr[u]:graph.indptr[u + 1]]]
             nbr_owners = np.unique(nbr_owners[nbr_owners >= 0])
-            if nbr_owners.size == 0:
-                continue
-            counts = np.bincount(owner[owner >= 0], minlength=int(owner.max()) + 2)
-            owner[u] = int(nbr_owners[np.argmin(counts[nbr_owners])])
-            unassigned[u] = False
-            progressed = True
-        if not progressed:
+            if nbr_owners.size:
+                owner[u] = nbr_owners[np.argmin(sizes[nbr_owners])]
+                sizes[owner[u]] += 1
+        if (owner[left] < 0).all():
             raise RuntimeError("leftover nodes not adjacent to any subdomain")
+        left = left[owner[left] < 0]
 
 
 def extend_overlap(graph, part, overlap):

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from . import coarse as coarse_mod
 from . import spectral
-from .partition import color_subdomains, extend_overlap, partition_graph, Partition
+from .partition import color_subdomains, extend_overlap, partition_graph
 from .sparsemat import factor_blocks, symmetrized_graph
 from .subdomain import LocalBlocks, SubdomainSetupError, build_harmonic, extract_local_blocks
 
@@ -145,7 +145,7 @@ class Preconditioner:
 
 
 def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
-          one_level=None, combine=None, owner=None):
+          one_level=None, combine=None):
     """Build a two-level Schwarz preconditioner, fully algebraically.
 
     Parameters
@@ -154,7 +154,7 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         System matrix; the symmetry flag decides the SPD vs. general paths.
     n_subdomains : int
         Number of subdomains; the partition is computed from the sparsity
-        graph unless ``owner`` provides one (one id per row).
+        graph.
     overlap : int
         Number of BFS layers added around each interior set (>= 1).
     tau : float
@@ -193,10 +193,7 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         raise ValueError("partition-of-unity modes require a symmetric matrix")
 
     graph = symmetrized_graph(matrix)
-    if owner is None:
-        part = partition_graph(graph, n_subdomains)
-    else:
-        part = owner if isinstance(owner, Partition) else Partition(n_subdomains, owner)
+    part = partition_graph(graph, n_subdomains)
     maps = extend_overlap(graph, part, overlap)
     k_c, _ = color_subdomains(maps)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from tlschwarz import (
     BreakdownError,
@@ -110,6 +111,23 @@ class TestPcg:
         _, report = pcg(mat, None, b, tol=1e-12, maxit=200, track_tridiagonal=True)
         exact = np.linalg.cond(mat.to_dense())
         assert report.cond_estimate == pytest.approx(exact, rel=1e-2)
+
+    @pytest.mark.parametrize("k", [1, 2, 40])
+    def test_recurrence_matches_index_loop(self, k):
+        # the array form must do the loop's floating-point operations exactly
+        rng = np.random.default_rng(k)
+        alphas = list(rng.uniform(0.1, 3.0, k))
+        betas = list(rng.uniform(0.0, 2.0, k - 1))
+        diag, off = np.empty(k), np.empty(k - 1)
+        diag[0] = 1.0 / alphas[0]
+        for j in range(1, k):
+            diag[j] = 1.0 / alphas[j] + betas[j - 1] / alphas[j - 1]
+            off[j - 1] = np.sqrt(max(betas[j - 1], 0.0)) / alphas[j - 1]
+        expected = 1.0
+        if k > 1:
+            ritz = eigvalsh_tridiagonal(diag, off)
+            expected = float(ritz[-1] / ritz[0])
+        assert krylov._cond_from_recurrence(alphas, betas) == expected
 
     def test_report_text(self):
         mat = laplace1d(16)

@@ -250,28 +250,21 @@ class TestDefaultsAndErrors:
         r = rng.standard_normal(12)
         np.testing.assert_allclose(pre.apply(r), pre.apply_one_level(r))
 
-    def test_owner_array(self):
-        mat = laplace1d(10)
-        owner = np.array([0] * 5 + [1] * 5)
-        pre = setup(mat, 2, overlap=1, coarse="none", owner=owner)
-        np.testing.assert_array_equal(pre.maps[0].interior, np.arange(5))
-
 
 def two_components(good, bad, symmetric):
     """Block-diagonal matrix whose second 4-node component is ``bad``."""
-    mat = SparseMat(sp.csr_matrix(sp.block_diag([good, bad])), symmetric=symmetric)
-    return mat, np.array([0] * 4 + [1] * 4)
+    return SparseMat(sp.csr_matrix(sp.block_diag([good, bad])), symmetric=symmetric)
 
 
 class TestLocalFactorErrors:
-    """Each subdomain is one component, so its local block is that component."""
+    """Each component gets one subdomain, so its local block is that component."""
 
     def test_singular_nonsymmetric_block_names_subdomain(self):
         good = np.array([[4.0, -1, 0, 0], [-2, 4, -1, 0], [0, -2, 4, -1], [0, 0, -2, 4]])
         bad = np.array([[2.0, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, -1, 2, -1]])
-        mat, owner = two_components(good, bad, symmetric=False)
+        mat = two_components(good, bad, symmetric=False)
         with pytest.raises(SubdomainSetupError, match="subdomain 1") as info:
-            setup(mat, 2, overlap=1, owner=owner)
+            setup(mat, 2, overlap=1)
         assert info.value.subdomain == 1
 
     @pytest.mark.parametrize("diag, off", [
@@ -282,9 +275,9 @@ class TestLocalFactorErrors:
     def test_symmetric_block_not_positive_definite_names_subdomain(self, diag, off):
         bad = np.diag(diag) + off * (np.eye(4, k=1) + np.eye(4, k=-1))
         good = laplace1d(4).to_dense()
-        mat, owner = two_components(good, bad, symmetric=True)
+        mat = two_components(good, bad, symmetric=True)
         with pytest.raises(SubdomainSetupError, match="subdomain 1") as info:
-            setup(mat, 2, overlap=1, owner=owner)
+            setup(mat, 2, overlap=1)
         assert info.value.subdomain == 1
 
 
