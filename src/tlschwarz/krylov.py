@@ -3,9 +3,14 @@
 Both solvers start from the zero vector, stop on the unpreconditioned
 relative residual, and report the full residual history; at every exit a
 solve is converged iff the true residual ||b - A x|| / ||b|| meets the
-tolerance.  GMRES builds one unrestarted basis, stored by rows, and
-orthogonalizes each new vector by classical Gram-Schmidt run twice; to keep
-that basis from exhausting memory the iteration cap is a hard 1000.
+tolerance; the report also names the exit taken.  GMRES builds one
+unrestarted basis, stored by rows, and orthogonalizes each new vector by
+classical Gram-Schmidt run twice.  It keeps the preconditioned basis vectors
+too (flexible form), so it applies the preconditioner once per iteration and
+its iterate is exact for any preconditioner.  Both stores start at 16 rows
+and double when full: after k iterations they hold 2(k+1) vectors, which as
+k nears maxit can reach twice a basis sized by maxit.  The iteration cap is
+a hard 1000 to bound that memory.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 from scipy.linalg import eigh, eigvalsh_tridiagonal, solve_triangular
 
 GMRES_MAXIT_CAP = 1000
+GMRES_START_CAPACITY = 16  # rows of the first basis; doubled when full
 # Largest system whose condition number and bound constants are computed
 # densely; read at call time, so larger systems take the iterative path.
 DENSE_CUTOFF = 400
@@ -37,6 +43,7 @@ class SolveReport:
     residuals: np.ndarray  # relative residual norms, one per iteration plus the start
     wall_time: float
     true_residual: float  # ||b - A x|| / ||b|| of the returned iterate
+    stop_reason: str  # "tol", "maxit" or, for GMRES, "invariant" (the Krylov space closed)
     cond_estimate: float | None = None
 
     def to_text(self):
@@ -49,6 +56,7 @@ class SolveReport:
         ]
         if self.cond_estimate is not None:
             lines.append(f"condition_estimate = {self.cond_estimate:.6e}")
+        lines.append(f"stop_reason = {self.stop_reason}")
         return "\n".join(lines) + "\n"
 
 
@@ -72,12 +80,13 @@ def pcg(matrix, precond, b, tol=1e-8, maxit=500, track_tridiagonal=False):
     x = np.zeros_like(b)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return x, SolveReport(0, True, np.zeros(1), time.perf_counter() - t0, 0.0)
+        return x, SolveReport(0, True, np.zeros(1), time.perf_counter() - t0, 0.0, "tol")
     r = b.copy()
     p = np.zeros_like(b)
     history = [1.0]
     alphas, betas = [], []
     rz, it = 0.0, 0
+    stop = "maxit"
     for it in range(1, maxit + 1):
         z = _apply_precond(precond, r)
         rz_next = float(r @ z)
@@ -100,13 +109,14 @@ def pcg(matrix, precond, b, tol=1e-8, maxit=500, track_tridiagonal=False):
         history.append(float(np.linalg.norm(r)) / bnorm)
         alphas.append(alpha)
         if history[-1] <= tol:
+            stop = "tol"
             break
     true_res = float(np.linalg.norm(b - matrix.matvec(x))) / bnorm
     cond = None
     if track_tridiagonal and alphas:
         cond = _cond_from_recurrence(alphas, betas)
     report = SolveReport(it, true_res <= tol, np.asarray(history), time.perf_counter() - t0,
-                         true_res, cond)
+                         true_res, stop, cond)
     return x, report
 
 
@@ -125,12 +135,16 @@ def _cond_from_recurrence(alphas, betas):
 
 
 def gmres(matrix, precond, b, tol=1e-8, maxit=500):
-    """Right-preconditioned GMRES, no restarts.
+    """Right-preconditioned GMRES, no restarts, in flexible form.
 
     The Arnoldi recurrence runs on A M^{-1}, so the least-squares residual it
     minimizes is the plain unpreconditioned residual and the stopping test
-    needs no extra matvec.  The returned iterate is mapped back through the
-    preconditioner at the end, which is exact only for a fixed linear one.
+    needs no extra matvec.  Each iteration applies the preconditioner once
+    and keeps z_j = M^{-1} v_j, and the iterate is x = Z_k y, so it is the
+    least-squares minimizer for any preconditioner, also one that changes
+    between calls.  After k iterations the storage is 2(k+1) vectors of
+    length n (basis and preconditioned vectors), grown by doubling from 16;
+    only as k nears maxit can it reach twice a basis sized by maxit.
     """
     t0 = time.perf_counter()
     if maxit > GMRES_MAXIT_CAP:
@@ -139,10 +153,13 @@ def gmres(matrix, precond, b, tol=1e-8, maxit=500):
     n = b.size
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n), SolveReport(0, True, np.zeros(1), time.perf_counter() - t0, 0.0)
+        return np.zeros(n), SolveReport(0, True, np.zeros(1), time.perf_counter() - t0, 0.0,
+                                        "tol")
     m = min(maxit, n)
-    basis = np.zeros((m + 1, n))  # by rows: a new vector touches only its own pages
-    hess = np.zeros((m + 1, m))
+    cap = min(m, GMRES_START_CAPACITY)
+    basis = np.empty((cap + 1, n))  # by rows: a new vector touches only its own pages
+    pre = np.empty((cap, n))  # pre[j] = M^{-1} basis[j]
+    hess = np.zeros((cap + 1, cap))
     cs = np.zeros(m)
     sn = np.zeros(m)
     g = np.zeros(m + 1)
@@ -150,8 +167,15 @@ def gmres(matrix, precond, b, tol=1e-8, maxit=500):
     basis[0] = b / bnorm
     history = [1.0]
     k = 0
+    stop = "maxit"
     for j in range(m):
-        w = matrix.matvec(_apply_precond(precond, basis[j]))
+        if j == cap:
+            cap = min(2 * cap, m)
+            basis = _grown(basis, cap + 1, n, np.empty)
+            pre = _grown(pre, cap, n, np.empty)
+            hess = _grown(hess, cap + 1, cap, np.zeros)
+        pre[j] = _apply_precond(precond, basis[j])
+        w = matrix.matvec(pre[j])
         for _ in range(2):  # classical Gram-Schmidt; the second pass restores orthogonality
             c = basis[: j + 1] @ w
             w -= c @ basis[: j + 1]
@@ -172,16 +196,26 @@ def gmres(matrix, precond, b, tol=1e-8, maxit=500):
         g[j] = cs[j] * g[j]
         k = j + 1
         history.append(abs(g[j + 1]) / bnorm)
-        if history[-1] <= tol or hnext <= 1e-14 * bnorm:  # met tol, or the space is invariant
+        if history[-1] <= tol:
+            stop = "tol"
+            break
+        if hnext <= 1e-14 * bnorm:  # the Krylov space is invariant
+            stop = "invariant"
             break
         basis[j + 1] = w / hnext
     y = solve_triangular(hess[:k, :k], g[:k])
-    inner = y @ basis[:k]
-    x = _apply_precond(precond, inner)
+    x = y @ pre[:k]
     true_res = float(np.linalg.norm(b - matrix.matvec(x))) / bnorm
     report = SolveReport(k, true_res <= tol, np.asarray(history), time.perf_counter() - t0,
-                         true_res)
+                         true_res, stop)
     return x, report
+
+
+def _grown(a, rows, cols, alloc):
+    """``a`` copied into the top-left corner of a new ``alloc((rows, cols))`` array."""
+    out = alloc((rows, cols))
+    out[: a.shape[0], : a.shape[1]] = a
+    return out
 
 
 def estimate_condition(matrix, precond=None):

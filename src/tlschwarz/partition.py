@@ -14,6 +14,7 @@ are sparse products with the subdomain incidence matrix.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,22 +165,32 @@ def _component_budgets(sizes, n_parts):
 
     Every component gets at least one subdomain when the budget allows;
     with fewer subdomains than components the surplus components get zero
-    and are merged into an existing subdomain by the caller.
+    and are merged into an existing subdomain by the caller.  The rounded
+    quotas are corrected one subdomain at a time: handed out by largest
+    remainder ``quota - budget``, or taken back by smallest, ties going to
+    the larger then lower-indexed component when handing out and the
+    reverse when taking back.  A heap keeps each step O(log #components).
     """
     total = sum(sizes)
     quotas = [s * n_parts / total for s in sizes]
-    budget = [int(q) for q in quotas]
-    if len(sizes) <= n_parts:
-        budget = [max(1, b) for b in budget]
-    while sum(budget) < n_parts:
-        cand = [i for i in range(len(budget)) if budget[i] < sizes[i]]
-        i = max(cand, key=lambda i: (quotas[i] - budget[i], sizes[i], -i))
-        budget[i] += 1
-    while sum(budget) > n_parts:
-        floor = 1 if len(sizes) <= n_parts else 0
-        cand = [i for i in range(len(budget)) if budget[i] > floor]
-        i = min(cand, key=lambda i: (quotas[i] - budget[i], sizes[i], -i))
-        budget[i] -= 1
+    floor = 1 if len(sizes) <= n_parts else 0
+    budget = [max(floor, int(q)) for q in quotas]
+    short = n_parts - sum(budget)
+    step = 1 if short > 0 else -1
+
+    def key(i):  # the heap's smallest key is the next component to step
+        return (-step * (quotas[i] - budget[i]), -step * sizes[i], step * i)
+
+    def movable(i):
+        return budget[i] < sizes[i] if step > 0 else budget[i] > floor
+
+    heap = [key(i) for i in range(len(sizes)) if movable(i)]
+    heapq.heapify(heap)
+    for _ in range(abs(short)):
+        i = step * heapq.heappop(heap)[2]
+        budget[i] += step
+        if movable(i):
+            heapq.heappush(heap, key(i))
     return budget
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
@@ -177,9 +179,9 @@ class TestGmres:
         assert report.iterations <= 3
         np.testing.assert_allclose(mat.matvec(x), b, atol=1e-10)
 
-    def test_drifting_preconditioner_not_converged(self):
-        # the final map back through a preconditioner whose scale changes on
-        # every call spoils the iterate although the least-squares residual is tiny
+    def test_drifting_preconditioner_converges(self):
+        # the iterate is built from the stored preconditioned vectors, so a
+        # preconditioner whose scale changes on every call does not spoil it
         mat, b = generate(ProblemSpec("poisson2d", 10))
 
         class Drifting:
@@ -191,9 +193,60 @@ class TestGmres:
 
         x, report = gmres(mat, Drifting(), b, tol=1e-8)
         true_rel = np.linalg.norm(b - mat.matvec(x)) / np.linalg.norm(b)
-        assert report.residuals[-1] <= 1e-8 < true_rel
-        assert not report.converged
+        assert report.converged
+        assert true_rel <= 1e-8
         assert report.true_residual == true_rel
+
+    @pytest.mark.parametrize("maxit, stop", [(3, "maxit"), (500, "tol")])
+    def test_one_preconditioner_apply_per_iteration(self, maxit, stop):
+        mat, b = generate(ProblemSpec("advection2d", 12))
+        pre = setup(mat, 4, overlap=2, tau=0.05)
+
+        class Counting:
+            calls = 0
+
+            def apply(self, r):
+                self.calls += 1
+                return pre.apply(r)
+
+        counting = Counting()
+        _, report = gmres(mat, counting, b, tol=1e-10, maxit=maxit)
+        assert report.stop_reason == stop
+        assert counting.calls == report.iterations
+
+    @pytest.mark.parametrize("maxit", [15, 16, 17, 33])
+    def test_unconverged_across_storage_growth(self, maxit):
+        # the storage starts at 16 rows and doubles: these caps stop just
+        # before, at and after a growth step
+        mat, b = generate(ProblemSpec("advection2d", 12))
+        scale = np.random.default_rng(0).uniform(0.5, 2.0, mat.nrows)
+
+        class Scaling:
+            def apply(self, r):
+                return scale * r
+
+        x, report = gmres(mat, Scaling(), b, tol=1e-14, maxit=maxit)
+        assert not report.converged
+        assert report.iterations == maxit
+        assert len(report.residuals) == maxit + 1
+        true_rel = np.linalg.norm(b - mat.matvec(x)) / np.linalg.norm(b)
+        assert true_rel == pytest.approx(report.residuals[-1], rel=1e-8)
+
+    def test_storage_does_not_scale_with_maxit(self):
+        # advection2d m=80 converges in a few iterations; the basis must be
+        # sized by those, not by maxit (a 501-row basis here is 25.6 MB)
+        mat, b = generate(ProblemSpec("advection2d", 80))
+        pre = setup(mat, 16)
+        peaks = {}
+        for maxit in (500, 20):
+            tracemalloc.start()
+            try:
+                _, report = gmres(mat, pre, b, tol=1e-8, maxit=maxit)
+                peaks[maxit] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.converged and report.iterations < 16
+        assert abs(peaks[500] - peaks[20]) < 0.5e6
 
     def test_maxit_cap(self):
         mat = laplace1d(5)
@@ -211,6 +264,36 @@ class TestGmres:
         x, report = gmres(mat, None, b, tol=1e-8)
         true_rel = np.linalg.norm(b - mat.matvec(x)) / np.linalg.norm(b)
         assert true_rel <= 2 * report.residuals[-1] + 1e-12
+
+
+class TestStopReason:
+    def test_pcg_tol(self):
+        _, report = pcg(laplace1d(32), None, np.ones(32), tol=1e-10)
+        assert report.stop_reason == "tol"
+        assert report.to_text().splitlines()[-1] == "stop_reason = tol"
+
+    def test_pcg_maxit(self):
+        _, report = pcg(laplace1d(200), None, np.ones(200), tol=1e-14, maxit=3)
+        assert report.stop_reason == "maxit" and report.iterations == 3
+
+    def test_gmres_tol(self):
+        mat, b = generate(ProblemSpec("advection2d", 8))
+        _, report = gmres(mat, None, b, tol=1e-10)
+        assert report.stop_reason == "tol" and report.converged
+
+    def test_gmres_invariant(self):
+        # rhs spans two eigenvectors: the space closes before the
+        # least-squares residual reaches 1e-15
+        q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((12, 12)))
+        mat = SparseMat.from_dense(q @ np.diag(np.arange(1.0, 13.0)) @ q.T)
+        _, report = gmres(mat, None, q[:, 0] + q[:, 5], tol=1e-15, maxit=50)
+        assert report.stop_reason == "invariant"
+        assert report.residuals[-1] > 1e-15 and report.iterations == 2
+
+    def test_gmres_maxit(self):
+        _, report = gmres(laplace1d(200), None, np.ones(200), tol=1e-14, maxit=3)
+        assert report.stop_reason == "maxit" and report.iterations == 3
+        assert report.to_text().splitlines()[-1] == "stop_reason = maxit"
 
 
 class TestConditionEstimate:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 
 from tlschwarz import (
@@ -11,6 +13,8 @@ from tlschwarz import (
     partition_graph,
     symmetrized_graph,
 )
+
+from tlschwarz import partition
 
 from conftest import laplace1d, random_partition, random_spd
 
@@ -77,6 +81,41 @@ class TestPartition:
             Partition(3, np.array([0, 0, 1, 1]))
         with pytest.raises(ValueError, match="out of range"):
             Partition(2, np.array([0, 2]))
+
+
+def budgets_by_rescan(sizes, n_parts):
+    """The largest-remainder split as a rescan of every component per step."""
+    total = sum(sizes)
+    quotas = [s * n_parts / total for s in sizes]
+    budget = [int(q) for q in quotas]
+    if len(sizes) <= n_parts:
+        budget = [max(1, b) for b in budget]
+    while sum(budget) < n_parts:
+        cand = [i for i in range(len(budget)) if budget[i] < sizes[i]]
+        i = max(cand, key=lambda i: (quotas[i] - budget[i], sizes[i], -i))
+        budget[i] += 1
+    while sum(budget) > n_parts:
+        floor = 1 if len(sizes) <= n_parts else 0
+        cand = [i for i in range(len(budget)) if budget[i] > floor]
+        i = min(cand, key=lambda i: (quotas[i] - budget[i], sizes[i], -i))
+        budget[i] -= 1
+    return budget
+
+
+class TestComponentBudgets:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=40), st.data())
+    def test_matches_rescan(self, sizes, data):
+        n_parts = data.draw(st.integers(1, sum(sizes)))
+        assert partition._component_budgets(sizes, n_parts) == budgets_by_rescan(sizes, n_parts)
+
+    @pytest.mark.parametrize("n_parts", [2, 1001, 1500, 2000])
+    def test_many_isolated_components(self, n_parts):
+        # one large component plus 1000 isolated nodes, around N = #components
+        sizes = [10000] + [1] * 1000
+        budget = partition._component_budgets(sizes, n_parts)
+        assert budget == budgets_by_rescan(sizes, n_parts)
+        assert sum(budget) == n_parts
 
 
 class TestOverlap:
