@@ -8,9 +8,10 @@ unrestarted basis, stored by rows, and orthogonalizes each new vector by
 classical Gram-Schmidt run twice.  It keeps the preconditioned basis vectors
 too (flexible form), so it applies the preconditioner once per iteration and
 its iterate is exact for any preconditioner.  Both stores start at 16 rows
-and double when full: after k iterations they hold 2(k+1) vectors, which as
-k nears maxit can reach twice a basis sized by maxit.  The iteration cap is
-a hard 1000 to bound that memory.
+and double when full, never past maxit: after k iterations they hold 2(k+1)
+vectors of length n, and only as k nears maxit do they reach twice the size
+of one basis sized by maxit (while a doubling copies, the old arrays are
+alive too).  The iteration cap is a hard 1000 to bound that memory.
 """
 
 from __future__ import annotations
@@ -140,11 +141,10 @@ def gmres(matrix, precond, b, tol=1e-8, maxit=500):
     The Arnoldi recurrence runs on A M^{-1}, so the least-squares residual it
     minimizes is the plain unpreconditioned residual and the stopping test
     needs no extra matvec.  Each iteration applies the preconditioner once
-    and keeps z_j = M^{-1} v_j, and the iterate is x = Z_k y, so it is the
-    least-squares minimizer for any preconditioner, also one that changes
-    between calls.  After k iterations the storage is 2(k+1) vectors of
-    length n (basis and preconditioned vectors), grown by doubling from 16;
-    only as k nears maxit can it reach twice a basis sized by maxit.
+    and keeps z_j = M^{-1} v_j; the iterate x = Z_k y is the least-squares
+    minimizer for any preconditioner, also one that changes between calls.
+    After k iterations it stores 2(k+1) vectors of length n, grown by
+    doubling (see the module docstring for the memory bound).
     """
     t0 = time.perf_counter()
     if maxit > GMRES_MAXIT_CAP:
