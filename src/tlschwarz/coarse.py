@@ -22,12 +22,13 @@ DROP_TOL = 1e-10
 
 @dataclass
 class CoarseSpace:
-    """Global coarse basis Z, plus A00 = Z^T A Z and its factor once formed."""
+    """Global coarse basis Z, plus A00 = Z^T A Z, its factor and Z^T once formed."""
 
     basis: SparseMat
     ranges: tuple  # per-subdomain (start, end) column ranges
     a00: sp.csc_matrix | None = None
     lu: object = None
+    basis_t: sp.csc_matrix | None = None  # a view of the basis arrays, made once
 
     @property
     def n_coarse(self):
@@ -99,7 +100,8 @@ def galerkin_coarse(matrix, space):
     if space.n_coarse == 0:
         return space
     z = space.basis.scipy()
-    a00 = (z.T @ (matrix.scipy() @ z)).tocsc()
+    zt = z.T
+    a00 = (zt @ (matrix.scipy() @ z)).tocsc()
     if matrix.symmetric:
         a00 = (0.5 * (a00 + a00.T)).tocsc()
     a00.eliminate_zeros()
@@ -107,4 +109,4 @@ def galerkin_coarse(matrix, space):
     if failed is not None:
         raise RuntimeError("coarse operator is not positive definite" if matrix.symmetric
                            else "coarse operator is numerically singular")
-    return CoarseSpace(space.basis, space.ranges, a00=a00, lu=lu)
+    return CoarseSpace(space.basis, space.ranges, a00=a00, lu=lu, basis_t=zt)

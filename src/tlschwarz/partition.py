@@ -119,13 +119,15 @@ def partition_graph(graph, n_subdomains):
     for a given graph and subdomain count.
 
     Components come from ``csgraph.connected_components``, and the subdomain
-    budget is split across them in proportion to their sizes.  The hop
-    distance to the assigned nodes is kept in one array and lowered after
-    each new subdomain by a multi-source ``csgraph.dijkstra`` from that
-    subdomain alone: the distance to a union of sets is the minimum over the
-    sets, and the search is cut off at the current largest distance, beyond
-    which no node can improve.  ``owner`` (negative while a node is free)
-    and a running node count per subdomain are the only assignment state.
+    budget is split across them in proportion to their sizes.  Within a
+    component, one score array holds each free node's hop distance to the
+    assigned nodes (-1 once a node is taken), so the next seed is its
+    argmax.  It is lowered after each new subdomain by a multi-source
+    ``csgraph.dijkstra`` from that subdomain alone: the distance to a union
+    of sets is the minimum over the sets, and the search is cut off at the
+    largest score, beyond which no free node can improve.  ``owner``
+    (negative while a node is free) and a running node count per subdomain
+    are the only assignment state.
     """
     n = graph.shape[0]
     if not (1 <= n_subdomains <= n):
@@ -140,14 +142,13 @@ def partition_graph(graph, n_subdomains):
 
     owner = np.full(n, -1, dtype=np.int64)
     sizes = np.zeros(n_subdomains, dtype=np.int64)
-    dist = np.full(n, np.inf)
     next_id = 0
     zero_budget = []
     for comp, n_parts in zip(comps, budgets):
         if n_parts == 0:
             zero_budget.append(comp)
             continue
-        _partition_component(graph, comp, n_parts, next_id, owner, sizes, dist)
+        _partition_component(graph, comp, n_parts, next_id, owner, sizes)
         next_id += n_parts
 
     # Components that got no subdomain of their own are appended to the
@@ -194,21 +195,23 @@ def _component_budgets(sizes, n_parts):
     return budget
 
 
-def _partition_component(graph, comp, n_parts, first_id, owner, sizes, dist):
+def _partition_component(graph, comp, n_parts, first_id, owner, sizes):
     target = -(-comp.size // n_parts)  # ceil
     free = comp.size
     seed = int(comp[0])
+    # per node of comp (sorted): hop distance to the assigned nodes, -1 once taken
+    score = np.full(comp.size, np.inf)
     for sid in range(first_id, first_id + n_parts):
         remaining_after = first_id + n_parts - 1 - sid
         taken = _grow_subdomain(graph, seed, min(target, free - remaining_after), sid, owner)
         sizes[sid] = taken.size
         free -= taken.size
         if remaining_after:
+            score[np.searchsorted(comp, taken)] = -1
             near = csgraph.dijkstra(graph, indices=taken, unweighted=True,
-                                    min_only=True, limit=dist[comp].max())
-            np.minimum(dist, near, out=dist)
-            cand = comp[owner[comp] < 0]
-            seed = int(cand[np.argmax(dist[cand])])
+                                    min_only=True, limit=score.max())
+            np.minimum(score, near[comp], out=score)
+            seed = int(comp[np.argmax(score)])
 
     # Attach blocked leftovers to the adjacent subdomain with fewest nodes.
     left = comp[owner[comp] < 0]

@@ -17,10 +17,21 @@ Each level is one sparse operator with one SuperLU factor: the one-level
 part is P B^{-1} R, with R the stacked 0/1 subdomain restrictions, B the
 block-diagonal matrix of the subdomain blocks and P = R^T (asm) or R^T times
 the partition-of-unity mask (ras); the coarse operator A00 stays sparse.
+
+The two levels of the additive apply are independent, so the coarse solve
+runs on one private worker thread while the calling thread runs the
+one-level solve; both are SuperLU solves and sparse products that release
+the GIL, and each BLAS call stays single-threaded.  The sum is formed in the
+serial order, so the result is bit-identical to the serial one, and ``apply``
+returns or raises only once the coarse task has finished.  The deflated
+combination is sequential by construction (each level needs the other's
+output).  Nothing about this is configurable.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +47,20 @@ from .subdomain import LocalBlocks, SubdomainSetupError, build_harmonic, extract
 ONE_LEVEL_KINDS = ("asm", "ras")
 COMBINE_KINDS = ("none", "additive", "deflated")
 COARSE_KINDS = ("none", "full", "gevp", "svd", "auto")
+
+
+def _new_worker():
+    """Set up the one thread that runs the coarse solves of additive applies.
+
+    The executor starts its thread at the first submit.  A child forked
+    after that has none of the parent's threads, so it gets its own.
+    """
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="tlschwarz-coarse")
+
+
+_new_worker()
+os.register_at_fork(after_in_child=_new_worker)
 
 
 @dataclass(frozen=True)
@@ -130,14 +155,18 @@ class Preconditioner:
         return self.prolong @ self.local_lu.solve(self.restrict @ r)
 
     def coarse_apply(self, r):
-        z = self.coarse.basis.scipy()
-        return z @ self.coarse.lu.solve(z.T @ r)
+        return self.coarse.basis.scipy() @ self.coarse.lu.solve(self.coarse.basis_t @ r)
 
     def apply(self, r):
         if self.coarse is None or self.combine == "none":
             return self.apply_one_level(r)
         if self.combine == "additive":
-            return self.apply_one_level(r) + self.coarse_apply(r)
+            coarse = _worker.submit(self.coarse_apply, r)
+            try:
+                one_level = self.apply_one_level(r)
+            finally:
+                wait([coarse])
+            return one_level + coarse.result()
         # deflated
         qr_ = self.coarse_apply(r)
         w = self.apply_one_level(r - self.matrix.matvec(qr_))

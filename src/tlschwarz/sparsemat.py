@@ -177,12 +177,15 @@ def factor_blocks(blocks, symmetric):
     positive definite; any other block must keep every pivot above
     n * eps * max|U| of that block.  Elimination never couples two blocks.
     """
+    # splu sorts the indices of its CSC argument in place: hand it a private copy
+    a = sp.csc_matrix(blocks[0], copy=True) if len(blocks) == 1 else sp.block_diag(
+        blocks, format="csc")
     try:
         if symmetric:
-            lu = splu(sp.block_diag(blocks, format="csc"), permc_spec="MMD_AT_PLUS_A",
-                      diag_pivot_thresh=0, options={"SymmetricMode": True})
+            lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                      options={"SymmetricMode": True})
         else:
-            lu = splu(sp.block_diag(blocks, format="csc"))
+            lu = splu(a)
     except RuntimeError:  # exactly singular: find the block on its own
         failed = [0] if len(blocks) == 1 else [
             i for i, b in enumerate(blocks) if factor_blocks([b], symmetric)[1] is not None]

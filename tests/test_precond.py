@@ -1,4 +1,6 @@
+import multiprocessing
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from tlschwarz import (
     pcg,
     setup,
 )
+from tlschwarz import precond as precond_mod
 
 from conftest import laplace1d, random_spd
 
@@ -279,6 +282,98 @@ class TestLocalFactorErrors:
         with pytest.raises(SubdomainSetupError, match="subdomain 1") as info:
             setup(mat, 2, overlap=1)
         assert info.value.subdomain == 1
+
+
+class FailingSolve:
+    """Stand-in for the coarse factor: its solve raises once ``release`` is set."""
+
+    def __init__(self):
+        self.release = threading.Event()
+        self.finished = threading.Event()
+
+    def solve(self, rhs):
+        try:
+            self.release.wait(10)
+            raise ZeroDivisionError("coarse solve failed")
+        finally:
+            self.finished.set()
+
+
+class TestConcurrentApply:
+    """The additive apply runs its coarse solve on the module's worker thread."""
+
+    @pytest.mark.parametrize("kind, m, n_sub", [
+        ("poisson2d", 30, 9),
+        ("hetero-diffusion2d", 30, 9),
+        ("poisson3d", 8, 8),
+    ])
+    def test_equals_serial_sum(self, kind, m, n_sub):
+        mat, _ = generate(ProblemSpec(kind, m))
+        pre = setup(mat, n_sub)
+        assert pre.combine == "additive" and pre.coarse is not None
+        r = np.random.default_rng(7).standard_normal(mat.nrows)
+        expected = pre.apply_one_level(r) + pre.coarse_apply(r)
+        assert np.array_equal(pre.apply(r), expected)
+
+    @pytest.mark.parametrize("kind, options", [
+        ("advection2d", {}),  # deflated by default
+        ("poisson2d", {"combine": "deflated"}),
+        ("poisson2d", {"combine": "none"}),
+        ("poisson2d", {"coarse": "none"}),
+    ])
+    def test_other_combinations_stay_on_the_calling_thread(self, monkeypatch, kind, options):
+        mat, _ = generate(ProblemSpec(kind, 16))
+        pre = setup(mat, 4, **options)
+
+        class Refuse:
+            def submit(self, *args):
+                raise AssertionError("the worker must not be used")
+
+        monkeypatch.setattr(precond_mod, "_worker", Refuse())
+        pre.apply(np.ones(mat.nrows))
+
+    def test_coarse_error_propagates(self):
+        mat, _ = generate(ProblemSpec("poisson2d", 16))
+        pre = setup(mat, 4)
+        pre.coarse.lu = FailingSolve()
+        pre.coarse.lu.release.set()
+        with pytest.raises(ZeroDivisionError, match="coarse solve failed"):
+            pre.apply(np.ones(mat.nrows))
+
+    def test_one_level_error_waits_for_the_coarse_solve(self, monkeypatch):
+        mat, _ = generate(ProblemSpec("poisson2d", 16))
+        pre = setup(mat, 4)
+        pre.coarse.lu = stub = FailingSolve()
+
+        def one_level_fails(r):
+            threading.Timer(0.05, stub.release.set).start()
+            raise KeyError("one-level failed")
+
+        monkeypatch.setattr(pre, "apply_one_level", one_level_fails)
+        with pytest.raises(KeyError, match="one-level failed"):
+            pre.apply(np.ones(mat.nrows))
+        assert stub.finished.is_set()
+
+    # Python >= 3.12 warns when a process with threads forks
+    @pytest.mark.filterwarnings("ignore:This process.*multi-threaded:DeprecationWarning")
+    def test_forked_child_applies(self):
+        mat, _ = generate(ProblemSpec("poisson2d", 16))
+        pre = setup(mat, 4)
+        r = np.random.default_rng(3).standard_normal(mat.nrows)
+        expected = pre.apply(r)
+
+        def child():
+            sys.exit(0 if np.array_equal(pre.apply(r), expected) else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(10)
+        try:
+            assert not proc.is_alive(), "forked child hangs in apply"
+            assert proc.exitcode == 0
+        finally:
+            proc.kill()
+            proc.join()
 
 
 class TestReport:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ from tlschwarz import (
     write_matrix_market,
     write_vector,
 )
-from tlschwarz.sparsemat import DENSE_GUARD
+from tlschwarz.sparsemat import DENSE_GUARD, factor_blocks
 
 from conftest import laplace1d, random_spd
 
@@ -204,6 +205,39 @@ class TestGraph:
         mat = SparseMat.from_coo(2, 3, [0], [2], [1.0])
         with pytest.raises(ValueError, match="square"):
             symmetrized_graph(mat)
+
+
+def unsorted_csc(mat):
+    """CSC copy of ``mat`` with the row indices of every column reversed."""
+    a = mat.tocsc(copy=True)
+    for j in range(a.shape[1]):
+        lo, hi = a.indptr[j], a.indptr[j + 1]
+        a.indices[lo:hi] = a.indices[lo:hi][::-1].copy()
+        a.data[lo:hi] = a.data[lo:hi][::-1].copy()
+    a.has_sorted_indices = False
+    return a
+
+
+class TestFactorBlocks:
+    @pytest.mark.parametrize("n_blocks", [1, 3])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_input_blocks_unchanged(self, n_blocks, symmetric):
+        # splu sorts the indices of its CSC argument in place
+        blocks = []
+        for k in range(n_blocks):
+            a = random_spd(12 + k, seed=k).scipy()
+            if not symmetric:
+                a = a + sp.diags(np.full(a.shape[0] - 1, 0.3), 1)
+            blocks.append(unsorted_csc(a))
+        before = [(b.data.copy(), b.indices.copy(), b.indptr.copy()) for b in blocks]
+        lu, failed = factor_blocks(blocks, symmetric)
+        assert failed is None
+        for b, (data, indices, indptr) in zip(blocks, before):
+            np.testing.assert_array_equal(b.data, data)
+            np.testing.assert_array_equal(b.indices, indices)
+            np.testing.assert_array_equal(b.indptr, indptr)
+        x = np.arange(1.0, lu.shape[0] + 1)
+        np.testing.assert_allclose(lu.solve(sp.block_diag(blocks) @ x), x, rtol=1e-10)
 
 
 class TestVectors:
