@@ -24,11 +24,9 @@ from .partition import (
     partition_graph,
     extend_overlap,
     color_subdomains,
-    boolean_pou,
 )
 from .subdomain import (
     LocalBlocks,
-    HarmonicFactor,
     SubdomainSetupError,
     extract_local_blocks,
     build_harmonic,

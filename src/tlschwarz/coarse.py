@@ -5,6 +5,10 @@ comes from one subdomain and is weighted by the Boolean partition of unity
 D_i, so its support lies inside that subdomain's interior set.  Columns from
 different subdomains are therefore orthogonal, and any linear dependence the
 rank filter has to remove is local to a single subdomain's block V_i.
+
+Each stage hands on plain arrays: one dense column block per subdomain, then
+Z as a scipy CSR matrix with each subdomain's kept column count, then the
+complete ``CoarseSpace`` from ``galerkin_coarse``.
 """
 
 from __future__ import annotations
@@ -15,31 +19,20 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import qr
 
-from .sparsemat import SparseMat, factor_blocks
+from .sparsemat import factor_blocks
 
 DROP_TOL = 1e-10
 
 
 @dataclass
 class CoarseSpace:
-    """Global coarse basis Z, plus A00 = Z^T A Z, its factor and Z^T once formed."""
+    """Coarse basis Z (CSR), Z^T (a CSC view of the same arrays), A00 = Z^T A Z
+    and its SuperLU factor."""
 
-    basis: SparseMat
-    ranges: tuple  # per-subdomain (start, end) column ranges
-    a00: sp.csc_matrix | None = None
-    lu: object = None
-    basis_t: sp.csc_matrix | None = None  # a view of the basis arrays, made once
-
-    @property
-    def n_coarse(self):
-        return self.basis.ncols
-
-    @property
-    def nnz_a00(self):
-        return 0 if self.a00 is None else self.a00.nnz
-
-    def column_counts(self):
-        return tuple(end - start for start, end in self.ranges)
+    basis: sp.csr_matrix
+    basis_t: sp.csc_matrix
+    a00: sp.csc_matrix
+    lu: object
 
 
 def subdomain_coarse_columns(smap, vectors, pou_basis=None):
@@ -61,8 +54,8 @@ def assemble_coarse_basis(maps, column_blocks, n_global):
     column-pivoted QR of their subdomain's block; a column is kept when its
     pivot is positive and at least ``DROP_TOL`` times the largest pivot of
     any subdomain.  Kept columns keep their values; they are ordered by
-    subdomain, then by the order within each block, and ``ranges`` records
-    each subdomain's slice.
+    subdomain, then by the order within each block.  Returns Z as a scipy
+    CSR matrix and the tuple of kept column counts, one per subdomain.
     """
     offered, pivots = [], []
     for block in column_blocks:
@@ -75,31 +68,28 @@ def assemble_coarse_basis(maps, column_blocks, n_global):
         offered.append(nonzero)
         pivots.append(mag)
     largest = max((mag.max(initial=0.0) for mag in pivots), default=0.0)
-    data, rows, counts, ranges = [], [], [], []
-    k = 0
+    data, rows, col_nnz, counts = [], [], [], []
     for smap, block, nonzero, mag in zip(maps, column_blocks, offered, pivots):
         kept = block[:, nonzero[(mag > 0) & (mag >= DROP_TOL * largest)]].T
         stored = kept != 0
         data.append(kept[stored])
         rows.append(smap.indices[np.nonzero(stored)[1]])
-        counts.append(np.count_nonzero(stored, axis=1))
-        ranges.append((k, k + kept.shape[0]))
-        k += kept.shape[0]
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    z = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr), shape=(n_global, k))
-    return CoarseSpace(SparseMat(z), tuple(ranges))
+        col_nnz.append(np.count_nonzero(stored, axis=1))
+        counts.append(kept.shape[0])
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(col_nnz))])
+    z = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr),
+                      shape=(n_global, sum(counts)))
+    return z.tocsr(), tuple(counts)
 
 
-def galerkin_coarse(matrix, space):
+def galerkin_coarse(matrix, z):
     """Form and factor the coarse operator A00 = Z^T A Z.
 
     The sparse product is symmetrized when the fine matrix carries the
     verified symmetry flag, and its zeros are dropped.  Its SuperLU factor
     must show it positive definite (symmetric) or numerically nonsingular.
+    ``z`` must have at least one column.
     """
-    if space.n_coarse == 0:
-        return space
-    z = space.basis.scipy()
     zt = z.T
     a00 = (zt @ (matrix.scipy() @ z)).tocsc()
     if matrix.symmetric:
@@ -109,4 +99,4 @@ def galerkin_coarse(matrix, space):
     if failed is not None:
         raise RuntimeError("coarse operator is not positive definite" if matrix.symmetric
                            else "coarse operator is numerically singular")
-    return CoarseSpace(space.basis, space.ranges, a00=a00, lu=lu, basis_t=zt)
+    return CoarseSpace(z, zt, a00, lu)

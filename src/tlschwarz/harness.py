@@ -219,8 +219,7 @@ def derive_bound_inputs(precond, variant):
         raise ValueError("bound constants are defined for the symmetric theory")
     report = precond.report
     threshold = np.inf if report.nu is None else report.nu
-    nu = max([1.0] + [select_pou_modes(b, s.pou_mask, threshold).largest_unselected
-                      for b, s in zip(precond.blocks, precond.maps)])
+    nu = max([1.0] + [select_pou_modes(b, threshold).largest_unselected for b in precond.blocks])
     tau = 0.0
     if variant == "shrunk":
         if not report.largest_unselected:

@@ -81,11 +81,6 @@ class SubdomainMap:
         return self.indices.size
 
 
-def boolean_pou(smap):
-    """Partition-of-unity weights for one subdomain (1 on interior, 0 on layers)."""
-    return smap.pou_mask.astype(np.float64)
-
-
 def _grow_subdomain(graph, seed, target, sid, owner):
     """Grow subdomain ``sid`` breadth-first from seed, writing ``owner``.
 

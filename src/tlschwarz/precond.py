@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from . import coarse as coarse_mod
 from . import spectral
 from .partition import color_subdomains, extend_overlap, partition_graph
-from .sparsemat import factor_blocks, symmetrized_graph
+from .sparsemat import SparseMat, factor_blocks, symmetrized_graph
 from .subdomain import LocalBlocks, SubdomainSetupError, build_harmonic, extract_local_blocks
 
 ONE_LEVEL_KINDS = ("asm", "ras")
@@ -122,20 +122,19 @@ class SetupReport:
         return "\n".join(lines) + "\n"
 
 
+@dataclass(eq=False)
 class Preconditioner:
     """Built two-level Schwarz preconditioner; apply with ``.apply(r)``."""
 
-    def __init__(self, matrix, maps, restrict, prolong, local_lu, coarse, one_level, combine,
-                 report):
-        self.matrix = matrix
-        self.maps = maps
-        self.restrict = restrict
-        self.prolong = prolong
-        self.local_lu = local_lu
-        self.coarse = coarse
-        self.one_level = one_level
-        self.combine = combine
-        self.report = report
+    matrix: SparseMat
+    maps: list
+    restrict: sp.csr_matrix
+    prolong: sp.csr_matrix
+    local_lu: object
+    coarse: coarse_mod.CoarseSpace | None
+    one_level: str
+    combine: str
+    report: SetupReport
 
     @property
     def n(self):
@@ -155,7 +154,7 @@ class Preconditioner:
         return self.prolong @ self.local_lu.solve(self.restrict @ r)
 
     def coarse_apply(self, r):
-        return self.coarse.basis.scipy() @ self.coarse.lu.solve(self.coarse.basis_t @ r)
+        return self.coarse.basis @ self.coarse.lu.solve(self.coarse.basis_t @ r)
 
     def apply(self, r):
         if self.coarse is None or self.combine == "none":
@@ -214,10 +213,10 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         raise ValueError(f"unknown one-level kind {one_level!r}")
     if combine is None:
         combine = "additive" if symmetric else "deflated"
-    if coarse == "none":
-        combine = "none"
     if combine not in COMBINE_KINDS:
         raise ValueError(f"unknown combination {combine!r}")
+    if coarse == "none":
+        combine = "none"
     if nu is not None and not symmetric:
         raise ValueError("partition-of-unity modes require a symmetric matrix")
 
@@ -234,21 +233,16 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         raise SubdomainSetupError(failed, "local block is not positive definite" if symmetric
                                   else "local block is numerically singular")
 
-    bases = ()
-    cs = None
-    mode_counts = tuple(0 for _ in maps)
-
+    bases, cs, mode_counts = (), None, (0,) * len(maps)
     if coarse != "none":
         # one subdomain at a time, so at most one dense harmonic extension is alive
         column_blocks, bases = zip(*(_subdomain_columns(s, a, symmetric, coarse, tau, nu)
                                      for s, a in zip(maps, local)))
-        cs = coarse_mod.assemble_coarse_basis(maps, column_blocks, matrix.nrows)
-        mode_counts = cs.column_counts()
-        if cs.n_coarse == 0:
-            cs = None
-            combine = "none"
+        z, mode_counts = coarse_mod.assemble_coarse_basis(maps, column_blocks, matrix.nrows)
+        if z.shape[1]:
+            cs = coarse_mod.galerkin_coarse(matrix, z)
         else:
-            cs = coarse_mod.galerkin_coarse(matrix, cs)
+            combine = "none"
 
     report = SetupReport(
         n=matrix.nrows,
@@ -258,11 +252,11 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         combine=combine,
         coarse_kind=coarse,
         symmetric=symmetric,
-        n_coarse=cs.n_coarse if cs is not None else 0,
+        n_coarse=sum(mode_counts),
         k_c=k_c,
         mode_counts=mode_counts,
         nnz_matrix=matrix.nnz,
-        nnz_coarse=cs.nnz_a00 if cs is not None else 0,
+        nnz_coarse=cs.a00.nnz if cs is not None else 0,
         tau=tau,
         nu=nu if coarse != "none" else None,
         largest_unselected=tuple(b.largest_unselected for b in bases if b is not None),
@@ -275,15 +269,15 @@ def _subdomain_columns(smap, a, symmetric, coarse, tau, nu):
     """One subdomain's coarse column block, and its harmonic selection (None
     for the "full" coarse space, which takes every extension column)."""
     blocks = LocalBlocks.of(smap, a, symmetric)
-    harmonic = build_harmonic(blocks)
+    extension = build_harmonic(blocks)
     basis = None
     if coarse == "full":
-        vectors = harmonic.extension
+        vectors = extension
     else:
         select = spectral.select_harmonic_modes if coarse == "gevp" else spectral.svd_harmonic_modes
-        basis = select(blocks, smap.pou_mask, harmonic, tau)
+        basis = select(blocks, extension, tau)
         vectors = basis.vectors
-    pou = spectral.select_pou_modes(blocks, smap.pou_mask, nu) if nu is not None else None
+    pou = spectral.select_pou_modes(blocks, nu) if nu is not None else None
     return coarse_mod.subdomain_coarse_columns(smap, vectors, pou_basis=pou), basis
 
 

@@ -3,8 +3,8 @@
 Three selections feed the coarse space:
 
 * ``select_pou_modes`` — eigenvectors of the pencil (D A D, A) with
-  eigenvalue above a user threshold, D being the Boolean partition-of-unity
-  mask.  Only meaningful for symmetric positive definite blocks.
+  eigenvalue above a user threshold, D being the Boolean partition of unity.
+  Only meaningful for symmetric positive definite blocks.
 * ``select_harmonic_modes`` — eigenvectors of the pencil ((DP)^T A (DP), A)
   with P the harmonic extension; eigenvalues are squares of the A-weighted
   singular values of DP, and vectors with singular value above the threshold
@@ -13,6 +13,10 @@ Three selections feed the coarse space:
   with E the extension columns, and its vectors are lifted by E.
 * ``svd_harmonic_modes`` — plain Euclidean left singular vectors of DP above
   the threshold; the fallback that needs no symmetry.
+
+Each selector reads D from the subdomain's ``LocalBlocks`` (one on its first
+``n_interior`` rows, zero on the overlap layers); the harmonic ones also take
+E as the dense array that ``build_harmonic`` returns.
 
 All selections use strict inequality with a small relative tie guard so a
 value sitting exactly on the threshold is never admitted, regardless of
@@ -85,7 +89,7 @@ def _select_above(vals, vecs, threshold):
     return vecs[:, keep], vals[keep]
 
 
-def select_pou_modes(blocks, pou_mask, threshold):
+def select_pou_modes(blocks, threshold):
     """Modes of the partition-of-unity pencil with eigenvalue above threshold.
 
     The pencil's spectrum splits into an exact zero group (one per overlap
@@ -96,14 +100,14 @@ def select_pou_modes(blocks, pou_mask, threshold):
         raise ValueError("partition-of-unity modes require a symmetric block")
     if threshold <= 1.0:
         raise ValueError("threshold must exceed 1")
-    d = pou_mask.astype(np.float64)
+    d = blocks.pou_weights
     a = blocks.dense
     vals, vecs = sym_gevp(a * np.outer(d, d), a)
     sel_vecs, sel_vals = _select_above(vals, vecs, threshold)
     return SpectralBasis(sel_vecs, sel_vals, vals)
 
 
-def select_harmonic_modes(blocks, pou_mask, factor, threshold):
+def select_harmonic_modes(blocks, extension, threshold):
     """Modes of the masked harmonic-extension pencil above threshold.
 
     The left side is nonzero only on the boundary-ring block, so the n_local
@@ -118,18 +122,17 @@ def select_harmonic_modes(blocks, pou_mask, factor, threshold):
         raise ValueError("harmonic-pencil modes require a symmetric block")
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
-    ext = factor.extension
-    masked = ext * pou_mask[:, None].astype(np.float64)
+    masked = extension * blocks.pou_weights[:, None]
     lhs = masked.T @ (blocks.a @ masked)
-    schur = ext.T @ (blocks.a @ ext)
+    schur = extension.T @ (blocks.a @ extension)
     vals, vecs = sym_gevp(0.5 * (lhs + lhs.T), 0.5 * (schur + schur.T))
     sigmas = np.sqrt(np.clip(vals, 0.0, None))
     sel_vecs, sel_vals = _select_above(sigmas, vecs, threshold)
     all_values = np.concatenate([sigmas, np.zeros(blocks.n_inner)])
-    return SpectralBasis(_fix_signs(ext @ sel_vecs), sel_vals, all_values)
+    return SpectralBasis(_fix_signs(extension @ sel_vecs), sel_vals, all_values)
 
 
-def svd_harmonic_modes(blocks, pou_mask, factor, threshold):
+def svd_harmonic_modes(blocks, extension, threshold):
     """Euclidean left singular vectors of the masked harmonic extension.
 
     Works for any nonsingular block.  The masked extension is supported on
@@ -140,10 +143,9 @@ def svd_harmonic_modes(blocks, pou_mask, factor, threshold):
         raise ValueError("threshold must be positive")
     m = blocks.n_local
     ni = blocks.n_interior
-    block = factor.extension[:ni, :]
+    block = extension[:ni, :]
     if block.size == 0:
-        empty = np.zeros((m, 0))
-        return SpectralBasis(empty, np.zeros(0), np.zeros(0))
+        return SpectralBasis(np.zeros((m, 0)), np.zeros(0), np.zeros(0))
     u, s, _ = np.linalg.svd(block, full_matrices=False)
     keep = s > threshold * (1.0 + TIE_GUARD)
     vectors = np.zeros((m, int(keep.sum())))

@@ -2,10 +2,11 @@
 
 For a subdomain with local ordering (interior, layer 1, ..., layer d) the
 "inner" part is everything except the outermost layer, and the "boundary
-ring" is that outermost layer.  The harmonic extension maps boundary-ring
-values to the full subdomain by solving the inner block against the
-inner-to-ring coupling; it is the projection used both to split the local
-matrix into a positive-semidefinite piece and to build coarse basis vectors.
+ring" is that outermost layer.  The harmonic extension E, a dense
+(n_local, n_boundary) array, maps boundary-ring values to the full subdomain
+by solving the inner block against the inner-to-ring coupling; it gives the
+projection used both to split the local matrix into a positive-semidefinite
+piece and to build coarse basis vectors.
 
 A block's matrix is either the sparse cut that ``setup`` factors for the
 one-level part or a dense copy from ``extract_local_blocks``; the harmonic
@@ -61,6 +62,11 @@ class LocalBlocks:
         return self.n_local - self.n_boundary
 
     @property
+    def pou_weights(self):
+        """The Boolean partition of unity D as 0/1 floats: one on the interior rows."""
+        return (np.arange(self.n_local) < self.n_interior).astype(np.float64)
+
+    @property
     def dense(self):
         """The local matrix as a dense array (a new copy when ``a`` is sparse)."""
         if not sp.issparse(self.a):
@@ -81,53 +87,46 @@ def extract_local_blocks(matrix, smap):
     return LocalBlocks.of(smap, local, matrix.symmetric)
 
 
-class HarmonicFactor:
-    """Extension of boundary-ring values into the subdomain interior.
-
-    ``extension`` is the dense (n_local, n_boundary) block E: it keeps the
-    boundary-ring values and fills everything else with minus the inner-block
-    solve of the coupling times those values.  The local operator that
-    applies E to the boundary-ring part of a vector is a projection, and its
-    complement is orthogonal to its range in the local-matrix inner product
-    when the block is symmetric.  The inner block is factored sparsely; one
-    that fails its factorization test raises ``SubdomainSetupError``.
-    """
-
-    def __init__(self, blocks):
-        ni, nb = blocks.n_inner, blocks.n_boundary
-        self.extension = np.zeros((blocks.n_local, nb))
-        self.extension[ni:] = np.eye(nb)
-        if ni and nb:
-            a = sp.csc_array(blocks.a)
-            lu, failed = factor_blocks([a[:ni, :ni]], blocks.symmetric)
-            if failed is not None:
-                raise SubdomainSetupError(
-                    blocks.subdomain, "inner block is not positive definite" if blocks.symmetric
-                    else "inner block is numerically singular")
-            self.extension[:ni] = -lu.solve(a[:ni, ni:].toarray())
-
-
 def build_harmonic(blocks):
-    """Build the harmonic extension factor; fails on singular inner blocks."""
-    return HarmonicFactor(blocks)
+    """Harmonic extension E of boundary-ring values into the subdomain.
+
+    E is the dense (n_local, n_boundary) block that keeps the boundary-ring
+    values and fills everything else with minus the inner-block solve of the
+    coupling times those values.  The local operator that applies E to the
+    boundary-ring part of a vector is a projection, and its complement is
+    orthogonal to its range in the local-matrix inner product when the block
+    is symmetric.  The inner block is factored sparsely; one that fails its
+    factorization test raises ``SubdomainSetupError``.
+    """
+    ni, nb = blocks.n_inner, blocks.n_boundary
+    extension = np.zeros((blocks.n_local, nb))
+    extension[ni:] = np.eye(nb)
+    if ni and nb:
+        a = sp.csc_array(blocks.a)
+        lu, failed = factor_blocks([a[:ni, :ni]], blocks.symmetric)
+        if failed is not None:
+            raise SubdomainSetupError(
+                blocks.subdomain, "inner block is not positive definite" if blocks.symmetric
+                else "inner block is numerically singular")
+        extension[:ni] = -lu.solve(a[:ni, ni:].toarray())
+    return extension
 
 
-def spsd_splitting(blocks, factor):
+def spsd_splitting(blocks, extension):
     """Positive-semidefinite local splitting of a symmetric block.
 
-    Computed as (I - P)^T A (I - P) with P the harmonic extension, which
-    stays well defined even with a single overlap layer.  The result agrees
-    with the explicit Schur-complement construction whenever there are at
-    least two layers, and reduces to the block itself when the boundary ring
-    is empty.
+    Computed as (I - P)^T A (I - P) with P the projection that applies
+    ``extension`` to the boundary-ring part, which stays well defined even
+    with a single overlap layer.  The result agrees with the explicit
+    Schur-complement construction whenever there are at least two layers,
+    and reduces to the block itself when the boundary ring is empty.
     """
     if not blocks.symmetric:
         raise ValueError("positive-semidefinite splitting requires a symmetric block")
-    m = blocks.n_local
     if blocks.n_boundary == 0:
         return blocks.dense.copy()
-    e = np.eye(m)
-    e[:, blocks.n_inner:] -= factor.extension
+    e = np.eye(blocks.n_local)
+    e[:, blocks.n_inner:] -= extension
     tilde = e.T @ blocks.dense @ e
     tilde = 0.5 * (tilde + tilde.T)
     if not np.all(np.isfinite(tilde)):

@@ -105,7 +105,7 @@ def scatter_dense(smap, local, n):
     return out
 
 
-def full_harmonic_pencil(blocks, mask, factor, threshold):
+def full_harmonic_pencil(blocks, mask, extension, threshold):
     """Oracle for the harmonic selection: the n_local x n_local pencil
     ([[0, 0], [0, (DE)^T A (DE)]], A) solved densely.
 
@@ -113,7 +113,7 @@ def full_harmonic_pencil(blocks, mask, factor, threshold):
     whose value exceeds ``threshold`` (with the selection's tie guard).
     """
     a = blocks.dense
-    masked = factor.extension * mask[:, None]
+    masked = extension * mask[:, None]
     gram = masked.T @ a @ masked
     lhs = np.zeros_like(a)
     lhs[blocks.n_inner:, blocks.n_inner:] = 0.5 * (gram + gram.T)

@@ -5,7 +5,6 @@ from tlschwarz import (
     Partition,
     SparseMat,
     assemble_coarse_basis,
-    boolean_pou,
     build_harmonic,
     extend_overlap,
     extract_local_blocks,
@@ -27,13 +26,13 @@ def pipeline(mat, part, delta, tau=0.1, coarse="gevp"):
     column_blocks = []
     for smap in maps:
         blocks = extract_local_blocks(mat, smap)
-        factor = build_harmonic(blocks)
+        ext = build_harmonic(blocks)
         if coarse == "full":
-            vectors = factor.extension
+            vectors = ext
         elif coarse == "svd":
-            vectors = svd_harmonic_modes(blocks, boolean_pou(smap), factor, tau).vectors
+            vectors = svd_harmonic_modes(blocks, ext, tau).vectors
         else:
-            vectors = select_harmonic_modes(blocks, boolean_pou(smap), factor, tau).vectors
+            vectors = select_harmonic_modes(blocks, ext, tau).vectors
         column_blocks.append(subdomain_coarse_columns(smap, vectors))
     return maps, column_blocks, assemble_coarse_basis(maps, column_blocks, mat.nrows)
 
@@ -48,10 +47,17 @@ def scatter(maps, column_blocks, n_global):
     return np.hstack(cols)
 
 
-def whole_graph_space(mat):
-    """Coarse space spanning every unknown, from one subdomain's identity block."""
+def column_ranges(counts):
+    """Each subdomain's (start, end) slice of the coarse columns."""
+    ends = np.cumsum(counts)
+    return list(zip(ends - counts, ends))
+
+
+def whole_graph_basis(mat):
+    """Coarse basis spanning every unknown, from one subdomain's identity block."""
     maps = extend_overlap(symmetrized_graph(mat), Partition(1, np.zeros(mat.nrows, int)), 1)
-    return assemble_coarse_basis(maps, [np.eye(mat.nrows)], mat.nrows)
+    z, _ = assemble_coarse_basis(maps, [np.eye(mat.nrows)], mat.nrows)
+    return z
 
 
 class TestColumns:
@@ -63,8 +69,7 @@ class TestColumns:
         maps = extend_overlap(g, part, 1)
         smap = maps[0]
         blocks = extract_local_blocks(banded7, smap)
-        factor = build_harmonic(blocks)
-        cols = subdomain_coarse_columns(smap, factor.extension)
+        cols = subdomain_coarse_columns(smap, build_harmonic(blocks))
         ni = blocks.n_inner
         expected_top = -np.linalg.solve(blocks.a[:ni, :ni], blocks.a[:ni, ni:])
         np.testing.assert_allclose(cols[:ni], expected_top, atol=1e-12)
@@ -76,12 +81,12 @@ class TestColumns:
         maps = extend_overlap(symmetrized_graph(mat), part, 2)
         smap = maps[0]
         blocks = extract_local_blocks(mat, smap)
-        factor = build_harmonic(blocks)
-        basis = select_harmonic_modes(blocks, boolean_pou(smap), factor, 0.05)
+        ext = build_harmonic(blocks)
+        basis = select_harmonic_modes(blocks, ext, 0.05)
         cols = subdomain_coarse_columns(smap, basis.vectors)
         assert cols.shape == (smap.n_local, basis.n_selected)
         d = smap.pou_mask.astype(float)[:, None]
-        expected = (factor.extension @ basis.vectors[blocks.n_inner:, :]) * d
+        expected = (ext @ basis.vectors[blocks.n_inner:, :]) * d
         np.testing.assert_allclose(cols, expected, atol=1e-13)
 
 
@@ -90,11 +95,12 @@ class TestAssembly:
         mat = random_spd(50, seed=10)
         part = random_partition(50, 4, seed=11)
         # selected modes are independent, so the rank filter keeps them all
-        maps, column_blocks, space = pipeline(mat, part, 2, coarse="gevp")
-        dense = space.basis.to_dense()
+        maps, column_blocks, (z, counts) = pipeline(mat, part, 2, coarse="gevp")
+        dense = z.toarray()
+        ranges = column_ranges(counts)
         k = 0
         for smap, block in zip(maps, column_blocks):
-            start, end = space.ranges[smap.index]
+            start, end = ranges[smap.index]
             for j in range(block.shape[1]):
                 if not np.any(block[:, j]):
                     continue
@@ -103,7 +109,7 @@ class TestAssembly:
                 np.testing.assert_array_equal(dense[:, k], full)
                 k += 1
             assert (start <= k <= end) or end == k
-        assert k == space.n_coarse
+        assert k == z.shape[1]
 
     def test_zero_columns_dropped(self):
         mat = random_spd(20, seed=12)
@@ -111,17 +117,18 @@ class TestAssembly:
         maps = extend_overlap(symmetrized_graph(mat), part, 1)
         blocks = [np.zeros((m.n_local, 2)) for m in maps]
         blocks[0][:, 1] = 1.0  # one real column among zeros
-        space = assemble_coarse_basis(maps, blocks, 20)
-        assert space.n_coarse == 1
-        assert space.ranges == ((0, 1), (1, 1))
+        z, counts = assemble_coarse_basis(maps, blocks, 20)
+        assert z.shape[1] == 1
+        assert column_ranges(counts) == [(0, 1), (1, 1)]
 
     def test_disjoint_supports_across_subdomains(self):
         mat = random_spd(60, seed=14)
         part = random_partition(60, 5, seed=15)
-        _, _, space = pipeline(mat, part, 2, coarse="gevp")
-        dense = space.basis.to_dense()
-        for i, (s0, e0) in enumerate(space.ranges):
-            for j, (s1, e1) in enumerate(space.ranges):
+        _, _, (z, counts) = pipeline(mat, part, 2, coarse="gevp")
+        dense = z.toarray()
+        ranges = column_ranges(counts)
+        for i, (s0, e0) in enumerate(ranges):
+            for j, (s1, e1) in enumerate(ranges):
                 if i < j and e0 > s0 and e1 > s1:
                     prod = dense[:, s0:e0].T @ dense[:, s1:e1]
                     assert np.abs(prod).max() == 0.0
@@ -129,10 +136,10 @@ class TestAssembly:
     def test_basis_survives_matrix_market(self, tmp_path):
         mat = random_spd(25, seed=18)
         part = random_partition(25, 2, seed=19)
-        _, _, space = pipeline(mat, part, 2, coarse="svd")
-        text = write_matrix_market(space.basis)
+        _, _, (z, _) = pipeline(mat, part, 2, coarse="svd")
+        text = write_matrix_market(SparseMat(z))
         again = read_matrix_market(text)
-        np.testing.assert_array_equal(again.to_dense(), space.basis.to_dense())
+        np.testing.assert_array_equal(again.to_dense(), z.toarray())
 
 
 def orthonormal_blocks(maps, per_subdomain, seed):
@@ -152,11 +159,11 @@ class TestRankFilter:
         part = random_partition(30, 2, seed=21)
         maps = extend_overlap(symmetrized_graph(mat), part, 1)
         blocks = [np.hstack([b, b[:, :1]]) for b in orthonormal_blocks(maps, 3, seed=1)]
-        filtered = assemble_coarse_basis(maps, blocks, 30)
+        z, _ = assemble_coarse_basis(maps, blocks, 30)
         before = scatter(maps, blocks, 30)
-        assert filtered.n_coarse == before.shape[1] - len(maps)
+        assert z.shape[1] == before.shape[1] - len(maps)
         # surviving columns keep their original values
-        after = filtered.basis.to_dense()
+        after = z.toarray()
         for j in range(after.shape[1]):
             assert any(np.array_equal(after[:, j], before[:, i]) for i in range(before.shape[1]))
 
@@ -168,58 +175,55 @@ class TestRankFilter:
             np.hstack([b, b[:, :1] * (1 + 1e-14)])
             for b in orthonormal_blocks(maps, 3, seed=2)
         ]
-        filtered = assemble_coarse_basis(maps, blocks, 30)
-        assert filtered.n_coarse == sum(b.shape[1] for b in blocks) - len(maps)
+        z, _ = assemble_coarse_basis(maps, blocks, 30)
+        assert z.shape[1] == sum(b.shape[1] for b in blocks) - len(maps)
 
     def test_independent_columns_untouched(self):
         mat = random_spd(40, seed=24)
         part = random_partition(40, 3, seed=25)
         maps = extend_overlap(symmetrized_graph(mat), part, 2)
         blocks = orthonormal_blocks(maps, 4, seed=3)
-        filtered = assemble_coarse_basis(maps, blocks, 40)
+        z, _ = assemble_coarse_basis(maps, blocks, 40)
         # every offered column survives, with its values
-        np.testing.assert_array_equal(filtered.basis.to_dense(), scatter(maps, blocks, 40))
+        np.testing.assert_array_equal(z.toarray(), scatter(maps, blocks, 40))
 
     def test_ranges_recomputed(self):
         mat = random_spd(30, seed=28)
         part = random_partition(30, 3, seed=29)
         maps = extend_overlap(symmetrized_graph(mat), part, 1)
         blocks = [np.hstack([b, b]) for b in orthonormal_blocks(maps, 3, seed=5)]
-        filtered = assemble_coarse_basis(maps, blocks, 30)
-        counts = filtered.column_counts()
+        z, counts = assemble_coarse_basis(maps, blocks, 30)
         original = [b.shape[1] // 2 for b in blocks]
         assert list(counts) == original
-        assert filtered.ranges[0][0] == 0
-        for (s0, e0), (s1, e1) in zip(filtered.ranges, filtered.ranges[1:]):
-            assert e0 == s1
+        assert column_ranges(counts)[-1][1] == z.shape[1]
 
 
 class TestGalerkin:
     def test_matches_dense_triple_product(self):
         mat = random_spd(40, seed=30)
         part = random_partition(40, 3, seed=31)
-        _, _, space = pipeline(mat, part, 2, coarse="full")
-        space = galerkin_coarse(mat, space)
-        dense_b = space.basis.to_dense()
+        _, _, (z, _) = pipeline(mat, part, 2, coarse="full")
+        space = galerkin_coarse(mat, z)
+        dense_b = space.basis.toarray()
         expected = dense_b.T @ mat.to_dense() @ dense_b
         np.testing.assert_allclose(space.a00.toarray(), expected, atol=1e-10)
-        assert space.nnz_a00 == np.count_nonzero(expected)
+        assert space.a00.nnz == np.count_nonzero(expected)
 
     def test_solve_inverts_operator(self):
         mat = random_spd(35, seed=32)
         part = random_partition(35, 3, seed=33)
-        _, _, space = pipeline(mat, part, 1, coarse="gevp")
-        space = galerkin_coarse(mat, space)
+        _, _, (z, _) = pipeline(mat, part, 1, coarse="gevp")
+        space = galerkin_coarse(mat, z)
         rng = np.random.default_rng(1)
-        rhs = rng.standard_normal(space.n_coarse)
+        rhs = rng.standard_normal(z.shape[1])
         y = space.lu.solve(rhs)
         np.testing.assert_allclose(space.a00 @ y, rhs, atol=1e-9)
 
     def test_spd_coarse_operator(self):
         mat = random_spd(45, seed=36)
         part = random_partition(45, 4, seed=37)
-        _, _, space = pipeline(mat, part, 2, coarse="full")
-        space = galerkin_coarse(mat, space)
+        _, _, (z, _) = pipeline(mat, part, 2, coarse="full")
+        space = galerkin_coarse(mat, z)
         a00 = space.a00.toarray()
         np.testing.assert_allclose(a00, a00.T, atol=1e-12)
         assert np.linalg.eigvalsh(a00).min() > 0
@@ -230,20 +234,13 @@ class TestGalerkin:
     ])
     def test_indefinite_symmetric_coarse_operator_raises(self, dense):
         mat = SparseMat.from_dense(dense, symmetric=True)
-        space = whole_graph_space(mat)
+        z = whole_graph_basis(mat)
         with pytest.raises(RuntimeError, match="not positive definite"):
-            galerkin_coarse(mat, space)
+            galerkin_coarse(mat, z)
 
     @pytest.mark.parametrize("last", [2.0, 2.0 + 2.0 ** -51])  # exactly, numerically
     def test_singular_nonsymmetric_coarse_operator_raises(self, last):
         mat = SparseMat.from_dense([[1.0, 2.0], [1.0, last]])
-        space = whole_graph_space(mat)
+        z = whole_graph_basis(mat)
         with pytest.raises(RuntimeError, match="numerically singular"):
-            galerkin_coarse(mat, space)
-
-    def test_empty_coarse_passthrough(self):
-        mat = random_spd(20, seed=38)
-        part = random_partition(20, 2, seed=39)
-        maps = extend_overlap(symmetrized_graph(mat), part, 1)
-        space = assemble_coarse_basis(maps, [np.zeros((m.n_local, 0)) for m in maps], 20)
-        assert galerkin_coarse(mat, space) is space
+            galerkin_coarse(mat, z)

@@ -7,7 +7,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from tlschwarz import (
     Partition,
-    boolean_pou,
     color_subdomains,
     extend_overlap,
     partition_graph,
@@ -137,7 +136,6 @@ class TestOverlap:
         np.testing.assert_array_equal(maps[1].layers[0], [2])
         np.testing.assert_array_equal(maps[1].layers[1], [1])
         np.testing.assert_array_equal(maps[1].pou_mask, [1, 1, 1, 1, 0, 0])
-        np.testing.assert_array_equal(boolean_pou(maps[1]), [1, 1, 1, 1, 0, 0])
 
     def test_rings_are_exact_distances(self):
         mat = random_spd(80, seed=5)
@@ -175,7 +173,7 @@ class TestOverlap:
             maps = extend_overlap(g, part, delta)
             total = np.zeros(n)
             for smap in maps:
-                total[smap.indices] += boolean_pou(smap)
+                total[smap.indices] += smap.pou_mask
             np.testing.assert_array_equal(total, np.ones(n))
 
     def test_overlap_must_be_positive(self):

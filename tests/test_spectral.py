@@ -7,7 +7,6 @@ from scipy.linalg import cholesky, eigh, subspace_angles
 
 from tlschwarz import (
     ProblemSpec,
-    boolean_pou,
     build_harmonic,
     extend_overlap,
     extract_local_blocks,
@@ -33,7 +32,7 @@ def subdomain_pieces(n, n_sub, delta, seed):
     out = []
     for smap in maps:
         blocks = extract_local_blocks(mat, smap)
-        out.append((blocks, boolean_pou(smap), build_harmonic(blocks)))
+        out.append((blocks, smap.pou_mask.astype(np.float64), build_harmonic(blocks)))
     return out
 
 
@@ -100,7 +99,7 @@ class TestSymGevp:
 class TestPouModes:
     def test_1d_fixture_spectrum(self):
         blocks, _ = fixture_1d3()
-        basis = select_pou_modes(blocks, np.array([1.0, 1.0, 0.0]), threshold=1.4)
+        basis = select_pou_modes(blocks, threshold=1.4)
         np.testing.assert_allclose(basis.all_values, [1.5, 1.0, 0.0], atol=1e-13)
         assert basis.n_selected == 1
         np.testing.assert_allclose(basis.values, [1.5], atol=1e-13)
@@ -108,15 +107,15 @@ class TestPouModes:
 
     def test_threshold_on_eigenvalue_excludes_it(self):
         blocks, _ = fixture_1d3()
-        mask = np.array([1.0, 1.0, 0.0])
-        lam = select_pou_modes(blocks, mask, 1.4).all_values[0]
-        basis = select_pou_modes(blocks, mask, float(lam))
+        lam = select_pou_modes(blocks, 1.4).all_values[0]
+        basis = select_pou_modes(blocks, float(lam))
         assert basis.n_selected == 0
         assert basis.largest_unselected == pytest.approx(lam)
 
     def test_all_ones_mask_gives_unit_spectrum(self):
-        blocks, _ = fixture_1d3()
-        basis = select_pou_modes(blocks, np.ones(3), threshold=1.1)
+        # every node interior: D = I, so the pencil is (A, A)
+        blocks = extract_local_blocks(laplace1d(3), make_map([0, 1, 2], [], 3))
+        basis = select_pou_modes(blocks, threshold=1.1)
         np.testing.assert_allclose(basis.all_values, 1.0, atol=1e-13)
         assert basis.n_selected == 0
 
@@ -128,7 +127,7 @@ class TestPouModes:
             for blocks, mask, _ in pieces:
                 d = np.diag(mask)
                 dad = d @ blocks.a @ d
-                vals = select_pou_modes(blocks, mask, 1e6).all_values
+                vals = select_pou_modes(blocks, 1e6).all_values
                 n = blocks.n_local
                 n_zero = int(np.sum(np.abs(vals) < 1e-8))
                 n_one = int(np.sum(np.abs(vals - 1.0) < 1e-8))
@@ -141,7 +140,7 @@ class TestPouModes:
         # is at most the largest unselected eigenvalue times its energy
         rng = np.random.default_rng(44)
         for blocks, mask, _ in subdomain_pieces(50, 4, 2, seed=50):
-            basis = select_pou_modes(blocks, mask, threshold=1.2)
+            basis = select_pou_modes(blocks, threshold=1.2)
             z = basis.vectors
             d = np.diag(mask)
             dad = d @ blocks.a @ d
@@ -155,7 +154,7 @@ class TestPouModes:
 
     def test_selected_vectors_a_orthonormal(self):
         for blocks, mask, _ in subdomain_pieces(40, 3, 1, seed=70):
-            basis = select_pou_modes(blocks, mask, threshold=1.1)
+            basis = select_pou_modes(blocks, threshold=1.1)
             if basis.n_selected:
                 gram = basis.vectors.T @ blocks.a @ basis.vectors
                 np.testing.assert_allclose(gram, np.eye(basis.n_selected), atol=1e-10)
@@ -163,26 +162,25 @@ class TestPouModes:
     def test_rejects_bad_threshold_and_nonsymmetric(self):
         blocks, _ = fixture_1d3()
         with pytest.raises(ValueError):
-            select_pou_modes(blocks, np.ones(3), 1.0)
+            select_pou_modes(blocks, 1.0)
         ns = type(blocks)(
             subdomain=0, a=blocks.a, n_interior=2, layer_sizes=(1,), symmetric=False
         )
         with pytest.raises(ValueError):
-            select_pou_modes(ns, np.ones(3), 1.5)
+            select_pou_modes(ns, 1.5)
 
 
 class TestHarmonicModes:
     def test_1d_fixture_sigma(self):
-        blocks, factor = fixture_1d3()
-        mask = np.array([1.0, 1.0, 0.0])
-        basis = select_harmonic_modes(blocks, mask, factor, threshold=0.01)
+        blocks, ext = fixture_1d3()
+        basis = select_harmonic_modes(blocks, ext, threshold=0.01)
         assert basis.n_selected == 1
         np.testing.assert_allclose(basis.values, [np.sqrt(0.5)], rtol=1e-12)
-        assert select_harmonic_modes(blocks, mask, factor, threshold=0.8).n_selected == 0
+        assert select_harmonic_modes(blocks, ext, threshold=0.8).n_selected == 0
 
     def test_rank_bounded_by_boundary_ring(self):
-        for blocks, mask, factor in subdomain_pieces(60, 4, 2, seed=80):
-            basis = select_harmonic_modes(blocks, mask, factor, threshold=1e-12)
+        for blocks, _, ext in subdomain_pieces(60, 4, 2, seed=80):
+            basis = select_harmonic_modes(blocks, ext, threshold=1e-12)
             assert basis.n_selected <= blocks.n_boundary
             nonzero = np.sum(basis.all_values > 1e-10)
             assert nonzero <= blocks.n_boundary
@@ -191,10 +189,10 @@ class TestHarmonicModes:
         # reduce the pencil by the Cholesky factor of the block and compare
         # both the weighted singular values and the selected span
         tau = 0.15
-        for blocks, mask, factor in subdomain_pieces(50, 3, 2, seed=90):
-            basis = select_harmonic_modes(blocks, mask, factor, tau)
+        for blocks, mask, ext in subdomain_pieces(50, 3, 2, seed=90):
+            basis = select_harmonic_modes(blocks, ext, tau)
             lfac = cholesky(blocks.a, lower=True)
-            masked = factor.extension * mask[:, None]
+            masked = ext * mask[:, None]
             gram = masked.T @ blocks.a @ masked
             lhs = np.zeros_like(blocks.a)
             ni = blocks.n_inner
@@ -211,16 +209,16 @@ class TestHarmonicModes:
                 assert angles.max() < 1e-6
 
     def test_a_orthonormal(self):
-        for blocks, mask, factor in subdomain_pieces(40, 3, 1, seed=100):
-            basis = select_harmonic_modes(blocks, mask, factor, threshold=0.05)
+        for blocks, _, ext in subdomain_pieces(40, 3, 1, seed=100):
+            basis = select_harmonic_modes(blocks, ext, threshold=0.05)
             if basis.n_selected:
                 gram = basis.vectors.T @ blocks.a @ basis.vectors
                 np.testing.assert_allclose(gram, np.eye(basis.n_selected), atol=1e-10)
 
     def test_rejects_bad_threshold(self):
-        blocks, factor = fixture_1d3()
+        blocks, ext = fixture_1d3()
         with pytest.raises(ValueError):
-            select_harmonic_modes(blocks, np.ones(3), factor, 0.0)
+            select_harmonic_modes(blocks, ext, 0.0)
 
     def test_boundary_pencil_matches_full_pencil(self):
         # the n_boundary pencil selects the span of the n_local pencil, and
@@ -228,9 +226,9 @@ class TestHarmonicModes:
         mat, _ = generate(ProblemSpec("poisson2d", 20))
         pre = setup(mat, 16, tau=0.1)
         for blocks, smap in zip(pre.blocks, pre.maps):
-            factor = build_harmonic(blocks)
-            basis = select_harmonic_modes(blocks, boolean_pou(smap), factor, 0.1)
-            sigmas, oracle = full_harmonic_pencil(blocks, boolean_pou(smap), factor, 0.1)
+            ext = build_harmonic(blocks)
+            basis = select_harmonic_modes(blocks, ext, 0.1)
+            sigmas, oracle = full_harmonic_pencil(blocks, smap.pou_mask.astype(float), ext, 0.1)
             assert basis.n_selected == oracle.shape[1] > 0
             assert subspace_angles(basis.vectors, oracle).max() < 1e-10
             assert basis.all_values.size == blocks.n_local
@@ -243,46 +241,45 @@ class TestSparseBackedBlocks:
 
     @staticmethod
     def pieces():
-        for blocks, mask, factor in subdomain_pieces(40, 3, 2, seed=120):
-            yield blocks, dataclasses.replace(blocks, a=sp.csr_matrix(blocks.a)), mask, factor
+        for blocks, _, ext in subdomain_pieces(40, 3, 2, seed=120):
+            yield blocks, dataclasses.replace(blocks, a=sp.csr_matrix(blocks.a)), ext
 
     def test_pou_modes(self):
-        for dense, sparse, mask, _ in self.pieces():
-            want = select_pou_modes(dense, mask, 1.2)
-            got = select_pou_modes(sparse, mask, 1.2)
+        for dense, sparse, _ in self.pieces():
+            want = select_pou_modes(dense, 1.2)
+            got = select_pou_modes(sparse, 1.2)
             np.testing.assert_array_equal(got.all_values, want.all_values)
             np.testing.assert_array_equal(got.vectors, want.vectors)
 
     def test_splitting(self):
-        for dense, sparse, _, factor in self.pieces():
-            np.testing.assert_array_equal(spsd_splitting(sparse, factor),
-                                          spsd_splitting(dense, factor))
+        for dense, sparse, ext in self.pieces():
+            np.testing.assert_array_equal(spsd_splitting(sparse, ext),
+                                          spsd_splitting(dense, ext))
 
     def test_harmonic_extension_and_modes(self):
-        for dense, sparse, mask, factor in self.pieces():
-            sparse_factor = build_harmonic(sparse)
-            np.testing.assert_allclose(sparse_factor.extension, factor.extension, atol=1e-12)
-            want = select_harmonic_modes(dense, mask, factor, 0.1)
-            got = select_harmonic_modes(sparse, mask, sparse_factor, 0.1)
+        for dense, sparse, ext in self.pieces():
+            sparse_ext = build_harmonic(sparse)
+            np.testing.assert_allclose(sparse_ext, ext, atol=1e-12)
+            want = select_harmonic_modes(dense, ext, 0.1)
+            got = select_harmonic_modes(sparse, sparse_ext, 0.1)
             np.testing.assert_allclose(got.all_values, want.all_values, atol=1e-12)
             np.testing.assert_allclose(got.vectors, want.vectors, atol=1e-10)
 
 
 class TestSvdModes:
     def test_1d_fixture(self):
-        blocks, factor = fixture_1d3()
-        mask = np.array([1.0, 1.0, 0.0])
-        basis = svd_harmonic_modes(blocks, mask, factor, threshold=0.1)
+        blocks, ext = fixture_1d3()
+        basis = svd_harmonic_modes(blocks, ext, threshold=0.1)
         assert basis.n_selected == 1
         np.testing.assert_allclose(basis.values, [np.sqrt(5.0) / 3.0], rtol=1e-12)
         np.testing.assert_allclose(
             basis.vectors[:, 0], [1 / np.sqrt(5), 2 / np.sqrt(5), 0.0], rtol=1e-12
         )
-        assert svd_harmonic_modes(blocks, mask, factor, threshold=0.8).n_selected == 0
+        assert svd_harmonic_modes(blocks, ext, threshold=0.8).n_selected == 0
 
     def test_vectors_interior_supported_and_orthonormal(self):
-        for blocks, mask, factor in subdomain_pieces(50, 4, 2, seed=110):
-            basis = svd_harmonic_modes(blocks, mask, factor, threshold=1e-10)
+        for blocks, _, ext in subdomain_pieces(50, 4, 2, seed=110):
+            basis = svd_harmonic_modes(blocks, ext, threshold=1e-10)
             k = basis.n_selected
             if k:
                 np.testing.assert_allclose(
@@ -291,16 +288,15 @@ class TestSvdModes:
                 assert np.all(basis.vectors[blocks.n_interior:, :] == 0)
 
     def test_threshold_on_value_excludes_it(self):
-        blocks, factor = fixture_1d3()
-        mask = np.array([1.0, 1.0, 0.0])
-        sigma = svd_harmonic_modes(blocks, mask, factor, 0.1).all_values[0]
-        assert svd_harmonic_modes(blocks, mask, factor, float(sigma)).n_selected == 0
+        blocks, ext = fixture_1d3()
+        sigma = svd_harmonic_modes(blocks, ext, 0.1).all_values[0]
+        assert svd_harmonic_modes(blocks, ext, float(sigma)).n_selected == 0
 
     def test_empty_boundary(self):
         mat = laplace1d(4)
         smap = make_map(np.arange(4), [np.array([], dtype=np.int64)], 4)
         blocks = extract_local_blocks(mat, smap)
-        basis = svd_harmonic_modes(blocks, np.ones(4), build_harmonic(blocks), 0.1)
+        basis = svd_harmonic_modes(blocks, build_harmonic(blocks), 0.1)
         assert basis.n_selected == 0
         assert basis.vectors.shape == (4, 0)
 
@@ -317,9 +313,7 @@ def test_mode_counts_shrink_with_more_overlap():
         count = 0
         for smap in maps:
             blocks = extract_local_blocks(mat, smap)
-            basis = select_harmonic_modes(
-                blocks, boolean_pou(smap), build_harmonic(blocks), 0.1
-            )
+            basis = select_harmonic_modes(blocks, build_harmonic(blocks), 0.1)
             count += basis.n_selected
         totals.append(count)
     assert totals[0] >= totals[1] >= totals[2]

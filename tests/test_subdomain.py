@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tlschwarz import (
-    HarmonicFactor,
     LocalBlocks,
     Partition,
     SubdomainMap,
@@ -54,6 +53,14 @@ class TestLocalBlocks:
             blocks = extract_local_blocks(mat, smap)
             np.testing.assert_array_equal(blocks.a, dense[np.ix_(smap.indices, smap.indices)])
 
+    def test_pou_weights_are_the_interior_mask(self):
+        mat = random_spd(30, seed=3)
+        maps = extend_overlap(symmetrized_graph(mat), random_partition(30, 3, seed=4), 2)
+        for smap in maps:
+            weights = extract_local_blocks(mat, smap).pou_weights
+            assert weights.dtype == np.float64
+            np.testing.assert_array_equal(weights, smap.pou_mask)
+
     def test_symmetric_flag_propagates(self):
         mat = random_spd(12, seed=5)
         smap = make_map(np.arange(12), [], 12)
@@ -62,18 +69,17 @@ class TestLocalBlocks:
 
 class TestHarmonicExtension:
     def test_1d_fixture_extension_column(self):
-        blocks, factor = fixture_1d3()
-        np.testing.assert_allclose(factor.extension[:, 0], [1 / 3, 2 / 3, 1], atol=1e-14)
+        blocks, ext = fixture_1d3()
+        np.testing.assert_allclose(ext[:, 0], [1 / 3, 2 / 3, 1], atol=1e-14)
         v = np.array([9.0, 9.0, 1.0])
-        np.testing.assert_allclose(factor.extension @ v[blocks.n_inner:], [1 / 3, 2 / 3, 1])
+        np.testing.assert_allclose(ext @ v[blocks.n_inner:], [1 / 3, 2 / 3, 1])
 
     def test_is_projection(self):
         mat = random_spd(50, seed=7)
         maps = extend_overlap(symmetrized_graph(mat), random_partition(50, 4, seed=8), 2)
         for smap in maps:
             blocks = extract_local_blocks(mat, smap)
-            factor = build_harmonic(blocks)
-            ext = factor.extension
+            ext = build_harmonic(blocks)
             pi = np.zeros((blocks.n_local, blocks.n_local))
             pi[:, blocks.n_inner:] = ext
             np.testing.assert_allclose(pi @ pi, pi, atol=1e-10)
@@ -85,25 +91,25 @@ class TestHarmonicExtension:
             maps = extend_overlap(symmetrized_graph(mat), random_partition(60, 4, seed=10), delta)
             for smap in maps:
                 blocks = extract_local_blocks(mat, smap)
-                factor = build_harmonic(blocks)
+                ext = build_harmonic(blocks)
                 pi = np.zeros((blocks.n_local, blocks.n_local))
-                pi[:, blocks.n_inner:] = factor.extension
+                pi[:, blocks.n_inner:] = ext
                 resid = (np.eye(blocks.n_local) - pi).T @ blocks.a @ pi
                 assert np.abs(resid).max() < 1e-8 * np.abs(blocks.a).max()
 
     def test_interior_rows_annihilated(self):
         # A (ext v) vanishes on the inner nodes: the extension is discrete-harmonic
-        blocks, factor = fixture_1d3()
-        out = blocks.a @ factor.extension
+        blocks, ext = fixture_1d3()
+        out = blocks.a @ ext
         np.testing.assert_allclose(out[: blocks.n_inner], 0, atol=1e-14)
 
     def test_empty_boundary(self):
         mat = laplace1d(4)
         smap = make_map(np.arange(4), [np.array([], dtype=np.int64)], 4)
         blocks = extract_local_blocks(mat, smap)
-        factor = build_harmonic(blocks)
-        assert factor.extension.shape == (4, 0)
-        np.testing.assert_array_equal(factor.extension @ np.ones(4)[blocks.n_inner:], np.zeros(4))
+        ext = build_harmonic(blocks)
+        assert ext.shape == (4, 0)
+        np.testing.assert_array_equal(ext @ np.ones(4)[blocks.n_inner:], np.zeros(4))
 
     @pytest.mark.parametrize("a, symmetric", [
         ([[1.0, 2.0, 0.0], [2.0, 1.0, 1.0], [0.0, 1.0, 3.0]], True),  # indefinite inner block
@@ -119,8 +125,8 @@ class TestHarmonicExtension:
 
 class TestSplitting:
     def test_1d_fixture_frozen_values(self):
-        blocks, factor = fixture_1d3()
-        tilde = spsd_splitting(blocks, factor)
+        blocks, ext = fixture_1d3()
+        tilde = spsd_splitting(blocks, ext)
         expected = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0 / 3.0]])
         np.testing.assert_allclose(tilde, expected, atol=1e-14)
 

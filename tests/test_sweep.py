@@ -17,7 +17,6 @@ from scipy.linalg import subspace_angles
 from tlschwarz import (
     ProblemSpec,
     SparseMat,
-    boolean_pou,
     build_harmonic,
     generate,
     pcg,
@@ -52,9 +51,9 @@ def test_operator_and_boundary_pencil(system):
     np.testing.assert_allclose(dense_apply(pre), oracle, rtol=0,
                                atol=1e-12 * np.abs(oracle).max())
     for blocks, smap in zip(pre.blocks, pre.maps):
-        factor = build_harmonic(blocks)
-        basis = select_harmonic_modes(blocks, boolean_pou(smap), factor, TAU)
-        _, selected = full_harmonic_pencil(blocks, boolean_pou(smap), factor, TAU)
+        ext = build_harmonic(blocks)
+        basis = select_harmonic_modes(blocks, ext, TAU)
+        _, selected = full_harmonic_pencil(blocks, smap.pou_mask.astype(float), ext, TAU)
         assert basis.n_selected == selected.shape[1]
         if basis.n_selected:
             assert subspace_angles(basis.vectors, selected).max() < 1e-10
@@ -70,11 +69,11 @@ def test_coefficient_contrast_keeps_local_columns(contrast, channel_seed):
     for coarse in ("gevp", "full"):
         pre = setup(matrix, 16, overlap=2, tau=TAU, coarse=coarse)
         for count, blocks, smap in zip(pre.report.mode_counts, pre.blocks, pre.maps):
-            factor = build_harmonic(blocks)
+            ext = build_harmonic(blocks)
             if coarse == "gevp":
-                basis = select_harmonic_modes(blocks, boolean_pou(smap), factor, TAU)
+                basis = select_harmonic_modes(blocks, ext, TAU)
                 assert count == basis.n_selected
-            elif np.any(factor.extension * boolean_pou(smap)[:, None]):
+            elif np.any(ext * smap.pou_mask[:, None]):
                 assert count > 0
         _, report = pcg(matrix, pre, b, tol=1e-8)
         assert report.converged
