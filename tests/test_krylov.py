@@ -266,6 +266,21 @@ class TestGmres:
         assert true_rel <= 2 * report.residuals[-1] + 1e-12
 
 
+class TestDeflatedGmres:
+    @pytest.mark.parametrize("kind, m, options, iterations", [
+        ("advection2d", 30, {}, 5),
+        ("poisson2d", 40, dict(combine="deflated"), 17),
+        ("poisson2d", 40, dict(one_level="ras", combine="deflated"), 4),
+        ("hetero-diffusion2d", 40, dict(combine="deflated"), 17),
+    ])
+    def test_iterations_pinned(self, kind, m, options, iterations):
+        mat, b = generate(ProblemSpec(kind, m))
+        pre = setup(mat, 16, **options)
+        _, report = gmres(mat, pre, b)
+        assert report.converged and report.stop_reason == "tol"
+        assert report.iterations == iterations
+
+
 class TestStopReason:
     def test_pcg_tol(self):
         _, report = pcg(laplace1d(32), None, np.ones(32), tol=1e-10)
