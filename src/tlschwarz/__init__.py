@@ -40,6 +40,7 @@ from .spectral import (
     svd_harmonic_modes,
 )
 from .coarse import (
+    CoarseSetupError,
     CoarseSpace,
     subdomain_coarse_columns,
     assemble_coarse_basis,

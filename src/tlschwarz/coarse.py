@@ -24,6 +24,10 @@ from .sparsemat import factor_blocks
 DROP_TOL = 1e-10
 
 
+class CoarseSetupError(RuntimeError):
+    """A00 = Z^T A Z is not positive definite (symmetric A) or numerically singular."""
+
+
 @dataclass
 class CoarseSpace:
     """Coarse basis Z (CSR), Z^T (a CSC view of the same arrays), A00 = Z^T A Z
@@ -97,6 +101,6 @@ def galerkin_coarse(matrix, z):
     a00.eliminate_zeros()
     lu, failed = factor_blocks([a00], matrix.symmetric)
     if failed is not None:
-        raise RuntimeError("coarse operator is not positive definite" if matrix.symmetric
-                           else "coarse operator is numerically singular")
+        raise CoarseSetupError("coarse operator is not positive definite" if matrix.symmetric
+                               else "coarse operator is numerically singular")
     return CoarseSpace(z, zt, a00, lu)

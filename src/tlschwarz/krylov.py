@@ -1,9 +1,10 @@
 """Preconditioned Krylov solvers and condition-number estimation.
 
-Both solvers start from the zero vector, stop on the unpreconditioned
-relative residual, and report the full residual history; at every exit a
-solve is converged iff the true residual ||b - A x|| / ||b|| meets the
-tolerance; the report also names the exit taken.  GMRES builds one
+PCG starts from zero, GMRES from the iterate a preconditioner's ``start(b)``
+returns (x0 = Q b for the deflated combination).  Both stop on the
+unpreconditioned relative residual and report the full residual history; at
+every exit a solve is converged iff the true residual ||b - A x|| / ||b||
+meets the tolerance; the report also names the exit taken.  GMRES builds one
 unrestarted basis, stored by rows, and orthogonalizes each new vector by
 classical Gram-Schmidt run twice.  It keeps the preconditioned basis vectors
 too (flexible form), so it applies the preconditioner once per iteration and
@@ -41,7 +42,7 @@ class BreakdownError(RuntimeError):
 class SolveReport:
     iterations: int
     converged: bool
-    residuals: np.ndarray  # relative residual norms, one per iteration plus the start
+    residuals: np.ndarray  # ||r_j|| / ||b||, j = 0..iterations; the first can exceed 1
     wall_time: float
     true_residual: float  # ||b - A x|| / ||b|| of the returned iterate
     stop_reason: str  # "tol", "maxit" or, for GMRES, "invariant" (the Krylov space closed)
@@ -138,10 +139,12 @@ def _cond_from_recurrence(alphas, betas):
 def gmres(matrix, precond, b, tol=1e-8, maxit=500):
     """Right-preconditioned GMRES, no restarts, in flexible form.
 
-    The Arnoldi recurrence runs on A M^{-1}, so the least-squares residual it
-    minimizes is the plain unpreconditioned residual and the stopping test
-    needs no extra matvec.  Each iteration applies the preconditioner once
-    and keeps z_j = M^{-1} v_j; the iterate x = Z_k y is the least-squares
+    ``precond.start(b)``, where it exists, gives x0 and M^{-1}; else x0 = 0.
+    The Arnoldi recurrence runs on A M^{-1} from r0 = b - A x0, so the
+    least-squares residual it minimizes is the plain unpreconditioned residual
+    and the stopping test needs no extra matvec; a start that meets tol is
+    returned as it is.  Each iteration applies the preconditioner once and
+    keeps z_j = M^{-1} v_j; the iterate x = x0 + Z_k y is the least-squares
     minimizer for any preconditioner, also one that changes between calls.
     After k iterations it stores 2(k+1) vectors of length n, grown by
     doubling (see the module docstring for the memory bound).
@@ -152,9 +155,17 @@ def gmres(matrix, precond, b, tol=1e-8, maxit=500):
     b = np.asarray(b, dtype=np.float64)
     n = b.size
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros(n), SolveReport(0, True, np.zeros(1), time.perf_counter() - t0, 0.0,
-                                        "tol")
+    if hasattr(precond, "start"):
+        x0, apply = precond.start(b)
+    else:
+        x0, apply = np.zeros(n), lambda v: _apply_precond(precond, v)
+    r = b - matrix.matvec(x0)
+    rnorm = float(np.linalg.norm(r))
+    if rnorm <= tol * bnorm:  # r is the true residual of x0; this exit also takes b = 0
+        rel = rnorm / bnorm if bnorm else 0.0
+        return x0, SolveReport(0, rel <= tol, np.array([rel]), time.perf_counter() - t0, rel,
+                               "tol")
+    history = [rnorm / bnorm]
     m = min(maxit, n)
     cap = min(m, GMRES_START_CAPACITY)
     basis = np.empty((cap + 1, n))  # by rows: a new vector touches only its own pages
@@ -163,9 +174,8 @@ def gmres(matrix, precond, b, tol=1e-8, maxit=500):
     cs = np.zeros(m)
     sn = np.zeros(m)
     g = np.zeros(m + 1)
-    g[0] = bnorm
-    basis[0] = b / bnorm
-    history = [1.0]
+    g[0] = rnorm
+    basis[0] = r / rnorm
     k = 0
     stop = "maxit"
     for j in range(m):
@@ -174,7 +184,7 @@ def gmres(matrix, precond, b, tol=1e-8, maxit=500):
             basis = _grown(basis, cap + 1, n, np.empty)
             pre = _grown(pre, cap, n, np.empty)
             hess = _grown(hess, cap + 1, cap, np.zeros)
-        pre[j] = _apply_precond(precond, basis[j])
+        pre[j] = apply(basis[j])
         w = matrix.matvec(pre[j])
         for _ in range(2):  # classical Gram-Schmidt; the second pass restores orthogonality
             c = basis[: j + 1] @ w
@@ -204,7 +214,7 @@ def gmres(matrix, precond, b, tol=1e-8, maxit=500):
             break
         basis[j + 1] = w / hnext
     y = solve_triangular(hess[:k, :k], g[:k])
-    x = y @ pre[:k]
+    x = x0 + y @ pre[:k]
     true_res = float(np.linalg.norm(b - matrix.matvec(x))) / bnorm
     report = SolveReport(k, true_res <= tol, np.asarray(history), time.perf_counter() - t0,
                          true_res, stop)

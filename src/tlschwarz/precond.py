@@ -11,7 +11,11 @@ Two-level combinations with the coarse solve Q r = Z A00^{-1} Z^T r:
 
 * ``additive`` — one_level(r) + Q r (keeps symmetry with asm).
 * ``deflated`` — Q r + (I - Q A) one_level(r - A Q r); the coarse residual
-  of the output vanishes identically.
+  of the output vanishes identically.  GMRES starts it from x0 = Q b
+  (``start``): then Z^T v = 0 on every Krylov vector v, where the apply
+  equals (I - Q A) one_level(v), one coarse solve and one matvec instead of
+  two each (balancing = A-DEF2; Tang, Nabben, Vuik and Erlangga, J. Sci.
+  Comput. 39, 2009).
 
 Each level is one sparse operator with one SuperLU factor: the one-level
 part is P B^{-1} R, with R the stacked 0/1 subdomain restrictions, B the
@@ -170,6 +174,19 @@ class Preconditioner:
         qr_ = self.coarse_apply(r)
         w = self.apply_one_level(r - self.matrix.matvec(qr_))
         return qr_ + w - self.coarse_apply(self.matrix.matvec(w))
+
+    def start(self, b):
+        """Initial iterate and operator for a Krylov solve of A x = b: for
+        the deflated combination x0 = Q b and the reduced apply (see the
+        module docstring), else zero and ``apply``."""
+        if self.combine != "deflated":
+            return np.zeros_like(b), self.apply
+
+        def reduced(v):
+            w = self.apply_one_level(v)
+            return w - self.coarse_apply(self.matrix.matvec(w))
+
+        return self.coarse_apply(b), reduced
 
 
 def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",

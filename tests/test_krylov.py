@@ -280,6 +280,69 @@ class TestDeflatedGmres:
         assert report.converged and report.stop_reason == "tol"
         assert report.iterations == iterations
 
+    @pytest.mark.parametrize("maxit, stop", [(3, "maxit"), (500, "tol")])
+    def test_one_coarse_solve_per_iteration(self, maxit, stop):
+        # the start makes one coarse solve (x0 = Q b), each iteration one more
+        mat, b = generate(ProblemSpec("advection2d", 12))
+        pre = setup(mat, 4, overlap=2, tau=0.05)
+        assert pre.combine == "deflated"
+        calls = {"coarse": 0, "one_level": 0}
+
+        def counted(name, method):
+            def wrapper(r):
+                calls[name] += 1
+                return method(r)
+            return wrapper
+
+        pre.coarse_apply = counted("coarse", pre.coarse_apply)
+        pre.apply_one_level = counted("one_level", pre.apply_one_level)
+        _, report = gmres(mat, pre, b, tol=1e-10, maxit=maxit)
+        assert report.stop_reason == stop
+        assert calls == {"coarse": report.iterations + 1, "one_level": report.iterations}
+
+    def test_krylov_vectors_have_no_coarse_component(self):
+        # Z^T r0 = 0 for x0 = Q b, and Z^T A maps the reduced apply to 0
+        mat, b = generate(ProblemSpec("advection2d", 12))
+        pre = setup(mat, 4, overlap=2, tau=0.05)
+        zt = pre.coarse.basis_t
+        a = mat.scipy()
+        x0, reduced = pre.start(b)
+        r0 = b - a @ x0
+        assert np.linalg.norm(zt @ r0) <= 1e-12 * np.linalg.norm(zt @ b)
+        zta = (zt @ a).toarray()
+        scale = np.linalg.norm(zta, 2)
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            v = rng.standard_normal(mat.nrows)
+            assert np.linalg.norm(zta @ reduced(v)) <= 1e-12 * scale * np.linalg.norm(v)
+
+    def test_other_combinations_start_from_zero(self):
+        mat, b = generate(ProblemSpec("poisson2d", 10))
+        pre = setup(mat, 4, overlap=2)
+        x0, op = pre.start(b)
+        assert pre.combine == "additive" and op == pre.apply
+        np.testing.assert_array_equal(x0, 0.0)
+
+    def test_converged_start_takes_no_iteration(self):
+        # b = A Z c lies in the coarse range, so r0 = b - A Q b is round-off
+        mat, _ = generate(ProblemSpec("advection2d", 30))
+        pre = setup(mat, 4)
+        assert pre.combine == "deflated"
+        c = np.random.default_rng(13).standard_normal(pre.coarse.basis.shape[1])
+        b = mat.matvec(pre.coarse.basis @ c)
+        x, report = gmres(mat, pre, b, tol=1e-8)
+        true_rel = np.linalg.norm(b - mat.matvec(x)) / np.linalg.norm(b)
+        assert report.iterations == 0 and report.stop_reason == "tol"
+        assert report.converged and report.true_residual == true_rel <= 1e-12
+        assert report.residuals.tolist() == [true_rel]
+
+    def test_zero_rhs(self):
+        mat, _ = generate(ProblemSpec("advection2d", 12))
+        pre = setup(mat, 4, overlap=2, tau=0.05)
+        x, report = gmres(mat, pre, np.zeros(mat.nrows))
+        assert report.converged and report.iterations == 0
+        np.testing.assert_array_equal(x, 0.0)
+
 
 class TestStopReason:
     def test_pcg_tol(self):

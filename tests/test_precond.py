@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from tlschwarz import (
+    CoarseSetupError,
     LocalBlocks,
     ProblemSpec,
     SparseMat,
@@ -284,6 +285,18 @@ class TestLocalFactorErrors:
         with pytest.raises(SubdomainSetupError, match="subdomain 1") as info:
             setup(mat, 2, overlap=1)
         assert info.value.subdomain == 1
+
+
+class TestCoarseFactorErrors:
+    def test_indefinite_coarse_operator_raises_coarse_setup_error(self):
+        # after the shift by 100 every local block is still positive definite
+        # (their smallest eigenvalues are larger), the global operator and A00 not
+        mat, _ = generate(ProblemSpec("poisson2d", 60))
+        shifted = SparseMat(mat.scipy() - 100.0 * sp.identity(mat.nrows, format="csr"),
+                            symmetric=True)
+        with pytest.raises(CoarseSetupError, match="coarse operator is not positive definite"):
+            setup(shifted, 16)
+        assert issubclass(CoarseSetupError, RuntimeError)
 
 
 class FailingSolve:
