@@ -1,21 +1,30 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import qr
 
 from tlschwarz import (
     Partition,
+    ProblemSpec,
     SparseMat,
     assemble_coarse_basis,
     build_harmonic,
     extend_overlap,
     extract_local_blocks,
     galerkin_coarse,
+    generate,
     read_matrix_market,
     select_harmonic_modes,
+    setup,
     subdomain_coarse_columns,
     svd_harmonic_modes,
     symmetrized_graph,
     write_matrix_market,
 )
+from tlschwarz import coarse
+from tlschwarz.coarse import DROP_TOL
 
 from conftest import random_partition, random_spd
 
@@ -196,6 +205,98 @@ class TestRankFilter:
         original = [b.shape[1] // 2 for b in blocks]
         assert list(counts) == original
         assert column_ranges(counts)[-1][1] == z.shape[1]
+
+
+def reference_assembly(maps, column_blocks, n_global):
+    """Oracle for ``assemble_coarse_basis``: the same rank filter, then each
+    subdomain's kept columns as rows of ``kept.T``, one CSC matrix and one
+    ``tocsr()``."""
+    offered, pivots = [], []
+    for block in column_blocks:
+        nonzero = np.flatnonzero(np.any(block, axis=0))
+        mag = np.zeros(nonzero.size)
+        if nonzero.size:
+            r, perm = qr(block[:, nonzero], mode="r", pivoting=True)
+            rdiag = np.abs(np.diag(r))
+            mag[perm[:rdiag.size]] = rdiag
+        offered.append(nonzero)
+        pivots.append(mag)
+    largest = max((mag.max(initial=0.0) for mag in pivots), default=0.0)
+    data, rows, col_nnz, counts = [], [], [], []
+    for smap, block, nonzero, mag in zip(maps, column_blocks, offered, pivots):
+        kept = block[:, nonzero[(mag > 0) & (mag >= DROP_TOL * largest)]].T
+        stored = kept != 0
+        data.append(kept[stored])
+        rows.append(smap.indices[np.nonzero(stored)[1]])
+        col_nnz.append(np.count_nonzero(stored, axis=1))
+        counts.append(kept.shape[0])
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(col_nnz))])
+    z = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr),
+                      shape=(n_global, sum(counts)))
+    return z.tocsr(), tuple(counts)
+
+
+def assert_same_assembly(maps, column_blocks, n_global):
+    z, counts = assemble_coarse_basis(maps, column_blocks, n_global)
+    ref, ref_counts = reference_assembly(maps, column_blocks, n_global)
+    assert counts == ref_counts
+    assert z.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(z, name), getattr(ref, name), err_msg=name)
+
+
+def setup_column_blocks(monkeypatch, kind, m, n_subdomains, **kwargs):
+    """The subdomains and column blocks that ``setup`` hands to the assembly."""
+    seen = []
+    real = coarse.assemble_coarse_basis
+
+    def record(maps, column_blocks, n_global):
+        seen.append((maps, list(column_blocks), n_global))
+        return real(*seen[-1])
+
+    monkeypatch.setattr(coarse, "assemble_coarse_basis", record)
+    setup(generate(ProblemSpec(kind, m))[0], n_subdomains, **kwargs)
+    (args,) = seen
+    return args
+
+
+@st.composite
+def offered_columns(draw):
+    """Subdomains with overlap (rows shared between subdomains) and column
+    blocks with entries off the interior, exact zeros, zero columns and
+    duplicate or near-parallel columns."""
+    n = draw(st.integers(4, 30))
+    n_subdomains = draw(st.integers(1, min(n, 4)))
+    seed = draw(st.integers(0, 2**16))
+    maps = extend_overlap(symmetrized_graph(random_spd(n, seed)),
+                          random_partition(n, n_subdomains, seed), draw(st.integers(1, 2)))
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for smap in maps:
+        block = rng.standard_normal((smap.n_local, draw(st.integers(0, 5))))
+        block[rng.random(block.shape) < draw(st.floats(0, 0.9))] = 0.0
+        if block.shape[1] and draw(st.booleans()):
+            block[:, rng.integers(block.shape[1])] = 0.0
+        if block.shape[1]:
+            copies = block[:, rng.integers(block.shape[1], size=draw(st.integers(0, 2)))]
+            scale = draw(st.sampled_from([1.0, 1 + 1e-14, -3.0]))
+            block = np.hstack([block, copies * scale])
+        blocks.append(block)
+    return maps, blocks, n
+
+
+class TestAssemblyMatchesReference:
+    @pytest.mark.parametrize("kind, m, n_subdomains, kwargs", [
+        ("poisson2d", 40, 16, dict(coarse="gevp")),
+        ("advection2d", 30, 4, dict(coarse="svd")),
+        ("poisson2d", 12, 4, dict(coarse="full", nu=1.5)),
+    ])
+    def test_setup_blocks(self, monkeypatch, kind, m, n_subdomains, kwargs):
+        assert_same_assembly(*setup_column_blocks(monkeypatch, kind, m, n_subdomains, **kwargs))
+
+    @given(offered_columns())
+    def test_sweep(self, case):
+        assert_same_assembly(*case)
 
 
 class TestGalerkin:
