@@ -59,31 +59,55 @@ def assemble_coarse_basis(maps, column_blocks, n_global):
     pivot is positive and at least ``DROP_TOL`` times the largest pivot of
     any subdomain.  Kept columns keep their values; they are ordered by
     subdomain, then by the order within each block.  Returns Z as a scipy
-    CSR matrix and the tuple of kept column counts, one per subdomain.
+    CSR matrix and the tuple of kept column counts, one per subdomain.  Each
+    block is cut to its nonzero rows as it arrives, so a generator of blocks
+    has one dense block alive at a time.
     """
-    offered, pivots = [], []
-    for block in column_blocks:
-        nonzero = np.flatnonzero(np.any(block, axis=0))
-        mag = np.zeros(nonzero.size)
-        if nonzero.size:
-            r, perm = qr(block[:, nonzero], mode="r", pivoting=True)
-            rdiag = np.abs(np.diag(r))
-            mag[perm[:rdiag.size]] = rdiag
-        offered.append(nonzero)
-        pivots.append(mag)
-    largest = max((mag.max(initial=0.0) for mag in pivots), default=0.0)
-    data, rows, col_nnz, counts = [], [], [], []
-    for smap, block, nonzero, mag in zip(maps, column_blocks, offered, pivots):
-        kept = block[:, nonzero[(mag > 0) & (mag >= DROP_TOL * largest)]].T
-        stored = kept != 0
-        data.append(kept[stored])
-        rows.append(smap.indices[np.nonzero(stored)[1]])
-        col_nnz.append(np.count_nonzero(stored, axis=1))
-        counts.append(kept.shape[0])
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(col_nnz))])
-    z = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr),
-                      shape=(n_global, sum(counts)))
-    return z.tocsr(), tuple(counts)
+    blocks = iter(column_blocks)
+    parts = [_nonzero_rows(next(blocks)) for _ in maps]
+    pivots = [_pivots(*part) for part in parts]
+    cutoff = DROP_TOL * max((mag.max(initial=0.0) for mag in pivots), default=0.0)
+    # Z's CSR arrays are written in place: per row, the blocks in subdomain order
+    indptr = np.zeros(n_global + 1, np.int64)
+    for i, (smap, (_, stored, values), mag) in enumerate(zip(maps, parts, pivots)):
+        parts[i] = smap.indices[stored], values[:, (mag > 0) & (mag >= cutoff)]
+        indptr[parts[i][0] + 1] += np.count_nonzero(parts[i][1], axis=1)
+    np.cumsum(indptr, out=indptr)
+    counts = tuple(values.shape[1] for _, values in parts)
+    index = np.int32 if max(indptr[-1], n_global, sum(counts)) < 2**31 else np.int64
+    indices, data = np.empty(indptr[-1], index), np.empty(indptr[-1])
+    start = indptr[:-1].copy()
+    for (rows, values), offset in zip(parts, np.cumsum((0,) + counts)):
+        local, col = np.nonzero(values)
+        row_nnz = np.count_nonzero(values, axis=1)
+        # each entry goes to its row's next free slot, columns ascending within a row
+        pos = (start[rows] - np.cumsum(row_nnz) + row_nnz)[local] + np.arange(local.size)
+        indices[pos] = col + offset
+        data[pos] = values[local, col]
+        start[rows] += row_nnz
+    z = sp.csr_matrix((data, indices, indptr.astype(index)), shape=(n_global, sum(counts)))
+    return z, counts
+
+
+def _nonzero_rows(block):
+    """The block's shape, the indices of its nonzero rows and those rows."""
+    stored = np.flatnonzero(np.any(block, axis=1))
+    return block.shape, stored, block[stored]
+
+
+def _pivots(shape, stored, values):
+    """Per column, the magnitude of its column-pivoted QR pivot (0 for a zero
+    column).  The QR sees the block rebuilt with its zero rows, exactly as it
+    was offered; the QRs of all blocks run back to back, which keeps them fast."""
+    block = np.zeros(shape)
+    block[stored] = values
+    nonzero = np.flatnonzero(np.any(values, axis=0))
+    mag = np.zeros(shape[1])
+    if nonzero.size:
+        r, perm = qr(block[:, nonzero], mode="r", pivoting=True)
+        rdiag = np.abs(np.diag(r))
+        mag[nonzero[perm[:rdiag.size]]] = rdiag
+    return mag
 
 
 def galerkin_coarse(matrix, z):

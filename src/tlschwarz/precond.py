@@ -29,7 +29,9 @@ the GIL, and each BLAS call stays single-threaded.  The sum is formed in the
 serial order, so the result is bit-identical to the serial one, and ``apply``
 returns or raises only once the coarse task has finished.  The deflated
 combination is sequential by construction (each level needs the other's
-output).  Nothing about this is configurable.
+output).  Nothing about this is configurable.  Only vector-sized work may go
+on the worker thread: it allocates from a second malloc arena, where a large
+allocation (a factorization, say) stays resident beside the main arena.
 """
 
 from __future__ import annotations
@@ -216,6 +218,9 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         None picks "asm" for symmetric matrices, "ras" otherwise.
     combine : {"none", "additive", "deflated"} or None
         None picks "additive" for symmetric matrices, "deflated" otherwise.
+
+    Coarse columns are made one subdomain at a time as the assembly asks for
+    them: at most one dense extension and one dense column block are alive.
     """
     if coarse not in COARSE_KINDS:
         raise ValueError(f"unknown coarse kind {coarse!r}")
@@ -250,12 +255,14 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         raise SubdomainSetupError(failed, "local block is not positive definite" if symmetric
                                   else "local block is numerically singular")
 
-    bases, cs, mode_counts = (), None, (0,) * len(maps)
+    unselected, cs, mode_counts = [], None, (0,) * len(maps)
     if coarse != "none":
-        # one subdomain at a time, so at most one dense harmonic extension is alive
-        column_blocks, bases = zip(*(_subdomain_columns(s, a, symmetric, coarse, tau, nu)
-                                     for s, a in zip(maps, local)))
-        z, mode_counts = coarse_mod.assemble_coarse_basis(maps, column_blocks, matrix.nrows)
+        def columns(smap, a):
+            block, largest_unselected = _subdomain_columns(smap, a, symmetric, coarse, tau, nu)
+            unselected.append(largest_unselected)
+            return block
+        z, mode_counts = coarse_mod.assemble_coarse_basis(maps, map(columns, maps, local),
+                                                          matrix.nrows)
         if z.shape[1]:
             cs = coarse_mod.galerkin_coarse(matrix, z)
         else:
@@ -276,26 +283,25 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         nnz_coarse=cs.a00.nnz if cs is not None else 0,
         tau=tau,
         nu=nu if coarse != "none" else None,
-        largest_unselected=tuple(b.largest_unselected for b in bases if b is not None),
+        largest_unselected=tuple(v for v in unselected if v is not None),
     )
     return Preconditioner(matrix, maps, restrict, prolong, local_lu, cs, one_level, combine,
                           report)
 
 
 def _subdomain_columns(smap, a, symmetric, coarse, tau, nu):
-    """One subdomain's coarse column block, and its harmonic selection (None
-    for the "full" coarse space, which takes every extension column)."""
+    """One subdomain's coarse column block, and the largest value its harmonic
+    selection left out (None for the "full" coarse space, which takes every
+    extension column)."""
     blocks = LocalBlocks.of(smap, a, symmetric)
     extension = build_harmonic(blocks)
-    basis = None
-    if coarse == "full":
-        vectors = extension
-    else:
+    vectors, largest_unselected = extension, None
+    if coarse != "full":
         select = spectral.select_harmonic_modes if coarse == "gevp" else spectral.svd_harmonic_modes
         basis = select(blocks, extension, tau)
-        vectors = basis.vectors
+        vectors, largest_unselected = basis.vectors, basis.largest_unselected
     pou = spectral.select_pou_modes(blocks, nu) if nu is not None else None
-    return coarse_mod.subdomain_coarse_columns(smap, vectors, pou_basis=pou), basis
+    return coarse_mod.subdomain_coarse_columns(smap, vectors, pou_basis=pou), largest_unselected
 
 
 def stacked_blocks(matrix, maps):

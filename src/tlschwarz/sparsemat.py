@@ -176,6 +176,7 @@ def factor_blocks(blocks, symmetric):
     symmetric block must keep symmetric pivoting with positive pivots, i.e. be
     positive definite; any other block must keep every pivot above
     n * eps * max|U| of that block.  Elimination never couples two blocks.
+    The factor keeps no copy of L or U: its ``.L`` and ``.U`` are empty.
     """
     # splu sorts the indices of its CSC argument in place: hand it a private copy
     a = sp.csc_matrix(blocks[0], copy=True) if len(blocks) == 1 else sp.block_diag(
@@ -192,6 +193,7 @@ def factor_blocks(blocks, symmetric):
         if not failed:
             raise
         return None, failed[0]
+    del a
     sizes = np.array([b.shape[0] for b in blocks])
     starts = np.cumsum(sizes) - sizes
     pivots = lu.U.diagonal()[lu.perm_c]  # in the original column order
@@ -201,6 +203,8 @@ def factor_blocks(blocks, symmetric):
         colmax = abs(lu.U).max(axis=0).toarray().ravel()[lu.perm_c]
         limit = sizes * np.finfo(float).eps * np.maximum.reduceat(colmax, starts)
         bad = np.abs(pivots) <= np.repeat(limit, sizes)
+    for cached in (lu.L, lu.U):  # CSC copies scipy made at the first read; solve never reads them
+        cached.__init__((0, 0))
     bad = np.flatnonzero(bad)
     return lu, (int(np.searchsorted(starts, bad[0], side="right")) - 1 if bad.size else None)
 
@@ -321,12 +325,10 @@ def read_matrix_market(text):
     if symmetry == "general":
         dense[:] = np.asarray(vals).reshape((ncols, nrows)).T
     else:
-        k = 0
-        for j in range(ncols):
-            for i in range(j, nrows):
-                dense[i, j] = vals[k]
-                dense[j, i] = vals[k]
-                k += 1
+        # the lower triangle column by column is the upper one row by row, transposed
+        cols, rows = np.triu_indices(nrows)
+        dense[rows, cols] = vals
+        dense[cols, rows] = vals
     return SparseMat.from_dense(dense, symmetric=(symmetry == "symmetric"))
 
 

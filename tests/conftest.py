@@ -1,12 +1,19 @@
 """Shared fixtures: small worked examples and random SPD generators."""
 
-import numpy as np
-import pytest
-import scipy.sparse as sp
-from hypothesis import settings
-from scipy.linalg import eigh
+import os
 
-from tlschwarz import Partition, SparseMat
+# The pinned sha256 fingerprints hold for one BLAS thread count: OpenBLAS
+# results can differ in the last bits between thread counts (the Z^T hash of
+# hetero2d-m20-nu does at one thread).  Fix the count before numpy loads.
+os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "2"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
+from hypothesis import settings  # noqa: E402
+from scipy.linalg import eigh  # noqa: E402
+
+from tlschwarz import Partition, SparseMat  # noqa: E402
 
 # Every property test sees the same examples on every run: a failure found
 # once is found again, and no run depends on a saved example database.

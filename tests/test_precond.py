@@ -1,6 +1,7 @@
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,20 @@ class TestSparseSetup:
         with pytest.raises(AssertionError, match="densified"):
             pre.blocks
 
+
+    def test_setup_traced_peak(self):
+        # traced allocations (numpy buffers and Python objects, not SuperLU's
+        # own memory): 29.7 MB while setup kept every spectral basis, every
+        # dense column block and scipy's cached copies of L and U, 20.2 MB
+        # without them (the peak is now in the Galerkin product)
+        mat, _ = generate(ProblemSpec("poisson2d", 100))
+        tracemalloc.start()
+        try:
+            setup(mat, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
 
 class TestDeflation:
     def test_coarse_residual_vanishes(self):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from tlschwarz import (
     MatrixMarketError,
@@ -53,6 +56,18 @@ class TestParse:
         mat = read_matrix_market(text)
         np.testing.assert_allclose(mat.to_dense(), [[2, -1], [-1, 2]])
         assert mat.symmetric
+
+    def test_array_symmetric_matches_dense_source(self):
+        rng = np.random.default_rng(4)
+        source = rng.standard_normal((30, 30))
+        source[rng.random((30, 30)) < 0.3] = 0.0
+        source = np.tril(source) + np.tril(source, -1).T
+        # array storage lists the lower triangle column by column
+        lower = [f"{source[i, j]:.17g}" for j in range(30) for i in range(j, 30)]
+        text = "%%MatrixMarket matrix array real symmetric\n30 30\n" + "\n".join(lower) + "\n"
+        mat = read_matrix_market(text)
+        assert mat.symmetric
+        np.testing.assert_array_equal(mat.to_dense(), source)
 
     def test_out_of_range_index_names_line(self):
         text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n3 1 5\n"
@@ -239,6 +254,32 @@ class TestFactorBlocks:
         x = np.arange(1.0, lu.shape[0] + 1)
         np.testing.assert_allclose(lu.solve(sp.block_diag(blocks) @ x), x, rtol=1e-10)
 
+
+    @pytest.mark.parametrize("n_blocks, size", [(1, 1000), (3, 600)])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_factor_keeps_no_copy_of_l_and_u(self, n_blocks, size, symmetric):
+        # scipy caches CSC copies of L and U (12 bytes per stored entry) on
+        # the first read of .L or .U; the factor must not come back with them
+        blocks = []
+        for k in range(n_blocks):
+            a = random_spd(size + k, seed=k).scipy()
+            if not symmetric:
+                a = a + sp.diags(np.full(a.shape[0] - 1, 0.3), 1)
+            blocks.append(a.tocsc())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lu, failed = factor_blocks(blocks, symmetric)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert failed is None
+        assert held < 0.01 * 12 * lu.nnz
+        a = sp.block_diag(blocks, format="csc")
+        fresh = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                     options={"SymmetricMode": True}) if symmetric else splu(a)
+        rhs = np.random.default_rng(0).standard_normal(a.shape[0])
+        np.testing.assert_array_equal(lu.solve(rhs), fresh.solve(rhs))
 
 class TestVectors:
     def test_plain_text(self):
