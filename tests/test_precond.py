@@ -179,7 +179,6 @@ class TestSparseSetup:
         with pytest.raises(AssertionError, match="densified"):
             pre.blocks
 
-
     def test_setup_traced_peak(self):
         # traced allocations (numpy buffers and Python objects, not SuperLU's
         # own memory): 29.7 MB while setup kept every spectral basis, every
@@ -193,6 +192,7 @@ class TestSparseSetup:
         finally:
             tracemalloc.stop()
         assert peak < 25e6
+
 
 class TestDeflation:
     def test_coarse_residual_vanishes(self):

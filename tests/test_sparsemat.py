@@ -254,7 +254,6 @@ class TestFactorBlocks:
         x = np.arange(1.0, lu.shape[0] + 1)
         np.testing.assert_allclose(lu.solve(sp.block_diag(blocks) @ x), x, rtol=1e-10)
 
-
     @pytest.mark.parametrize("n_blocks, size", [(1, 1000), (3, 600)])
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_factor_keeps_no_copy_of_l_and_u(self, n_blocks, size, symmetric):
@@ -280,6 +279,7 @@ class TestFactorBlocks:
                      options={"SymmetricMode": True}) if symmetric else splu(a)
         rhs = np.random.default_rng(0).standard_normal(a.shape[0])
         np.testing.assert_array_equal(lu.solve(rhs), fresh.solve(rhs))
+
 
 class TestVectors:
     def test_plain_text(self):
