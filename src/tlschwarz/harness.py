@@ -142,7 +142,7 @@ def lambda_star(matrix, maps):
     if not matrix.symmetric:
         raise ValueError("lambda_star is defined for symmetric matrices")
     restrict, local = stacked_blocks(matrix, maps)
-    stacked = (restrict.T @ sp.block_diag(local) @ restrict).tocsr()
+    stacked = (restrict.T @ sp.block_diag([b.a for b in local]) @ restrict).tocsr()
     if n <= krylov.DENSE_CUTOFF:
         vals = eigh(stacked.toarray(), matrix.to_dense(), eigvals_only=True)
         return max(float(vals[-1]), 1.0)
@@ -211,9 +211,9 @@ def derive_bound_inputs(precond, variant):
 
     ``nu`` is the largest partition-of-unity eigenvalue not represented in
     the coarse space (all of them when those modes are disabled), clamped to
-    one, recomputed from the dense local blocks at the threshold the setup
-    report records; ``tau`` is the largest harmonic singular value left
-    unselected, as recorded in the report.
+    one, recomputed block by block (each densified in turn) at the threshold
+    the setup report records; ``tau`` is the largest harmonic singular value
+    left unselected, as recorded in the report.
     """
     if not precond.matrix.symmetric:
         raise ValueError("bound constants are defined for the symmetric theory")
@@ -313,7 +313,7 @@ def run_experiment(config):
             and precond.coarse is not None
             and precond.report.coarse_kind in ("full", "gevp")):
         variant = "full" if precond.report.coarse_kind == "full" else "shrunk"
-        bound_check = _bound_verdict(matrix, precond, variant, config.tau, config.nu)
+        bound_check = _bound_verdict(matrix, precond, variant)
 
     lines = [precond.report.to_text(), solve_report.to_text()]
     if bound_check is not None:
@@ -333,15 +333,16 @@ def run_experiment(config):
     return ExperimentResult(matrix, rhs, x, precond, solve_report, bound_check, report_text)
 
 
-def _bound_verdict(matrix, precond, variant, tau, nu):
-    """Check the bound on the symmetric (asm, additive) operator with the run's tau and nu."""
+def _bound_verdict(matrix, precond, variant):
+    """Check the bound on the symmetric (asm, additive) operator built with
+    the settings the setup report records."""
+    report = precond.report
     if precond.is_symmetric:
         theory_pc = precond
     else:
         theory_pc = setup(
-            matrix, precond.report.n_subdomains, overlap=precond.report.overlap,
-            tau=tau, nu=nu, coarse=precond.report.coarse_kind,
-            one_level="asm", combine="additive",
+            matrix, report.n_subdomains, overlap=report.overlap, tau=report.tau,
+            nu=report.nu, coarse=report.coarse_kind, one_level="asm", combine="additive",
         )
     measured = krylov.estimate_condition(matrix, theory_pc)
     inputs = derive_bound_inputs(theory_pc, variant)

@@ -48,7 +48,7 @@ from . import coarse as coarse_mod
 from . import spectral
 from .partition import color_subdomains, extend_overlap, partition_graph
 from .sparsemat import SparseMat, factor_blocks, symmetrized_graph
-from .subdomain import LocalBlocks, SubdomainSetupError, build_harmonic, extract_local_blocks
+from .subdomain import SubdomainSetupError, build_harmonic, extract_local_blocks
 
 ONE_LEVEL_KINDS = ("asm", "ras")
 COMBINE_KINDS = ("none", "additive", "deflated")
@@ -148,7 +148,7 @@ class Preconditioner:
 
     @property
     def blocks(self):
-        """Dense local blocks, cut from the matrix anew on each access."""
+        """Sparse local blocks, cut from the matrix anew on each access."""
         return [extract_local_blocks(self.matrix, s) for s in self.maps]
 
     @property
@@ -250,15 +250,15 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     restrict, local = stacked_blocks(matrix, maps)
     weights = np.concatenate([s.pou_mask for s in maps]) if one_level == "ras" else 1.0
     prolong = restrict.T.multiply(weights).tocsr()
-    local_lu, failed = factor_blocks(local, symmetric)
+    local_lu, failed = factor_blocks([b.a for b in local], symmetric)
     if failed is not None:
         raise SubdomainSetupError(failed, "local block is not positive definite" if symmetric
                                   else "local block is numerically singular")
 
     unselected, cs, mode_counts = [], None, (0,) * len(maps)
     if coarse != "none":
-        def columns(smap, a):
-            block, largest_unselected = _subdomain_columns(smap, a, symmetric, coarse, tau, nu)
+        def columns(smap, blocks):
+            block, largest_unselected = _subdomain_columns(smap, blocks, coarse, tau, nu)
             unselected.append(largest_unselected)
             return block
         z, mode_counts = coarse_mod.assemble_coarse_basis(maps, map(columns, maps, local),
@@ -289,11 +289,10 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
                           report)
 
 
-def _subdomain_columns(smap, a, symmetric, coarse, tau, nu):
+def _subdomain_columns(smap, blocks, coarse, tau, nu):
     """One subdomain's coarse column block, and the largest value its harmonic
     selection left out (None for the "full" coarse space, which takes every
     extension column)."""
-    blocks = LocalBlocks.of(smap, a, symmetric)
     extension = build_harmonic(blocks)
     vectors, largest_unselected = extension, None
     if coarse != "full":
@@ -305,10 +304,9 @@ def _subdomain_columns(smap, a, symmetric, coarse, tau, nu):
 
 
 def stacked_blocks(matrix, maps):
-    """Stacked 0/1 restriction R (one row per local unknown) and the sparse
-    subdomain blocks A_i, so that R^T blockdiag(A_i) R = sum_i R_i^T A_i R_i."""
-    a = matrix.scipy()
+    """Stacked 0/1 restriction R (one row per local unknown) and the subdomains'
+    ``LocalBlocks``, whose sparse A_i satisfy R^T blockdiag(A_i) R = sum_i R_i^T A_i R_i."""
     idx = np.concatenate([s.indices for s in maps])
     restrict = sp.csr_matrix((np.ones(idx.size), (np.arange(idx.size), idx)),
                              shape=(idx.size, matrix.nrows))
-    return restrict, [a[s.indices][:, s.indices] for s in maps]
+    return restrict, [extract_local_blocks(matrix, s) for s in maps]

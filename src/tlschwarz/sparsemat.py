@@ -30,8 +30,8 @@ class SparseMat:
     """Immutable real sparse matrix in CSR form.
 
     Column indices are sorted and duplicate-free within each row.  When
-    ``symmetric=True`` the stored values are verified to satisfy
-    value(i, j) == value(j, i); construction fails otherwise.
+    ``symmetric=True`` the stored values are verified to equal those of the
+    transpose; construction fails otherwise.
     """
 
     def __init__(self, csr, symmetric=False):
@@ -72,10 +72,6 @@ class SparseMat:
         arr = np.asarray(arr, dtype=np.float64)
         return cls(sp.csr_matrix(arr), symmetric=symmetric)
 
-    @classmethod
-    def identity(cls, n):
-        return cls(sp.identity(n, format="csr"), symmetric=True)
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -109,17 +105,6 @@ class SparseMat:
     def scipy(self):
         """The underlying scipy CSR matrix (read-only buffers)."""
         return self._csr
-
-    def value(self, i, j):
-        """Stored value at (i, j); zero if the position is not stored."""
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError("index out of range")
-        lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
-        cols = self._csr.indices[lo:hi]
-        k = np.searchsorted(cols, j)
-        if k < cols.size and cols[k] == j:
-            return float(self._csr.data[lo + k])
-        return 0.0
 
     # -- arithmetic --------------------------------------------------------
 

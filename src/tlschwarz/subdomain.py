@@ -8,10 +8,9 @@ by solving the inner block against the inner-to-ring coupling; it gives the
 projection used both to split the local matrix into a positive-semidefinite
 piece and to build coarse basis vectors.
 
-A block's matrix is either the sparse cut that ``setup`` factors for the
-one-level part or a dense copy from ``extract_local_blocks``; the harmonic
-extension reads either, and only the dense pencils and the splitting make a
-dense n_local x n_local copy.
+A block's matrix is the sparse cut that ``extract_local_blocks`` makes; a
+dense n_local x n_local copy is made one block at a time, only where a dense
+pencil or the splitting is posed.
 """
 
 from __future__ import annotations
@@ -34,20 +33,13 @@ class SubdomainSetupError(RuntimeError):
 
 @dataclass(frozen=True)
 class LocalBlocks:
-    """Local matrix of one subdomain (dense array or scipy sparse) plus its
-    index bookkeeping."""
+    """Sparse local matrix of one subdomain plus its index bookkeeping."""
 
     subdomain: int
-    a: np.ndarray | sp.spmatrix
+    a: sp.csr_matrix
     n_interior: int
     layer_sizes: tuple
     symmetric: bool
-
-    @classmethod
-    def of(cls, smap, a, symmetric):
-        """Blocks of subdomain ``smap`` whose local matrix ``a`` is in its local ordering."""
-        return cls(smap.index, a, smap.interior.size, tuple(l.size for l in smap.layers),
-                   symmetric)
 
     @property
     def n_local(self):
@@ -68,9 +60,7 @@ class LocalBlocks:
 
     @property
     def dense(self):
-        """The local matrix as a dense array (a new copy when ``a`` is sparse)."""
-        if not sp.issparse(self.a):
-            return self.a
+        """A new dense copy of the local matrix."""
         if self.n_local > DENSE_GUARD:
             raise ValueError(
                 f"subdomain {self.subdomain} has {self.n_local} nodes; dense guard is {DENSE_GUARD}"
@@ -79,12 +69,10 @@ class LocalBlocks:
 
 
 def extract_local_blocks(matrix, smap):
-    """Dense principal submatrix of the subdomain in its local ordering."""
+    """Sparse (CSR) principal submatrix of the subdomain in its local ordering."""
     idx = smap.indices
-    local = LocalBlocks.of(smap, matrix.scipy()[idx][:, idx], matrix.symmetric).dense
-    if not np.all(np.isfinite(local)):
-        raise ValueError(f"subdomain {smap.index}: non-finite entries in local block")
-    return LocalBlocks.of(smap, local, matrix.symmetric)
+    return LocalBlocks(smap.index, matrix.scipy()[idx][:, idx], smap.interior.size,
+                       tuple(l.size for l in smap.layers), matrix.symmetric)
 
 
 def build_harmonic(blocks):
@@ -124,7 +112,7 @@ def spsd_splitting(blocks, extension):
     if not blocks.symmetric:
         raise ValueError("positive-semidefinite splitting requires a symmetric block")
     if blocks.n_boundary == 0:
-        return blocks.dense.copy()
+        return blocks.dense
     e = np.eye(blocks.n_local)
     e[:, blocks.n_inner:] -= extension
     tilde = e.T @ blocks.dense @ e

@@ -56,16 +56,16 @@ def test_criterion_1_projection_and_splitting():
         for smap in maps:
             blocks = extract_local_blocks(mat, smap)
             ext = build_harmonic(blocks)
-            m, ni = blocks.n_local, blocks.n_inner
+            m, ni, a = blocks.n_local, blocks.n_inner, blocks.dense
             pi = np.zeros((m, m))
             pi[:, ni:] = ext
             scale = max(1.0, np.abs(pi).max())
             worst_proj = max(worst_proj, np.abs(pi @ pi - pi).max() / scale)
-            orth = (np.eye(m) - pi).T @ blocks.a @ pi
-            worst_orth = max(worst_orth, np.abs(orth).max() / np.abs(blocks.a).max())
+            orth = (np.eye(m) - pi).T @ a @ pi
+            worst_orth = max(worst_orth, np.abs(orth).max() / np.abs(a).max())
             tilde = spsd_splitting(blocks, ext)
-            amax = np.abs(blocks.a).max()
-            low = min(np.linalg.eigvalsh(tilde).min(), np.linalg.eigvalsh(blocks.a - tilde).min())
+            amax = np.abs(a).max()
+            low = min(np.linalg.eigvalsh(tilde).min(), np.linalg.eigvalsh(a - tilde).min())
             worst_psd = max(worst_psd, max(0.0, -low) / amax)
     elapsed = time.perf_counter() - t0
     ok = worst_proj < 1e-8 and worst_orth < 1e-8 and worst_psd < 1e-10 and elapsed < 60
@@ -88,13 +88,13 @@ def test_criterion_2_pencil_multiplicities():
             blocks = extract_local_blocks(mat, smap)
             mask = smap.pou_mask.astype(np.float64)
             vals = select_pou_modes(blocks, 1e9).all_values
-            d = np.diag(mask)
-            dad = d @ blocks.a @ d
+            d, a = np.diag(mask), blocks.dense
+            dad = d @ a @ d
             n = blocks.n_local
             n_zero = int(np.sum(np.abs(vals) < 1e-8))
             n_one = int(np.sum(np.abs(vals - 1.0) < 1e-8))
             ok &= n_zero == n - np.linalg.matrix_rank(dad, tol=1e-8)
-            ok &= n_one == n - np.linalg.matrix_rank(blocks.a - dad, tol=1e-8)
+            ok &= n_one == n - np.linalg.matrix_rank(a - dad, tol=1e-8)
             ok &= bool(np.all(vals > -1e-10))
             checked += 1
     elapsed = time.perf_counter() - t0
@@ -267,7 +267,7 @@ def test_criterion_9_operator_equivalence():
                             one_level=one_level, combine=combine)
                 m1 = np.zeros((n, n))
                 for smap, blocks in zip(pre.maps, pre.blocks):
-                    local = np.linalg.inv(blocks.a)
+                    local = np.linalg.inv(blocks.dense)
                     if one_level == "ras":
                         local = np.diag(smap.pou_mask.astype(float)) @ local
                     e = np.zeros((n, smap.n_local))

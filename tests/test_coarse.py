@@ -80,7 +80,7 @@ class TestColumns:
         blocks = extract_local_blocks(banded7, smap)
         cols = subdomain_coarse_columns(smap, build_harmonic(blocks))
         ni = blocks.n_inner
-        expected_top = -np.linalg.solve(blocks.a[:ni, :ni], blocks.a[:ni, ni:])
+        expected_top = -np.linalg.solve(blocks.dense[:ni, :ni], blocks.dense[:ni, ni:])
         np.testing.assert_allclose(cols[:ni], expected_top, atol=1e-12)
         np.testing.assert_array_equal(cols[ni:], 0.0)
 

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import eigvalsh_tridiagonal
 
 from tlschwarz import (
@@ -162,7 +163,7 @@ class TestGmres:
         assert np.all(r[1:] <= r[:-1] * (1 + 1e-12))
 
     def test_identity_converges_immediately(self):
-        mat = SparseMat.identity(20)
+        mat = SparseMat(sp.identity(20, format="csr"), symmetric=True)
         rng = np.random.default_rng(6)
         b = rng.standard_normal(20)
         x, report = gmres(mat, None, b, tol=1e-12)

@@ -25,9 +25,9 @@ class TestParse:
     def test_banded7_structure(self, banded7):
         assert banded7.shape == (7, 7)
         assert banded7.nnz == 19
-        assert banded7.value(1, 2) == 5.0
-        assert banded7.value(6, 5) == 19.0
-        assert banded7.value(0, 6) == 0.0
+        assert banded7.scipy()[1, 2] == 5.0
+        assert banded7.scipy()[6, 5] == 19.0
+        assert banded7.scipy()[0, 6] == 0.0
         assert not banded7.symmetric
 
     def test_banded7_matvec_column(self, banded7):
@@ -96,7 +96,7 @@ class TestParse:
     def test_comments_and_blanks_skipped(self):
         text = "%%MatrixMarket matrix coordinate real general\n% c\n\n2 2 1\n\n1 2 3.5\n"
         mat = read_matrix_market(text)
-        assert mat.value(0, 1) == 3.5
+        assert mat.scipy()[0, 1] == 3.5
 
 
 class TestRoundTrip:
@@ -143,7 +143,7 @@ class TestSparseMat:
     def test_duplicates_summed(self):
         mat = SparseMat.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [1.0, 2.0, 5.0])
         assert mat.nnz == 2
-        assert mat.value(0, 1) == 3.0
+        assert mat.scipy()[0, 1] == 3.0
 
     def test_sorted_unique_columns(self, banded7):
         for i in range(banded7.nrows):
@@ -159,7 +159,7 @@ class TestSparseMat:
             banded7.matvec(np.ones(6))
 
     def test_matvec_identity(self):
-        eye = SparseMat.identity(5)
+        eye = SparseMat(sp.identity(5, format="csr"), symmetric=True)
         v = np.arange(5.0)
         np.testing.assert_array_equal(eye.matvec(v), v)
 
@@ -169,12 +169,8 @@ class TestSparseMat:
         v = rng.standard_normal(40)
         np.testing.assert_allclose(mat.matvec(v), mat.to_dense() @ v, rtol=1e-13, atol=1e-13)
 
-    def test_value_out_of_range(self, banded7):
-        with pytest.raises(IndexError):
-            banded7.value(7, 0)
-
     def test_dense_guard(self):
-        big = SparseMat.identity(5001)
+        big = SparseMat(sp.identity(5001, format="csr"), symmetric=True)
         with pytest.raises(ValueError, match="guard"):
             big.to_dense()
 

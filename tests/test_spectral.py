@@ -1,8 +1,5 @@
-import dataclasses
-
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.linalg import cholesky, eigh, subspace_angles
 
 from tlschwarz import (
@@ -14,7 +11,6 @@ from tlschwarz import (
     select_harmonic_modes,
     select_pou_modes,
     setup,
-    spsd_splitting,
     svd_harmonic_modes,
     sym_gevp,
     symmetrized_graph,
@@ -125,14 +121,14 @@ class TestPouModes:
         for seed in range(6):
             pieces = subdomain_pieces(40, 3, 1, seed=30 + seed)
             for blocks, mask, _ in pieces:
-                d = np.diag(mask)
-                dad = d @ blocks.a @ d
+                d, a = np.diag(mask), blocks.dense
+                dad = d @ a @ d
                 vals = select_pou_modes(blocks, 1e6).all_values
                 n = blocks.n_local
                 n_zero = int(np.sum(np.abs(vals) < 1e-8))
                 n_one = int(np.sum(np.abs(vals - 1.0) < 1e-8))
                 assert n_zero == n - np.linalg.matrix_rank(dad, tol=1e-8)
-                assert n_one == n - np.linalg.matrix_rank(blocks.a - dad, tol=1e-8)
+                assert n_one == n - np.linalg.matrix_rank(a - dad, tol=1e-8)
                 assert np.all(vals > -1e-10)
 
     def test_deflated_mask_energy_bound(self):
@@ -142,21 +138,21 @@ class TestPouModes:
         for blocks, mask, _ in subdomain_pieces(50, 4, 2, seed=50):
             basis = select_pou_modes(blocks, threshold=1.2)
             z = basis.vectors
-            d = np.diag(mask)
-            dad = d @ blocks.a @ d
+            d, a = np.diag(mask), blocks.dense
+            dad = d @ a @ d
             nu = basis.largest_unselected
             for _ in range(20):
                 v = rng.standard_normal(blocks.n_local)
-                w = v - z @ (z.T @ (blocks.a @ v))
+                w = v - z @ (z.T @ (a @ v))
                 lhs = w @ dad @ w
-                rhs = nu * (v @ blocks.a @ v)
+                rhs = nu * (v @ a @ v)
                 assert lhs <= rhs * (1 + 1e-8) + 1e-12
 
     def test_selected_vectors_a_orthonormal(self):
         for blocks, mask, _ in subdomain_pieces(40, 3, 1, seed=70):
             basis = select_pou_modes(blocks, threshold=1.1)
             if basis.n_selected:
-                gram = basis.vectors.T @ blocks.a @ basis.vectors
+                gram = basis.vectors.T @ blocks.dense @ basis.vectors
                 np.testing.assert_allclose(gram, np.eye(basis.n_selected), atol=1e-10)
 
     def test_rejects_bad_threshold_and_nonsymmetric(self):
@@ -191,10 +187,11 @@ class TestHarmonicModes:
         tau = 0.15
         for blocks, mask, ext in subdomain_pieces(50, 3, 2, seed=90):
             basis = select_harmonic_modes(blocks, ext, tau)
-            lfac = cholesky(blocks.a, lower=True)
+            a = blocks.dense
+            lfac = cholesky(a, lower=True)
             masked = ext * mask[:, None]
-            gram = masked.T @ blocks.a @ masked
-            lhs = np.zeros_like(blocks.a)
+            gram = masked.T @ a @ masked
+            lhs = np.zeros_like(a)
             ni = blocks.n_inner
             lhs[ni:, ni:] = 0.5 * (gram + gram.T)
             y = np.linalg.solve(lfac, np.linalg.solve(lfac, lhs).T)
@@ -212,7 +209,7 @@ class TestHarmonicModes:
         for blocks, _, ext in subdomain_pieces(40, 3, 1, seed=100):
             basis = select_harmonic_modes(blocks, ext, threshold=0.05)
             if basis.n_selected:
-                gram = basis.vectors.T @ blocks.a @ basis.vectors
+                gram = basis.vectors.T @ blocks.dense @ basis.vectors
                 np.testing.assert_allclose(gram, np.eye(basis.n_selected), atol=1e-10)
 
     def test_rejects_bad_threshold(self):
@@ -234,36 +231,6 @@ class TestHarmonicModes:
             assert basis.all_values.size == blocks.n_local
             assert np.all(basis.all_values[blocks.n_boundary:] == 0.0)
             np.testing.assert_allclose(basis.all_values, sigmas, atol=1e-7)
-
-
-class TestSparseBackedBlocks:
-    """A block carrying the sparse cut gives the dense block's results."""
-
-    @staticmethod
-    def pieces():
-        for blocks, _, ext in subdomain_pieces(40, 3, 2, seed=120):
-            yield blocks, dataclasses.replace(blocks, a=sp.csr_matrix(blocks.a)), ext
-
-    def test_pou_modes(self):
-        for dense, sparse, _ in self.pieces():
-            want = select_pou_modes(dense, 1.2)
-            got = select_pou_modes(sparse, 1.2)
-            np.testing.assert_array_equal(got.all_values, want.all_values)
-            np.testing.assert_array_equal(got.vectors, want.vectors)
-
-    def test_splitting(self):
-        for dense, sparse, ext in self.pieces():
-            np.testing.assert_array_equal(spsd_splitting(sparse, ext),
-                                          spsd_splitting(dense, ext))
-
-    def test_harmonic_extension_and_modes(self):
-        for dense, sparse, ext in self.pieces():
-            sparse_ext = build_harmonic(sparse)
-            np.testing.assert_allclose(sparse_ext, ext, atol=1e-12)
-            want = select_harmonic_modes(dense, ext, 0.1)
-            got = select_harmonic_modes(sparse, sparse_ext, 0.1)
-            np.testing.assert_allclose(got.all_values, want.all_values, atol=1e-12)
-            np.testing.assert_allclose(got.vectors, want.vectors, atol=1e-10)
 
 
 class TestSvdModes:

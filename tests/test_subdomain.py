@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tlschwarz import (
     LocalBlocks,
     Partition,
+    SparseMat,
     SubdomainMap,
     SubdomainSetupError,
     build_harmonic,
@@ -12,6 +14,7 @@ from tlschwarz import (
     spsd_splitting,
     symmetrized_graph,
 )
+from tlschwarz.sparsemat import DENSE_GUARD
 
 from conftest import laplace1d, random_partition, random_spd
 
@@ -39,7 +42,7 @@ class TestLocalBlocks:
         part = Partition(2, np.array([0, 0, 0, 1, 1, 1, 1]))
         maps = extend_overlap(g, part, 1)
         blocks = extract_local_blocks(banded7, maps[0])
-        np.testing.assert_array_equal(blocks.a[0], [1, 2, 0, 0])
+        np.testing.assert_array_equal(blocks.dense[0], [1, 2, 0, 0])
         assert blocks.n_interior == 3
         assert blocks.layer_sizes == (1,)
         assert blocks.n_boundary == 1
@@ -51,7 +54,7 @@ class TestLocalBlocks:
         dense = mat.to_dense()
         for smap in maps:
             blocks = extract_local_blocks(mat, smap)
-            np.testing.assert_array_equal(blocks.a, dense[np.ix_(smap.indices, smap.indices)])
+            np.testing.assert_array_equal(blocks.dense, dense[np.ix_(smap.indices, smap.indices)])
 
     def test_pou_weights_are_the_interior_mask(self):
         mat = random_spd(30, seed=3)
@@ -65,6 +68,15 @@ class TestLocalBlocks:
         mat = random_spd(12, seed=5)
         smap = make_map(np.arange(12), [], 12)
         assert extract_local_blocks(mat, smap).symmetric
+
+    def test_dense_copy_refused_above_guard(self):
+        n = DENSE_GUARD + 1
+        mat = SparseMat(sp.identity(n, format="csr"), symmetric=True)
+        smap = SubdomainMap(index=7, n_global=n, interior=np.arange(n), layers=())
+        blocks = extract_local_blocks(mat, smap)
+        assert sp.issparse(blocks.a) and blocks.n_local == n
+        with pytest.raises(ValueError, match=f"subdomain 7 has {n} nodes"):
+            blocks.dense
 
 
 class TestHarmonicExtension:
@@ -94,13 +106,14 @@ class TestHarmonicExtension:
                 ext = build_harmonic(blocks)
                 pi = np.zeros((blocks.n_local, blocks.n_local))
                 pi[:, blocks.n_inner:] = ext
-                resid = (np.eye(blocks.n_local) - pi).T @ blocks.a @ pi
-                assert np.abs(resid).max() < 1e-8 * np.abs(blocks.a).max()
+                a = blocks.dense
+                resid = (np.eye(blocks.n_local) - pi).T @ a @ pi
+                assert np.abs(resid).max() < 1e-8 * np.abs(a).max()
 
     def test_interior_rows_annihilated(self):
         # A (ext v) vanishes on the inner nodes: the extension is discrete-harmonic
         blocks, ext = fixture_1d3()
-        out = blocks.a @ ext
+        out = blocks.dense @ ext
         np.testing.assert_allclose(out[: blocks.n_inner], 0, atol=1e-14)
 
     def test_empty_boundary(self):
@@ -116,7 +129,7 @@ class TestHarmonicExtension:
         ([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]], False),  # singular inner block
     ])
     def test_failing_inner_block_names_subdomain(self, a, symmetric):
-        blocks = LocalBlocks(subdomain=3, a=np.array(a), n_interior=2, layer_sizes=(1,),
+        blocks = LocalBlocks(subdomain=3, a=sp.csr_matrix(a), n_interior=2, layer_sizes=(1,),
                              symmetric=symmetric)
         with pytest.raises(SubdomainSetupError, match="subdomain 3") as info:
             build_harmonic(blocks)
@@ -137,9 +150,10 @@ class TestSplitting:
             for smap in maps:
                 blocks = extract_local_blocks(mat, smap)
                 tilde = spsd_splitting(blocks, build_harmonic(blocks))
-                scale = np.abs(blocks.a).max()
+                a = blocks.dense
+                scale = np.abs(a).max()
                 assert np.linalg.eigvalsh(tilde).min() > -1e-10 * scale
-                assert np.linalg.eigvalsh(blocks.a - tilde).min() > -1e-10 * scale
+                assert np.linalg.eigvalsh(a - tilde).min() > -1e-10 * scale
 
     def test_matches_schur_construction_with_two_layers(self):
         # with >= 2 layers the splitting equals replacing the outermost
@@ -152,7 +166,7 @@ class TestSplitting:
                 continue
             tilde = spsd_splitting(blocks, build_harmonic(blocks))
             ni = blocks.n_inner
-            a = blocks.a
+            a = blocks.dense
             # Schur complement of the strict-inner block inside the inner block
             strict = ni - blocks.layer_sizes[-2] if len(blocks.layer_sizes) >= 2 else 0
             inner = a[:ni, :ni]
@@ -175,7 +189,7 @@ class TestSplitting:
         smap = make_map(np.arange(5), [], 5)
         blocks = extract_local_blocks(mat, smap)
         tilde = spsd_splitting(blocks, build_harmonic(blocks))
-        np.testing.assert_array_equal(tilde, blocks.a)
+        np.testing.assert_array_equal(tilde, blocks.dense)
 
     def test_rejects_nonsymmetric(self):
         rng = np.random.default_rng(1)
