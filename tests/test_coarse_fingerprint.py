@@ -38,6 +38,7 @@ CASES = {
                             dict(coarse="svd", one_level="ras", combine="deflated")),
     "poisson2d-m12-full-nu": ("poisson2d", 12, 4, dict(coarse="full", nu=1.5)),
     "hetero2d-m20-nu": ("hetero-diffusion2d", 20, 4, dict(nu=1.5)),
+    "poisson3d-m16": ("poisson3d", 16, 16, {}),
 }
 
 # (Z^T, A00, mode counts, apply(r))
@@ -50,6 +51,8 @@ EXPECTED = {
                               "bc1537a571c2625b"),
     "hetero2d-m20-nu": ("e64cb545d7e45834", "c3cf260de460cea7", "8e94648a1de6fa25",
                         "e4fc8ebf659fd851"),
+    "poisson3d-m16": ("f9125ff3972dc1de", "db3f9097af3ac1dd", "0c23ecab0c98677f",
+                      "8acfbd2d38d31313"),
 }
 
 
