@@ -2,13 +2,15 @@
 
 The coarse basis is Z = [R_1^T D_1 V_1, ..., R_N^T D_N V_N]: every column
 comes from one subdomain and is weighted by the Boolean partition of unity
-D_i, so its support lies inside that subdomain's interior set.  Columns from
-different subdomains are therefore orthogonal, and any linear dependence the
-rank filter has to remove is local to a single subdomain's block V_i.
+D_i, so R_i^T D_i V_i is just the interior rows of V_i placed at that
+subdomain's interior unknowns.  The interiors partition the unknowns, so
+columns from different subdomains have disjoint rows: they are orthogonal,
+and any linear dependence the rank filter has to remove is local to a single
+subdomain's interior block.
 
-Each stage hands on plain arrays: one dense column block per subdomain, then
-Z as a scipy CSR matrix with each subdomain's kept column count, then the
-complete ``CoarseSpace`` from ``galerkin_coarse``.
+Each stage hands on plain arrays: one dense interior block per subdomain,
+then Z as a scipy CSR matrix with each subdomain's kept column count, then
+the complete ``CoarseSpace`` from ``galerkin_coarse``.
 """
 
 from __future__ import annotations
@@ -40,69 +42,60 @@ class CoarseSpace:
 
 
 def subdomain_coarse_columns(smap, vectors, pou_basis=None):
-    """Local coarse columns of one subdomain: ``vectors``, followed by any
-    partition-of-unity modes, weighted by the Boolean partition of unity.
+    """One subdomain's interior block of coarse columns: the interior rows of
+    ``vectors``, followed by those of any partition-of-unity modes, as a new
+    (n_interior, k) array.  The Boolean partition of unity zeroes every other
+    row, so these rows are all of the subdomain's columns in Z.
 
     ``vectors`` is the harmonic extension (every column, for the "full"
     coarse space) or the selected harmonic-pencil or singular vectors.
     """
+    ni = smap.interior.size
     if pou_basis is not None:
-        vectors = np.hstack([vectors, pou_basis.vectors])
-    return vectors * smap.pou_mask.astype(np.float64)[:, None]
+        return np.hstack([vectors[:ni], pou_basis.vectors[:ni]])
+    return vectors[:ni].copy()
 
 
 def assemble_coarse_basis(maps, column_blocks, n_global):
-    """Rank-filter each subdomain's column block and scatter the kept columns.
+    """Rank-filter each subdomain's interior block and scatter the kept columns.
 
     Identically zero columns are dropped.  The others go through a
     column-pivoted QR of their subdomain's block; a column is kept when its
     pivot is positive and at least ``DROP_TOL`` times the largest pivot of
     any subdomain.  Kept columns keep their values; they are ordered by
-    subdomain, then by the order within each block.  Returns Z as a scipy
-    CSR matrix and the tuple of kept column counts, one per subdomain.  Each
-    block is cut to its nonzero rows as it arrives, so a generator of blocks
-    has one dense block alive at a time.
+    subdomain, then by the order within each block.  Block i holds the rows
+    ``maps[i].interior`` of Z, and the interiors are disjoint, so each row of
+    Z takes its entries from one block.  Returns Z as a scipy CSR matrix and
+    the tuple of kept column counts, one per subdomain.
     """
-    blocks = iter(column_blocks)
-    parts = [_nonzero_rows(next(blocks)) for _ in maps]
-    pivots = [_pivots(*part) for part in parts]
+    parts = list(column_blocks)
+    pivots = [_pivots(block) for block in parts]
     cutoff = DROP_TOL * max((mag.max(initial=0.0) for mag in pivots), default=0.0)
-    # Z's CSR arrays are written in place: per row, the blocks in subdomain order
+    # Z's CSR arrays are written in place: each row's entries come from one block
     indptr = np.zeros(n_global + 1, np.int64)
-    for i, (smap, (_, stored, values), mag) in enumerate(zip(maps, parts, pivots)):
-        parts[i] = smap.indices[stored], values[:, (mag > 0) & (mag >= cutoff)]
-        indptr[parts[i][0] + 1] += np.count_nonzero(parts[i][1], axis=1)
+    for i, (smap, mag) in enumerate(zip(maps, pivots)):
+        parts[i] = parts[i][:, (mag > 0) & (mag >= cutoff)]
+        indptr[smap.interior + 1] = np.count_nonzero(parts[i], axis=1)
     np.cumsum(indptr, out=indptr)
-    counts = tuple(values.shape[1] for _, values in parts)
+    counts = tuple(block.shape[1] for block in parts)
     index = np.int32 if max(indptr[-1], n_global, sum(counts)) < 2**31 else np.int64
     indices, data = np.empty(indptr[-1], index), np.empty(indptr[-1])
-    start = indptr[:-1].copy()
-    for (rows, values), offset in zip(parts, np.cumsum((0,) + counts)):
-        local, col = np.nonzero(values)
-        row_nnz = np.count_nonzero(values, axis=1)
-        # each entry goes to its row's next free slot, columns ascending within a row
-        pos = (start[rows] - np.cumsum(row_nnz) + row_nnz)[local] + np.arange(local.size)
+    for smap, block, offset in zip(maps, parts, np.cumsum((0,) + counts)):
+        local, col = np.nonzero(block)
+        row_nnz = np.count_nonzero(block, axis=1)
+        # an entry's slot is its row's start plus its rank among the row's entries
+        pos = (indptr[smap.interior] - np.cumsum(row_nnz) + row_nnz)[local] + np.arange(local.size)
         indices[pos] = col + offset
-        data[pos] = values[local, col]
-        start[rows] += row_nnz
+        data[pos] = block[local, col]
     z = sp.csr_matrix((data, indices, indptr.astype(index)), shape=(n_global, sum(counts)))
     return z, counts
 
 
-def _nonzero_rows(block):
-    """The block's shape, the indices of its nonzero rows and those rows."""
-    stored = np.flatnonzero(np.any(block, axis=1))
-    return block.shape, stored, block[stored]
-
-
-def _pivots(shape, stored, values):
+def _pivots(block):
     """Per column, the magnitude of its column-pivoted QR pivot (0 for a zero
-    column).  The QR sees the block rebuilt with its zero rows, exactly as it
-    was offered; the QRs of all blocks run back to back, which keeps them fast."""
-    block = np.zeros(shape)
-    block[stored] = values
-    nonzero = np.flatnonzero(np.any(values, axis=0))
-    mag = np.zeros(shape[1])
+    column).  The QRs of all blocks run back to back, which keeps them fast."""
+    nonzero = np.flatnonzero(np.any(block, axis=0))
+    mag = np.zeros(block.shape[1])
     if nonzero.size:
         r, perm = qr(block[:, nonzero], mode="r", pivoting=True)
         rdiag = np.abs(np.diag(r))
@@ -119,9 +112,9 @@ def galerkin_coarse(matrix, z):
     ``z`` must have at least one column.
     """
     zt = z.T
-    a00 = (zt @ (matrix.scipy() @ z)).tocsc()
+    a00 = zt @ (matrix.scipy() @ z)
     if matrix.symmetric:
-        a00 = (0.5 * (a00 + a00.T)).tocsc()
+        a00 = 0.5 * (a00 + a00.T)
     a00.eliminate_zeros()
     lu, failed = factor_blocks([a00], matrix.symmetric)
     if failed is not None:

@@ -220,7 +220,8 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         None picks "additive" for symmetric matrices, "deflated" otherwise.
 
     Coarse columns are made one subdomain at a time as the assembly asks for
-    them: at most one dense extension and one dense column block are alive.
+    them: at most one dense extension is alive, and the assembly keeps only
+    each subdomain's interior block.
     """
     if coarse not in COARSE_KINDS:
         raise ValueError(f"unknown coarse kind {coarse!r}")
@@ -290,9 +291,9 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
 
 
 def _subdomain_columns(smap, blocks, coarse, tau, nu):
-    """One subdomain's coarse column block, and the largest value its harmonic
-    selection left out (None for the "full" coarse space, which takes every
-    extension column)."""
+    """One subdomain's interior block of coarse columns, and the largest value
+    its harmonic selection left out (None for the "full" coarse space, which
+    takes every extension column)."""
     extension = build_harmonic(blocks)
     vectors, largest_unselected = extension, None
     if coarse != "full":

@@ -17,6 +17,7 @@ from tlschwarz import (
     generate,
     read_matrix_market,
     select_harmonic_modes,
+    select_pou_modes,
     setup,
     subdomain_coarse_columns,
     svd_harmonic_modes,
@@ -51,7 +52,7 @@ def scatter(maps, column_blocks, n_global):
     cols = []
     for smap, block in zip(maps, column_blocks):
         full = np.zeros((n_global, block.shape[1]))
-        full[smap.indices] = block
+        full[smap.interior] = block
         cols.append(full)
     return np.hstack(cols)
 
@@ -71,8 +72,8 @@ def whole_graph_basis(mat):
 
 class TestColumns:
     def test_full_variant_matches_dense_solve(self, banded7):
-        # one column per boundary-ring node: interior part is minus the inner
-        # solve of the coupling, the ring part is masked to zero
+        # one column per boundary-ring node, cut to the interior: minus the
+        # inner solve of the coupling (with one layer, inner is the interior)
         g = symmetrized_graph(banded7)
         part = Partition(2, np.array([0, 0, 0, 1, 1, 1, 1]))
         maps = extend_overlap(g, part, 1)
@@ -80,9 +81,9 @@ class TestColumns:
         blocks = extract_local_blocks(banded7, smap)
         cols = subdomain_coarse_columns(smap, build_harmonic(blocks))
         ni = blocks.n_inner
-        expected_top = -np.linalg.solve(blocks.dense[:ni, :ni], blocks.dense[:ni, ni:])
-        np.testing.assert_allclose(cols[:ni], expected_top, atol=1e-12)
-        np.testing.assert_array_equal(cols[ni:], 0.0)
+        assert ni == smap.interior.size
+        expected = -np.linalg.solve(blocks.dense[:ni, :ni], blocks.dense[:ni, ni:])
+        np.testing.assert_allclose(cols, expected, atol=1e-12)
 
     def test_shrunk_lifts_selected_modes(self):
         mat = random_spd(40, seed=8)
@@ -93,10 +94,23 @@ class TestColumns:
         ext = build_harmonic(blocks)
         basis = select_harmonic_modes(blocks, ext, 0.05)
         cols = subdomain_coarse_columns(smap, basis.vectors)
-        assert cols.shape == (smap.n_local, basis.n_selected)
-        d = smap.pou_mask.astype(float)[:, None]
-        expected = (ext @ basis.vectors[blocks.n_inner:, :]) * d
+        assert cols.shape == (smap.interior.size, basis.n_selected)
+        expected = (ext @ basis.vectors[blocks.n_inner:, :])[:smap.interior.size]
         np.testing.assert_allclose(cols, expected, atol=1e-13)
+
+    @pytest.mark.parametrize("nu", [None, 1.5])
+    def test_new_interior_block(self, nu):
+        # a view would keep the full-height extension alive with the block
+        mat = random_spd(40, seed=8)
+        smap = extend_overlap(symmetrized_graph(mat), random_partition(40, 3, seed=9), 2)[1]
+        blocks = extract_local_blocks(mat, smap)
+        ext = build_harmonic(blocks)
+        pou = select_pou_modes(blocks, nu) if nu is not None else None
+        cols = subdomain_coarse_columns(smap, ext, pou_basis=pou)
+        offered = [ext] + ([pou.vectors] if pou is not None else [])
+        assert cols.shape == (smap.interior.size, sum(v.shape[1] for v in offered))
+        np.testing.assert_array_equal(cols, np.hstack(offered)[:smap.interior.size])
+        assert not any(np.shares_memory(cols, v) for v in offered)
 
 
 class TestAssembly:
@@ -114,7 +128,7 @@ class TestAssembly:
                 if not np.any(block[:, j]):
                     continue
                 full = np.zeros(50)
-                full[smap.indices] = block[:, j]
+                full[smap.interior] = block[:, j]
                 np.testing.assert_array_equal(dense[:, k], full)
                 k += 1
             assert (start <= k <= end) or end == k
@@ -124,7 +138,7 @@ class TestAssembly:
         mat = random_spd(20, seed=12)
         part = random_partition(20, 2, seed=13)
         maps = extend_overlap(symmetrized_graph(mat), part, 1)
-        blocks = [np.zeros((m.n_local, 2)) for m in maps]
+        blocks = [np.zeros((m.interior.size, 2)) for m in maps]
         blocks[0][:, 1] = 1.0  # one real column among zeros
         z, counts = assemble_coarse_basis(maps, blocks, 20)
         assert z.shape[1] == 1
@@ -152,12 +166,12 @@ class TestAssembly:
 
 
 def orthonormal_blocks(maps, per_subdomain, seed):
-    """Exactly independent local columns so the filter's work is predictable."""
+    """Exactly independent interior columns so the filter's work is predictable."""
     rng = np.random.default_rng(seed)
     blocks = []
     for smap in maps:
-        k = min(per_subdomain, smap.n_local)
-        q, _ = np.linalg.qr(rng.standard_normal((smap.n_local, k)))
+        k = min(per_subdomain, smap.interior.size)
+        q, _ = np.linalg.qr(rng.standard_normal((smap.interior.size, k)))
         blocks.append(q)
     return blocks
 
@@ -208,9 +222,15 @@ class TestRankFilter:
 
 
 def reference_assembly(maps, column_blocks, n_global):
-    """Oracle for ``assemble_coarse_basis``: the same rank filter, then each
-    subdomain's kept columns as rows of ``kept.T``, one CSC matrix and one
-    ``tocsr()``."""
+    """Oracle for ``assemble_coarse_basis``: the same rank filter on each
+    interior block padded with zero overlap rows to its subdomain's height,
+    then each subdomain's kept columns as rows of ``kept.T``, one CSC matrix
+    and one ``tocsr()``."""
+    padded = []
+    for smap, block in zip(maps, column_blocks):
+        padded.append(np.zeros((smap.n_local, block.shape[1])))
+        padded[-1][:smap.interior.size] = block
+    column_blocks = padded
     offered, pivots = [], []
     for block in column_blocks:
         nonzero = np.flatnonzero(np.any(block, axis=0))
@@ -262,9 +282,8 @@ def setup_column_blocks(monkeypatch, kind, m, n_subdomains, **kwargs):
 
 @st.composite
 def offered_columns(draw):
-    """Subdomains with overlap (rows shared between subdomains) and column
-    blocks with entries off the interior, exact zeros, zero columns and
-    duplicate or near-parallel columns."""
+    """Subdomains with overlap and interior column blocks with exact zeros,
+    zero columns and duplicate or near-parallel columns."""
     n = draw(st.integers(4, 30))
     n_subdomains = draw(st.integers(1, min(n, 4)))
     seed = draw(st.integers(0, 2**16))
@@ -273,7 +292,7 @@ def offered_columns(draw):
     rng = np.random.default_rng(seed)
     blocks = []
     for smap in maps:
-        block = rng.standard_normal((smap.n_local, draw(st.integers(0, 5))))
+        block = rng.standard_normal((smap.interior.size, draw(st.integers(0, 5))))
         block[rng.random(block.shape) < draw(st.floats(0, 0.9))] = 0.0
         if block.shape[1] and draw(st.booleans()):
             block[:, rng.integers(block.shape[1])] = 0.0
