@@ -4,7 +4,8 @@ The coarse basis Z, the coarse operator A00 = Z^T A Z, the per-subdomain
 column counts and one preconditioner apply are hashed (sha256 of the raw
 array bytes, index arrays as int64) for a few setups that between them run
 every mode selector, both one-level kinds, both combinations and the
-partition-of-unity modes.  A refactor of the coarse-space build must
+partition-of-unity modes, and for the three problems of ``bench/worker.py``
+with their default setup.  A refactor of the coarse-space build must
 reproduce all of them bit for bit.
 """
 
@@ -39,6 +40,8 @@ CASES = {
     "poisson2d-m12-full-nu": ("poisson2d", 12, 4, dict(coarse="full", nu=1.5)),
     "hetero2d-m20-nu": ("hetero-diffusion2d", 20, 4, dict(nu=1.5)),
     "poisson3d-m16": ("poisson3d", 16, 16, {}),
+    "poisson2d-m200-N256": ("poisson2d", 200, 256, {}),
+    "advection2d-m80-N16": ("advection2d", 80, 16, {}),
 }
 
 # (Z^T, A00, mode counts, apply(r))
@@ -53,6 +56,10 @@ EXPECTED = {
                         "e4fc8ebf659fd851"),
     "poisson3d-m16": ("f9125ff3972dc1de", "db3f9097af3ac1dd", "0c23ecab0c98677f",
                       "8acfbd2d38d31313"),
+    "poisson2d-m200-N256": ("c35b601e1c88ebbb", "01f87dc05fec64c0", "8441064c40d8db1c",
+                            "c445fb6760451694"),
+    "advection2d-m80-N16": ("88b5301aabc4ae04", "051c7da04293bc10", "68c7d2d155f7885a",
+                            "df1e8890daeefabf"),
 }
 
 

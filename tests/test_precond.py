@@ -17,6 +17,7 @@ from tlschwarz import (
     estimate_condition,
     extract_local_blocks,
     generate,
+    gmres,
     pcg,
     setup,
 )
@@ -158,6 +159,48 @@ class TestCoarsePins:
         rep = setup(mat, n_sub, overlap=2, **options).report
         assert (rep.n_coarse, rep.nnz_coarse, rep.mode_counts) == (n_coarse, nnz_coarse,
                                                                    mode_counts)
+
+    POISSON2D_M200_COUNTS = (
+        11, 11, 24, 11, 22, 20, 23, 21, 17, 16, 23, 23, 21, 15, 22, 22,
+        19, 21, 21, 22, 23, 21, 22, 25, 22, 21, 20, 16, 22, 21, 21, 25,
+        15, 23, 23, 21, 24, 21, 23, 21, 22, 19, 16, 23, 15, 21, 15, 21,
+        16, 22, 21, 17, 25, 23, 21, 21, 11, 21, 20, 24, 21, 22, 21, 21,
+        22, 22, 21, 22, 22, 21, 22, 21, 21, 22, 21, 22, 22, 17, 25, 23,
+        23, 24, 21, 24, 21, 23, 22, 21, 22, 16, 16, 16, 21, 22, 22, 24,
+        23, 23, 21, 23, 23, 24, 21, 22, 21, 15, 21, 22, 21, 21, 21, 24,
+        25, 23, 23, 15, 22, 22, 21, 21, 21, 22, 26, 23, 23, 23, 21, 23,
+        23, 16, 21, 21, 23, 21, 22, 22, 22, 22, 25, 23, 22, 22, 18, 23,
+        23, 22, 17, 23, 23, 24, 18, 29, 23, 25, 22, 21, 24, 25, 23, 20,
+        23, 29, 23, 26, 25, 29, 24, 26, 32, 28, 24, 32, 30, 33, 23, 8,
+        26, 28, 18, 30, 25, 30, 35, 29, 17, 29, 34, 32, 37, 37, 34, 36,
+        31, 27, 34, 29, 30, 13, 29, 26, 35, 30, 46, 33, 47, 41, 41, 35,
+        35, 33, 44, 44, 35, 38, 6, 6, 36, 49, 40, 40, 35, 39, 32, 45,
+        40, 35, 38, 33, 38, 40, 11, 37, 34, 37, 34, 39, 31, 37, 42, 32,
+        23, 11, 38, 20, 29, 28, 38, 20, 11, 5, 4, 11, 24, 41, 52, 12,
+    )
+
+    # the bench problems with their default setup, solved as bench/worker.py
+    # does (b = A x*, x* uniform from seed 0, tol 1e-8); one setup each
+    @pytest.mark.parametrize("kind, m, n_sub, n_coarse, nnz_coarse, mode_counts, iterations", [
+        ("poisson2d", 200, 256, 6287, 1196935, POISSON2D_M200_COUNTS, [21]),
+        ("poisson3d", 16, 16, 663, 277973,
+         (28, 27, 44, 43, 32, 31, 58, 48, 42, 47, 44, 51, 53, 47, 29, 39), [24]),
+        ("advection2d", 80, 16, 704, 241086,
+         (14, 23, 16, 22, 38, 29, 35, 30, 36, 36, 36, 23, 31, 109, 110, 116), [4, 4, 4]),
+    ])
+    def test_bench_problem_pinned(self, kind, m, n_sub, n_coarse, nnz_coarse, mode_counts,
+                                  iterations):
+        mat, _ = generate(ProblemSpec(kind, m))
+        pre = setup(mat, n_sub)
+        rep = pre.report
+        assert (rep.n_coarse, rep.nnz_coarse, rep.mode_counts) == (n_coarse, nnz_coarse,
+                                                                   mode_counts)
+        solve = pcg if pre.is_symmetric else gmres
+        rng = np.random.default_rng(0)
+        reports = [solve(mat, pre, mat.matvec(rng.random(mat.nrows)), tol=1e-8)[1]
+                   for _ in iterations]
+        assert all(r.converged for r in reports)
+        assert [r.iterations for r in reports] == iterations
 
 
 class TestSparseSetup:
