@@ -17,21 +17,24 @@ Two-level combinations with the coarse solve Q r = Z A00^{-1} Z^T r:
   two each (balancing = A-DEF2; Tang, Nabben, Vuik and Erlangga, J. Sci.
   Comput. 39, 2009).
 
-Each level is one sparse operator with one SuperLU factor: the one-level
-part is P B^{-1} R, with R the stacked 0/1 subdomain restrictions, B the
-block-diagonal matrix of the subdomain blocks and P = R^T (asm) or R^T times
-the partition-of-unity mask (ras); the coarse operator A00 stays sparse.
+Each level has one SuperLU factor.  The one-level part sum_i R_i^T D_i
+A_i^{-1} R_i is a gather, one block-diagonal solve and a scatter-add: the
+solve takes r[gather], with ``gather`` every subdomain's global indices
+stacked, ras zeroes the result off the interiors (D_i = I for asm), and
+``np.bincount`` adds it back in stacked order.  The coarse operator A00
+stays sparse.
 
 The two levels of the additive apply are independent, so the coarse solve
 runs on one private worker thread while the calling thread runs the
-one-level solve; both are SuperLU solves and sparse products that release
-the GIL, and each BLAS call stays single-threaded.  The sum is formed in the
-serial order, so the result is bit-identical to the serial one, and ``apply``
-returns or raises only once the coarse task has finished.  The deflated
-combination is sequential by construction (each level needs the other's
-output).  Nothing about this is configurable.  Only vector-sized work may go
-on the worker thread: it allocates from a second malloc arena, where a large
-allocation (a factorization, say) stays resident beside the main arena.
+one-level solve; the SuperLU solves, the coarse level's sparse products, the
+gather and ``np.bincount`` release the GIL, and each BLAS call stays
+single-threaded.  The sum is formed in the serial order, so the result is
+bit-identical to the serial one, and ``apply`` returns or raises only once
+the coarse task has finished.  The deflated combination is sequential by
+construction (each level needs the other's output).  Nothing about this is
+configurable.  Only vector-sized work may go on the worker thread: it
+allocates from a second malloc arena, where a large allocation (a
+factorization, say) stays resident beside the main arena.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import coarse as coarse_mod
 from . import spectral
@@ -134,8 +136,8 @@ class Preconditioner:
 
     matrix: SparseMat
     maps: list
-    restrict: sp.csr_matrix
-    prolong: sp.csr_matrix
+    gather: np.ndarray  # every subdomain's global indices, stacked
+    overlap_rows: np.ndarray  # stacked positions outside the interiors, zeroed by ras
     local_lu: object
     coarse: coarse_mod.CoarseSpace | None
     one_level: str
@@ -157,7 +159,10 @@ class Preconditioner:
         return self.matrix.symmetric and self.one_level == "asm" and self.combine != "deflated"
 
     def apply_one_level(self, r):
-        return self.prolong @ self.local_lu.solve(self.restrict @ r)
+        y = self.local_lu.solve(r[self.gather])
+        if self.one_level == "ras":
+            y[self.overlap_rows] = 0.0
+        return np.bincount(self.gather, weights=y, minlength=self.n)
 
     def coarse_apply(self, r):
         return self.coarse.basis @ self.coarse.lu.solve(self.coarse.basis_t @ r)
@@ -248,9 +253,7 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     maps = extend_overlap(graph, part, overlap)
     k_c, _ = color_subdomains(maps)
 
-    restrict, local = stacked_blocks(matrix, maps)
-    weights = np.concatenate([s.pou_mask for s in maps]) if one_level == "ras" else 1.0
-    prolong = restrict.T.multiply(weights).tocsr()
+    local = [extract_local_blocks(matrix, s) for s in maps]
     local_lu, failed = factor_blocks([b.a for b in local], symmetric)
     if failed is not None:
         raise SubdomainSetupError(failed, "local block is not positive definite" if symmetric
@@ -286,7 +289,9 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         nu=nu if coarse != "none" else None,
         largest_unselected=tuple(v for v in unselected if v is not None),
     )
-    return Preconditioner(matrix, maps, restrict, prolong, local_lu, cs, one_level, combine,
+    gather = np.concatenate([s.indices for s in maps])
+    overlap_rows = np.flatnonzero(np.concatenate([~s.pou_mask for s in maps]))
+    return Preconditioner(matrix, maps, gather, overlap_rows, local_lu, cs, one_level, combine,
                           report)
 
 
@@ -303,11 +308,3 @@ def _subdomain_columns(smap, blocks, coarse, tau, nu):
     pou = spectral.select_pou_modes(blocks, nu) if nu is not None else None
     return coarse_mod.subdomain_coarse_columns(smap, vectors, pou_basis=pou), largest_unselected
 
-
-def stacked_blocks(matrix, maps):
-    """Stacked 0/1 restriction R (one row per local unknown) and the subdomains'
-    ``LocalBlocks``, whose sparse A_i satisfy R^T blockdiag(A_i) R = sum_i R_i^T A_i R_i."""
-    idx = np.concatenate([s.indices for s in maps])
-    restrict = sp.csr_matrix((np.ones(idx.size), (np.arange(idx.size), idx)),
-                             shape=(idx.size, matrix.nrows))
-    return restrict, [extract_local_blocks(matrix, s) for s in maps]

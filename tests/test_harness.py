@@ -21,7 +21,7 @@ from tlschwarz import (
     theoretical_bound,
     write_vector,
 )
-from tlschwarz import krylov
+from tlschwarz import harness, krylov
 
 from conftest import laplace1d
 
@@ -289,14 +289,26 @@ class TestRunExperiment:
         assert adv.bound_check is None  # nonsymmetric: no certified bound
 
     def test_ras_bound_uses_the_run_thresholds(self):
-        # the bound for a ras run is checked on the asm operator built with the
-        # same tau and nu, so it must match the asm run's certificate
-        runs = {one: run_experiment(ExperimentConfig(kind="poisson2d", m=12, n_subdomains=4,
-                                                     nu=1.5, one_level=one))
-                for one in ("asm", "ras")}
-        assert runs["ras"].bound_check["inputs"] == runs["asm"].bound_check["inputs"]
-        assert runs["ras"].bound_check["measured"] == runs["asm"].bound_check["measured"]
+        # the bound is checked on the asm + additive operator with the run's
+        # maps, local factor and coarse space, whatever the run applied, so
+        # every run must match the asm + additive run's certificate
+        def bound(one_level, combine):
+            return run_experiment(ExperimentConfig(
+                kind="poisson2d", m=12, n_subdomains=4, nu=1.5, one_level=one_level,
+                combine=combine, solver="gmres")).bound_check
 
-    def test_unknown_solver(self):
-        with pytest.raises(ValueError):
+        want = bound("asm", "additive")
+        for run in [("ras", "additive"), ("asm", "none"), ("ras", "none"), ("asm", "deflated"),
+                    ("ras", "deflated")]:
+            got = bound(*run)
+            assert got["measured"] == want["measured"], run
+            assert got["inputs"] == want["inputs"], run
+
+    def test_unknown_solver(self, monkeypatch):
+        # the solver name is checked before the preconditioner is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("setup ran for an unknown solver")
+
+        monkeypatch.setattr(harness, "setup", refuse)
+        with pytest.raises(ValueError, match="unknown solver 'banana'"):
             run_experiment(ExperimentConfig(kind="poisson2d", m=5, solver="banana"))

@@ -127,14 +127,15 @@ class TestEdgeCases:
                      4, 2, 10, id="disconnected blocks"),
     ])
     def test_converges_and_matches_oracle(self, mat, n_sub, overlap, n_coarse):
-        pre = setup(mat, n_sub, overlap=overlap)
-        assert pre.report.n_coarse == n_coarse
         b = mat.matvec(np.ones(mat.nrows))
-        _, report = pcg(mat, pre, b, tol=1e-10)
-        assert report.converged
-        oracle = dense_oracle(pre)
-        np.testing.assert_allclose(dense_apply(pre), oracle, rtol=0,
-                                   atol=1e-12 * np.abs(oracle).max())
+        for one_level, solve in (("asm", pcg), ("ras", gmres)):
+            pre = setup(mat, n_sub, overlap=overlap, one_level=one_level)
+            assert pre.report.n_coarse == n_coarse
+            _, report = solve(mat, pre, b, tol=1e-10)
+            assert report.converged, one_level
+            oracle = dense_oracle(pre)
+            np.testing.assert_allclose(dense_apply(pre), oracle, rtol=0,
+                                       atol=1e-12 * np.abs(oracle).max(), err_msg=one_level)
 
 
 class TestCoarsePins:
@@ -223,14 +224,12 @@ class TestSparseSetup:
     def test_blocks_are_the_one_sparse_cut(self):
         mat, _ = generate(ProblemSpec("poisson2d", 12))
         pre = setup(mat, 4, overlap=2)
-        _, stacked = precond_mod.stacked_blocks(mat, pre.maps)
-        for smap, got, blocks in zip(pre.maps, stacked, pre.blocks):
-            want = extract_local_blocks(mat, smap).a
-            assert sp.issparse(blocks.a) and blocks.a.format == "csr"
-            for a in (got.a, blocks.a):
-                np.testing.assert_array_equal(a.data, want.data)
-                np.testing.assert_array_equal(a.indices, want.indices)
-                np.testing.assert_array_equal(a.indptr, want.indptr)
+        for smap, blocks in zip(pre.maps, pre.blocks):
+            want, a = extract_local_blocks(mat, smap).a, blocks.a
+            assert sp.issparse(a) and a.format == "csr"
+            np.testing.assert_array_equal(a.data, want.data)
+            np.testing.assert_array_equal(a.indices, want.indices)
+            np.testing.assert_array_equal(a.indptr, want.indptr)
 
     def test_setup_traced_peak(self):
         # traced allocations (numpy buffers and Python objects, not SuperLU's
