@@ -44,6 +44,7 @@ from .coarse import (
     CoarseSpace,
     subdomain_coarse_columns,
     assemble_coarse_basis,
+    galerkin_operator,
     galerkin_coarse,
 )
 from .precond import Preconditioner, SetupReport, setup

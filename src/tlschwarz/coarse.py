@@ -10,7 +10,8 @@ subdomain's interior block.
 
 Each stage hands on plain arrays: one dense interior block per subdomain,
 then Z as a scipy CSR matrix with each subdomain's kept column count, then
-the complete ``CoarseSpace`` from ``galerkin_coarse``.
+the complete ``CoarseSpace`` from ``galerkin_coarse``, which keeps the factor
+of A00 = Z^T A Z (``galerkin_operator``) but not A00: an apply never reads it.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ class CoarseSetupError(RuntimeError):
 
 @dataclass
 class CoarseSpace:
-    """Coarse basis Z (CSR), Z^T (a CSC view of the same arrays), A00 = Z^T A Z
-    and its SuperLU factor."""
+    """Coarse basis Z (CSR), Z^T (a CSC view of the same arrays), the SuperLU
+    factor of A00 = Z^T A Z and the number of entries A00 stored."""
 
     basis: sp.csr_matrix
     basis_t: sp.csc_matrix
-    a00: sp.csc_matrix
     lu: object
+    nnz: int
 
 
 def subdomain_coarse_columns(smap, vectors, pou_basis=None):
@@ -103,21 +104,33 @@ def _pivots(block):
     return mag
 
 
+def galerkin_operator(matrix, z):
+    """The coarse operator A00 = Z^T A Z as a scipy CSC matrix.
+
+    The sparse product is symmetrized when the fine matrix carries the
+    verified symmetry flag, and its zeros are dropped.  Its indices are left
+    in the order the product made them.
+    """
+    a00 = z.T @ (matrix.scipy() @ z)
+    if matrix.symmetric:
+        # not scaled in place: scipy sizes the sum's arrays for nnz(A00) +
+        # nnz(A00^T) entries, and the scaled copy is compact
+        a00 = 0.5 * (a00 + a00.T)
+    a00.eliminate_zeros()
+    return a00
+
+
 def galerkin_coarse(matrix, z):
     """Form and factor the coarse operator A00 = Z^T A Z.
 
-    The sparse product is symmetrized when the fine matrix carries the
-    verified symmetry flag, and its zeros are dropped.  Its SuperLU factor
-    must show it positive definite (symmetric) or numerically nonsingular.
-    ``z`` must have at least one column.
+    A00 is sorted in place and handed to SuperLU without a copy; only its
+    factor is kept.  The factor must show it positive definite (symmetric)
+    or numerically nonsingular.  ``z`` must have at least one column.
     """
-    zt = z.T
-    a00 = zt @ (matrix.scipy() @ z)
-    if matrix.symmetric:
-        a00 = 0.5 * (a00 + a00.T)
-    a00.eliminate_zeros()
+    a00 = galerkin_operator(matrix, z)
+    a00.sum_duplicates()  # sorts in place and marks it canonical: factor_blocks takes it as is
     lu, failed = factor_blocks([a00], matrix.symmetric)
     if failed is not None:
         raise CoarseSetupError("coarse operator is not positive definite" if matrix.symmetric
                                else "coarse operator is numerically singular")
-    return CoarseSpace(z, zt, a00, lu)
+    return CoarseSpace(z, z.T, lu, a00.nnz)

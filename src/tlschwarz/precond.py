@@ -22,19 +22,20 @@ A_i^{-1} R_i is a gather, one block-diagonal solve and a scatter-add: the
 solve takes r[gather], with ``gather`` every subdomain's global indices
 stacked, ras zeroes the result off the interiors (D_i = I for asm), and
 ``np.bincount`` adds it back in stacked order.  The coarse operator A00
-stays sparse.
+stays sparse, and only its factor is kept.
 
 The two levels of the additive apply are independent, so the coarse solve
 runs on one private worker thread while the calling thread runs the
-one-level solve; the SuperLU solves, the coarse level's sparse products, the
-gather and ``np.bincount`` release the GIL, and each BLAS call stays
-single-threaded.  The sum is formed in the serial order, so the result is
-bit-identical to the serial one, and ``apply`` returns or raises only once
-the coarse task has finished.  The deflated combination is sequential by
-construction (each level needs the other's output).  Nothing about this is
-configurable.  Only vector-sized work may go on the worker thread: it
-allocates from a second malloc arena, where a large allocation (a
-factorization, say) stays resident beside the main arena.
+one-level solve, and each BLAS call stays single-threaded.  The levels
+overlap while both threads are in compiled code: a SuperLU solve or a
+sparse product waits for the GIL whenever the other thread runs Python
+(README has the measurements).  The sum is formed in the serial order, so
+the result is bit-identical to the serial one, and ``apply`` returns or
+raises only once the coarse task has finished.  The deflated combination is
+sequential by construction (each level needs the other's output).  Nothing
+about this is configurable.  Only vector-sized work may go on the worker
+thread: it allocates from a second malloc arena, where a large allocation
+(a factorization, say) stays resident beside the main arena.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         k_c=k_c,
         mode_counts=mode_counts,
         nnz_matrix=matrix.nnz,
-        nnz_coarse=cs.a00.nnz if cs is not None else 0,
+        nnz_coarse=cs.nnz if cs is not None else 0,
         tau=tau,
         nu=nu if coarse != "none" else None,
         largest_unselected=tuple(v for v in unselected if v is not None),

@@ -163,9 +163,11 @@ def factor_blocks(blocks, symmetric):
     n * eps * max|U| of that block.  Elimination never couples two blocks.
     The factor keeps no copy of L or U: its ``.L`` and ``.U`` are empty.
     """
-    # splu sorts the indices of its CSC argument in place: hand it a private copy
-    a = sp.csc_matrix(blocks[0], copy=True) if len(blocks) == 1 else sp.block_diag(
-        blocks, format="csc")
+    # splu sorts the indices of a CSC argument in place: a single block goes to
+    # it as it is only when already CSC in canonical format, else as a copy
+    a = sp.block_diag(blocks, format="csc") if len(blocks) > 1 else blocks[0]
+    if not (a.format == "csc" and a.has_canonical_format):
+        a = sp.csc_matrix(a, copy=True)
     try:
         if symmetric:
             lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,

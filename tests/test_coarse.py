@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +16,7 @@ from tlschwarz import (
     extend_overlap,
     extract_local_blocks,
     galerkin_coarse,
+    galerkin_operator,
     generate,
     read_matrix_market,
     select_harmonic_modes,
@@ -323,11 +326,12 @@ class TestGalerkin:
         mat = random_spd(40, seed=30)
         part = random_partition(40, 3, seed=31)
         _, _, (z, _) = pipeline(mat, part, 2, coarse="full")
-        space = galerkin_coarse(mat, z)
-        dense_b = space.basis.toarray()
+        a00 = galerkin_operator(mat, z)
+        dense_b = z.toarray()
         expected = dense_b.T @ mat.to_dense() @ dense_b
-        np.testing.assert_allclose(space.a00.toarray(), expected, atol=1e-10)
-        assert space.a00.nnz == np.count_nonzero(expected)
+        np.testing.assert_allclose(a00.toarray(), expected, atol=1e-10)
+        assert a00.nnz == np.count_nonzero(expected)
+        assert galerkin_coarse(mat, z).nnz == a00.nnz
 
     def test_solve_inverts_operator(self):
         mat = random_spd(35, seed=32)
@@ -337,16 +341,32 @@ class TestGalerkin:
         rng = np.random.default_rng(1)
         rhs = rng.standard_normal(z.shape[1])
         y = space.lu.solve(rhs)
-        np.testing.assert_allclose(space.a00 @ y, rhs, atol=1e-9)
+        np.testing.assert_allclose(galerkin_operator(mat, z) @ y, rhs, atol=1e-9)
 
     def test_spd_coarse_operator(self):
         mat = random_spd(45, seed=36)
         part = random_partition(45, 4, seed=37)
         _, _, (z, _) = pipeline(mat, part, 2, coarse="full")
-        space = galerkin_coarse(mat, z)
-        a00 = space.a00.toarray()
+        a00 = galerkin_operator(mat, z).toarray()
         np.testing.assert_allclose(a00, a00.T, atol=1e-12)
         assert np.linalg.eigvalsh(a00).min() > 0
+        galerkin_coarse(mat, z)
+
+    def test_keeps_no_coarse_operator(self):
+        # an apply reads Z and the factor only: A00 (12 bytes per stored
+        # entry) must be gone once galerkin_coarse returns
+        mat, _ = generate(ProblemSpec("poisson2d", 100))
+        z = setup(mat, 64).coarse.basis
+        nnz = galerkin_operator(mat, z).nnz
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            space = galerkin_coarse(mat, z)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert space.nnz == nnz
+        assert held < 0.01 * 12 * nnz
 
     @pytest.mark.parametrize("dense", [
         np.diag([1.0, -1.0, 2.0]),  # negative pivot

@@ -1,6 +1,7 @@
 """Pinned fingerprints of the two-level operators.
 
-The coarse basis Z, the coarse operator A00 = Z^T A Z, the per-subdomain
+The coarse basis Z, the coarse operator A00 = Z^T A Z (as
+``galerkin_operator`` forms it from the built Z), the per-subdomain
 column counts and one preconditioner apply are hashed (sha256 of the raw
 array bytes, index arrays as int64) for a few setups that between them run
 every mode selector, both one-level kinds, both combinations and the
@@ -14,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from tlschwarz import ProblemSpec, generate, setup
+from tlschwarz import ProblemSpec, galerkin_operator, generate, setup
 
 
 def _digest(arrays):
@@ -67,7 +68,8 @@ def fingerprint(kind, m, n_subdomains, kwargs):
     mat, _ = generate(ProblemSpec(kind, m))
     pre = setup(mat, n_subdomains, **kwargs)
     r = np.random.default_rng(0).standard_normal(mat.nrows)
-    return (_digest(_sparse(pre.coarse.basis_t)), _digest(_sparse(pre.coarse.a00)),
+    a00 = galerkin_operator(mat, pre.coarse.basis)
+    return (_digest(_sparse(pre.coarse.basis_t)), _digest(_sparse(a00)),
             _digest([pre.report.mode_counts]), _digest([pre.apply(r)]))
 
 

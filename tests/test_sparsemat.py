@@ -16,6 +16,7 @@ from tlschwarz import (
     write_matrix_market,
     write_vector,
 )
+from tlschwarz import sparsemat
 from tlschwarz.sparsemat import DENSE_GUARD, factor_blocks
 
 from conftest import laplace1d, random_spd
@@ -249,6 +250,23 @@ class TestFactorBlocks:
             np.testing.assert_array_equal(b.indptr, indptr)
         x = np.arange(1.0, lu.shape[0] + 1)
         np.testing.assert_allclose(lu.solve(sp.block_diag(blocks) @ x), x, rtol=1e-10)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_single_block_copied_only_when_splu_would_change_it(self, monkeypatch, symmetric):
+        # splu sorts a CSC argument in place; a canonical one it leaves alone
+        seen = []
+        monkeypatch.setattr(sparsemat, "splu", lambda a, **kw: seen.append(a) or splu(a, **kw))
+        a = random_spd(20, seed=4).scipy()
+        if not symmetric:
+            a = a + sp.diags(np.full(a.shape[0] - 1, 0.3), 1)
+        canonical, unsorted = a.tocsc(), unsorted_csc(a)
+        for block in (canonical, unsorted):
+            lu, failed = factor_blocks([block], symmetric)
+            assert failed is None
+        assert seen[0] is canonical
+        assert seen[1] is not unsorted
+        assert not np.shares_memory(seen[1].indices, unsorted.indices)
+        assert not np.shares_memory(seen[1].data, unsorted.data)
 
     @pytest.mark.parametrize("n_blocks, size", [(1, 1000), (3, 600)])
     @pytest.mark.parametrize("symmetric", [True, False])
