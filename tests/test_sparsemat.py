@@ -318,3 +318,314 @@ class TestVectors:
         text = "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n"
         with pytest.raises(ValueError, match="single-column"):
             read_vector(text)
+
+
+# -- Matrix Market: every reader error, against a per-token oracle -----------
+
+
+def reference_read(text):
+    """Oracle for ``read_matrix_market``: the reader as a per-token loop, one
+    line at a time, each check run on a line before the next line is read."""
+
+    def tokenize(text):
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("%"):
+                continue
+            yield lineno, line.split()
+
+    def parse_float(tok, lineno):
+        try:
+            val = float(tok)
+        except ValueError:
+            raise MatrixMarketError(lineno, f"expected a real value, got {tok!r}") from None
+        if not np.isfinite(val):
+            raise MatrixMarketError(lineno, f"non-finite value {tok!r}")
+        return val
+
+    def parse_int(tok, lineno, what):
+        try:
+            return int(tok)
+        except ValueError:
+            raise MatrixMarketError(lineno, f"expected an integer {what}, got {tok!r}") from None
+
+    lines = text.splitlines()
+    header = None
+    header_lineno = 1
+    for lineno, raw in enumerate(lines, start=1):
+        if raw.strip():
+            header = raw.strip()
+            header_lineno = lineno
+            break
+    if header is None or not header.startswith("%%MatrixMarket"):
+        raise MatrixMarketError(header_lineno, "missing %%MatrixMarket header")
+    fields = header.split()
+    if len(fields) != 5 or fields[1].lower() != "matrix":
+        raise MatrixMarketError(header_lineno, f"malformed header {header!r}")
+    fmt, field, symmetry = (f.lower() for f in fields[2:5])
+    if fmt not in ("coordinate", "array"):
+        raise MatrixMarketError(header_lineno, f"unsupported format {fmt!r}")
+    if field != "real":
+        raise MatrixMarketError(header_lineno, f"unsupported field {field!r} (only real)")
+    if symmetry not in ("general", "symmetric"):
+        raise MatrixMarketError(header_lineno, f"unsupported symmetry {symmetry!r}")
+
+    body = [(ln, toks) for ln, toks in tokenize(text) if ln > header_lineno]
+    if not body:
+        raise MatrixMarketError(len(lines) + 1, "missing size line")
+    size_lineno, size_toks = body[0]
+    entries = body[1:]
+
+    if fmt == "coordinate":
+        if len(size_toks) != 3:
+            raise MatrixMarketError(size_lineno, "coordinate size line needs 'rows cols nnz'")
+        nrows = parse_int(size_toks[0], size_lineno, "row count")
+        ncols = parse_int(size_toks[1], size_lineno, "column count")
+        nnz = parse_int(size_toks[2], size_lineno, "entry count")
+        if nrows < 0 or ncols < 0 or nnz < 0:
+            raise MatrixMarketError(size_lineno, "negative size")
+        if len(entries) != nnz:
+            lineno = entries[-1][0] if entries else size_lineno
+            raise MatrixMarketError(lineno, f"expected {nnz} entries, found {len(entries)}")
+        ri, ci, vi = [], [], []
+        for lineno, toks in entries:
+            if len(toks) != 3:
+                raise MatrixMarketError(lineno, "coordinate entry needs 'i j value'")
+            i = parse_int(toks[0], lineno, "row index")
+            j = parse_int(toks[1], lineno, "column index")
+            if not (1 <= i <= nrows and 1 <= j <= ncols):
+                raise MatrixMarketError(lineno, f"index ({i}, {j}) out of range for {nrows}x{ncols}")
+            v = parse_float(toks[2], lineno)
+            if symmetry == "symmetric" and i < j:
+                raise MatrixMarketError(lineno, "symmetric storage must list the lower triangle")
+            ri.append(i - 1)
+            ci.append(j - 1)
+            vi.append(v)
+            if symmetry == "symmetric" and i != j:
+                ri.append(j - 1)
+                ci.append(i - 1)
+                vi.append(v)
+        return SparseMat.from_coo(nrows, ncols, ri, ci, vi, symmetric=(symmetry == "symmetric"))
+
+    if len(size_toks) != 2:
+        raise MatrixMarketError(size_lineno, "array size line needs 'rows cols'")
+    nrows = parse_int(size_toks[0], size_lineno, "row count")
+    ncols = parse_int(size_toks[1], size_lineno, "column count")
+    if symmetry == "symmetric" and nrows != ncols:
+        raise MatrixMarketError(size_lineno, "symmetric array storage requires a square matrix")
+    vals = []
+    for lineno, toks in entries:
+        for tok in toks:
+            vals.append(parse_float(tok, lineno))
+    expected = nrows * ncols if symmetry == "general" else nrows * (nrows + 1) // 2
+    if len(vals) != expected:
+        lineno = entries[-1][0] if entries else size_lineno
+        raise MatrixMarketError(lineno, f"expected {expected} values, found {len(vals)}")
+    dense = np.zeros((nrows, ncols))
+    if symmetry == "general":
+        dense[:] = np.asarray(vals).reshape((ncols, nrows)).T
+    else:
+        cols, rows = np.triu_indices(nrows)
+        dense[rows, cols] = vals
+        dense[cols, rows] = vals
+    return SparseMat.from_dense(dense, symmetric=(symmetry == "symmetric"))
+
+
+def reference_read_vector(text):
+    """Oracle for ``read_vector`` on plain text: one value per token."""
+    vals = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        for tok in line.split():
+            try:
+                val = float(tok)
+            except ValueError:
+                raise MatrixMarketError(lineno, f"expected a real value, got {tok!r}") from None
+            if not np.isfinite(val):
+                raise MatrixMarketError(lineno, f"non-finite value {tok!r}")
+            vals.append(val)
+    return np.asarray(vals, dtype=np.float64)
+
+
+GEN = "%%MatrixMarket matrix coordinate real general\n"
+SYM = "%%MatrixMarket matrix coordinate real symmetric\n"
+ARR = "%%MatrixMarket matrix array real general\n"
+ARR_SYM = "%%MatrixMarket matrix array real symmetric\n"
+
+# (id, text, line, message): each input has exactly one error
+READ_ERRORS = [
+    ("no-header", "2 2 1\n1 1 1\n", 1, "missing %%MatrixMarket header"),
+    ("empty-text", "\n  \n", 1, "missing %%MatrixMarket header"),
+    ("header-after-blanks", "\n\n%%MatrixMarket matrix coordinate\n", 3,
+     "malformed header '%%MatrixMarket matrix coordinate'"),
+    ("header-not-matrix", "%%MatrixMarket vector coordinate real general\n1 1 1\n1 1 1\n", 1,
+     "malformed header '%%MatrixMarket vector coordinate real general'"),
+    ("header-six-fields", "%%MatrixMarket matrix coordinate real general x\n", 1,
+     "malformed header '%%MatrixMarket matrix coordinate real general x'"),
+    ("format", "%%MatrixMarket matrix dense real general\n2 2\n", 1, "unsupported format 'dense'"),
+    ("field", "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 1\n", 1,
+     "unsupported field 'integer' (only real)"),
+    ("symmetry", "%%MatrixMarket matrix coordinate real hermitian\n2 2 1\n1 1 1\n", 1,
+     "unsupported symmetry 'hermitian'"),
+    ("no-size-line", GEN + "% only a comment\n\n", 4, "missing size line"),
+    ("no-size-line-array", ARR, 2, "missing size line"),
+    ("coordinate-size-two-tokens", GEN + "2 2\n1 1 1\n", 2,
+     "coordinate size line needs 'rows cols nnz'"),
+    ("coordinate-size-four-tokens", GEN + "2 2 1 1\n1 1 1\n", 2,
+     "coordinate size line needs 'rows cols nnz'"),
+    ("array-size-three-tokens", ARR + "2 2 4\n1\n2\n3\n4\n", 2, "array size line needs 'rows cols'"),
+    ("row-count", GEN + "two 2 1\n1 1 1\n", 2, "expected an integer row count, got 'two'"),
+    ("column-count", GEN + "2 2.0 1\n1 1 1\n", 2, "expected an integer column count, got '2.0'"),
+    ("entry-count", GEN + "2 2 1e0\n1 1 1\n", 2, "expected an integer entry count, got '1e0'"),
+    ("array-column-count", ARR + "2 x\n1\n", 2, "expected an integer column count, got 'x'"),
+    ("negative-size", GEN + "2 -2 0\n", 2, "negative size"),
+    ("negative-entry-count", GEN + "2 2 -1\n", 2, "negative size"),
+    ("too-few-entries", GEN + "2 2 3\n1 1 1\n2 2 1\n", 4, "expected 3 entries, found 2"),
+    ("too-many-entries", GEN + "2 2 1\n1 1 1\n% c\n2 2 1\n\n", 5, "expected 1 entries, found 2"),
+    ("no-entries", GEN + "2 2 1\n", 2, "expected 1 entries, found 0"),
+    ("entry-two-tokens", GEN + "2 2 2\n1 1 1\n2 2\n", 4, "coordinate entry needs 'i j value'"),
+    ("entry-four-tokens", GEN + "2 2 1\n1 1 1 0\n", 3, "coordinate entry needs 'i j value'"),
+    ("row-index", GEN + "2 2 2\n1 1 1\n1.0 2 1\n", 4, "expected an integer row index, got '1.0'"),
+    ("column-index", GEN + "2 2 1\n1 x 1\n", 3, "expected an integer column index, got 'x'"),
+    ("index-out-of-range", GEN + "2 2 2\n1 1 1\n3 1 5\n", 4, "index (3, 1) out of range for 2x2"),
+    ("index-zero", GEN + "2 3 1\n1 0 5\n", 3, "index (1, 0) out of range for 2x3"),
+    ("index-beyond-int64", GEN + "2 2 1\n99999999999999999999 1 1\n", 3,
+     "index (99999999999999999999, 1) out of range for 2x2"),
+    ("index-spelled-plus", GEN + "2 2 1\n+3 1_0 1\n", 3, "index (3, 10) out of range for 2x2"),
+    ("value", GEN + "2 2 1\n1 1 abc\n", 3, "expected a real value, got 'abc'"),
+    ("value-inf", GEN + "2 2 1\n1 1 inf\n", 3, "non-finite value 'inf'"),
+    ("value-nan", GEN + "2 2 2\n1 1 1\n2 2 -NaN\n", 4, "non-finite value '-NaN'"),
+    ("upper-triangle", SYM + "2 2 2\n1 2 -1\n2 2 2\n", 3,
+     "symmetric storage must list the lower triangle"),
+    ("array-value", ARR + "2 1\n1\n2 x\n", 4, "expected a real value, got 'x'"),
+    ("array-value-inf", ARR + "1 1\n-inf\n", 3, "non-finite value '-inf'"),
+    ("array-too-few", ARR + "2 2\n1\n3\n2\n", 5, "expected 4 values, found 3"),
+    ("array-too-many", ARR + "1 2\n1 2\n3\n", 4, "expected 2 values, found 3"),
+    ("array-no-values", ARR + "2 2\n", 2, "expected 4 values, found 0"),
+    ("array-symmetric-too-few", ARR_SYM + "2 2\n2\n-1\n", 4, "expected 3 values, found 2"),
+    ("array-symmetric-not-square", ARR_SYM + "2 3\n1\n2\n3\n4\n5\n6\n", 2,
+     "symmetric array storage requires a square matrix"),
+    ("comments-and-blanks-in-body", GEN + "2 2 3\n% c\n1 1 1\n\n   \n% 2 2 x\n2 x 1\n1 2 3\n", 8,
+     "expected an integer column index, got 'x'"),
+    ("crlf", GEN.replace("\n", "\r\n") + "2 2 2\r\n1 1 1\r\n2 2 z\r\n", 4,
+     "expected a real value, got 'z'"),
+    ("cr-only", "%%MatrixMarket matrix coordinate real general\r2 2 1\r1 3 1\r", 3,
+     "index (1, 3) out of range for 2x2"),
+]
+
+VECTOR_ERRORS = [
+    ("vector-nan", "1\n\nnan\n", 3, "non-finite value 'nan'"),
+    ("vector-text", "1 2\n% c\n3 four\n", 3, "expected a real value, got 'four'"),
+    ("vector-crlf-inf", "1\r\n2\r\n+inf\r\n", 3, "non-finite value '+inf'"),
+]
+
+# inputs the reader accepts, each with its own trap
+READ_VALID = [
+    ("banded7", None),
+    ("symmetric", SYM + "2 2 3\n1 1 2\n2 1 -1\n2 2 2\n"),
+    ("symmetric-diagonal", SYM + "3 3 2\n1 1 2\n3 3 4\n"),
+    ("symmetric-duplicates", SYM + "3 3 5\n2 1 1e-16\n2 1 1\n2 1 -1\n3 3 1\n2 1 3\n"),
+    ("general-duplicates", GEN + "2 2 4\n1 2 0.1\n1 2 0.2\n1 2 0.3\n2 1 1\n"),
+    ("stored-zero", GEN + "2 2 2\n1 1 0\n2 2 -0\n"),
+    ("spellings", GEN + "3 3 4\n+1 0_1 1E-3\n2 +2 .5\n3 3 -0.0\n١ ٢ 1_0\n"),
+    ("whitespace", GEN + "  2\t2  2 \n\t1 1   1.5\n2\t2\t-2.5   \n"),
+    ("comments-and-blanks-in-body", GEN + "% c\n\n2 2 1\n\n% 1 1 x\n   \n1 2 3.5\n% end\n"),
+    ("blanks-before-header", "\n  \n" + GEN + "1 1 1\n1 1 7\n"),
+    ("crlf", GEN.replace("\n", "\r\n") + "2 2 2\r\n1 1 1\r\n2 1 -3\r\n"),
+    ("upper-case-header", "%%MatrixMarket MATRIX Coordinate REAL Symmetric\n2 2 1\n2 1 4\n"),
+    ("empty-3x4", GEN + "3 4 0\n"),
+    ("empty-0x0", GEN + "0 0 0\n"),
+    ("rectangular", GEN + "2 3 2\n1 3 1\n2 1 2\n"),
+    ("array-general", ARR + "2 2\n1\n3\n2\n4\n"),
+    ("array-several-per-line", ARR + "2 3\n1 2\n3 4 5 6\n"),
+    ("array-symmetric", ARR_SYM + "2 2\n2\n-1\n2\n"),
+    ("array-empty", ARR + "0 3\n"),
+]
+
+
+def read_outcome(read, text):
+    """What ``read`` does with ``text``: its result, or (type, line, message)."""
+    try:
+        return read(text)
+    except Exception as exc:  # noqa: BLE001 - the oracle's exception is the expectation
+        return type(exc), getattr(exc, "lineno", None), str(exc)
+
+
+def assert_same_matrix(mat, ref):
+    assert mat.shape == ref.shape
+    assert mat.symmetric == ref.symmetric
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(mat, name), getattr(ref, name), err_msg=name)
+
+
+class TestReadErrors:
+    @pytest.mark.parametrize("text, lineno, message",
+                             [case[1:] for case in READ_ERRORS], ids=[c[0] for c in READ_ERRORS])
+    def test_error_names_its_line(self, text, lineno, message):
+        with pytest.raises(MatrixMarketError) as info:
+            read_matrix_market(text)
+        assert info.value.lineno == lineno
+        assert str(info.value) == f"line {lineno}: {message}"
+        assert read_outcome(reference_read, text) == (MatrixMarketError, lineno, str(info.value))
+
+    @pytest.mark.parametrize("text, lineno, message",
+                             [case[1:] for case in VECTOR_ERRORS], ids=[c[0] for c in VECTOR_ERRORS])
+    def test_vector_error_names_its_line(self, text, lineno, message):
+        with pytest.raises(MatrixMarketError) as info:
+            read_vector(text)
+        assert info.value.lineno == lineno
+        assert str(info.value) == f"line {lineno}: {message}"
+        assert read_outcome(reference_read_vector, text) == (MatrixMarketError, lineno,
+                                                              str(info.value))
+
+    @pytest.mark.parametrize("name, text", READ_VALID, ids=[c[0] for c in READ_VALID])
+    def test_valid_input_matches_reference(self, name, text, banded7_text):
+        text = banded7_text if text is None else text
+        assert_same_matrix(read_matrix_market(text), reference_read(text))
+
+    @pytest.mark.parametrize("text", ["", "\n", "1.5\n-2\n3e-4\n", "% c\n 1 2\t3 \n\n+4 1_0\r\n-0\n"])
+    def test_plain_vector_matches_reference(self, text):
+        v = read_vector(text)
+        assert v.dtype == np.float64
+        np.testing.assert_array_equal(v, reference_read_vector(text))
+
+
+@st.composite
+def stored_entries(draw, symmetric):
+    """(shape, entries) of a random sparse matrix; symmetric storage lists
+    the lower triangle, each position at most once."""
+    nrows = draw(st.integers(0, 8))
+    ncols = nrows if symmetric else draw(st.integers(0, 8))
+    if nrows == 0 or ncols == 0:
+        return (nrows, ncols), []
+    position = st.tuples(st.integers(1, nrows), st.integers(1, ncols))
+    if symmetric:
+        position = position.map(lambda ij: (max(ij), min(ij)))
+    value = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    entries = draw(st.lists(st.tuples(position, value), max_size=20, unique_by=lambda e: e[0]))
+    return (nrows, ncols), entries
+
+
+class TestRoundTripStorage:
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @given(data=st.data())
+    def test_random_matrix_round_trip(self, symmetric, data):
+        (nrows, ncols), entries = data.draw(stored_entries(symmetric))
+        kind = "symmetric" if symmetric else "general"
+        text = (f"%%MatrixMarket matrix coordinate real {kind}\n{nrows} {ncols} {len(entries)}\n"
+                + "".join(f"{i} {j} {v:.17g}\n" for (i, j), v in entries))
+        mat = read_matrix_market(text)
+        assert_same_matrix(mat, reference_read(text))
+        dense = np.zeros((nrows, ncols))
+        for (i, j), v in entries:
+            dense[i - 1, j - 1] = v
+            if symmetric:
+                dense[j - 1, i - 1] = v
+        np.testing.assert_array_equal(mat.scipy().toarray(), dense)
+        again = read_matrix_market(write_matrix_market(mat))
+        assert not again.symmetric
+        assert again.shape == mat.shape
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(mat, name), err_msg=name)
