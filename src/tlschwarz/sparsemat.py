@@ -1,12 +1,17 @@
 """Sparse CSR matrices, sparsity graphs, block-diagonal SuperLU factors, Matrix Market I/O.
 
 The on-disk format is Matrix Market (coordinate or array, real, general or
-symmetric storage).  The writer always emits general coordinate format with 17
-significant digits so that a write/read round trip reproduces every float64
-exactly.
+symmetric storage).  A read splits the body into tokens once and converts
+each kind of token with one numpy call; each check then runs over all entries
+at once, in the order ``read_matrix_market`` lists, and the first entry that
+fails it names its line in a ``MatrixMarketError``.  The writer always emits
+general coordinate format with 17 significant digits so that a write/read
+round trip reproduces every float64 exactly.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,7 +28,7 @@ class MatrixMarketError(ValueError):
 
     def __init__(self, lineno, message):
         super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
+        self.lineno = int(lineno)
 
 
 class SparseMat:
@@ -199,30 +204,43 @@ def factor_blocks(blocks, symmetric):
 # -- Matrix Market ---------------------------------------------------------
 
 
-def _tokenize(text):
-    """Yield (lineno, tokens) for non-comment, non-blank lines."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        yield lineno, line.split()
+def _body(lines, first):
+    """The lines after index ``first`` that are neither blank nor comments:
+    their line numbers, their tokens as one flat list and each one's count."""
+    stripped = [line.strip() for line in lines[first:]]
+    linenos = [k for k, line in enumerate(stripped, first + 1) if line and line[0] != "%"]
+    kept = [stripped[k - first - 1] for k in linenos]
+    counts = np.array([len(line.split()) for line in kept], dtype=np.int64)
+    return np.array(linenos, dtype=np.int64), " ".join(kept).split(), counts
 
 
-def _parse_float(tok, lineno):
+def _numbers(tokens, linenos, what=None):
+    """``tokens`` parsed as ``float`` parses them into finite float64 values,
+    or as ``int`` does into int64 when ``what`` names them.  ``linenos`` and
+    ``what`` hold one entry per token or one for all; the first bad token
+    raises, naming its line."""
     try:
-        val = float(tok)
-    except ValueError:
-        raise MatrixMarketError(lineno, f"expected a real value, got {tok!r}") from None
-    if not np.isfinite(val):
-        raise MatrixMarketError(lineno, f"non-finite value {tok!r}")
-    return val
+        values = np.array(tokens, dtype=np.float64 if what is None else np.int64)
+        if what is not None or np.isfinite(values).all():
+            return values
+    except (ValueError, OverflowError):
+        pass
+    n = len(tokens)
+    for tok, lineno, name in zip(tokens, np.broadcast_to(linenos, n), np.broadcast_to(what, n)):
+        try:
+            value = int(tok) if name else float(tok)
+        except ValueError:
+            expected = f"an integer {name}" if name else "a real value"
+            raise MatrixMarketError(lineno, f"expected {expected}, got {tok!r}") from None
+        if not name and not np.isfinite(value):
+            raise MatrixMarketError(lineno, f"non-finite value {tok!r}")
+    return np.array([int(tok) for tok in tokens], dtype=object)  # integers beyond int64
 
 
-def _parse_int(tok, lineno, what):
-    try:
-        return int(tok)
-    except ValueError:
-        raise MatrixMarketError(lineno, f"expected an integer {what}, got {tok!r}") from None
+def _first(bad, linenos, message):
+    """Raise ``message`` naming the line of the first True in ``bad``."""
+    if bad.any():
+        raise MatrixMarketError(linenos[np.argmax(bad)], message(np.argmax(bad)))
 
 
 def read_matrix_market(text):
@@ -231,16 +249,18 @@ def read_matrix_market(text):
     Supports coordinate and array formats, real field, general or symmetric
     storage.  Symmetric storage must list only the lower triangle; it is
     expanded on read and the result carries the verified symmetry flag.
+
+    Every error is a ``MatrixMarketError`` naming a line.  The header and the
+    size line are checked first.  The coordinate body is then checked one
+    property at a time over all entries, and the first entry that fails a
+    check is named, in this order: entry count, tokens per line, row index,
+    column index, index range, value, lower triangle (symmetric storage).
+    The array body is checked for its values, then for their count.
     """
     lines = text.splitlines()
-    header = None
-    header_lineno = 1
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.strip():
-            header = raw.strip()
-            header_lineno = lineno
-            break
-    if header is None or not header.startswith("%%MatrixMarket"):
+    header_lineno, header = next(
+        ((k, line.strip()) for k, line in enumerate(lines, 1) if line.strip()), (1, ""))
+    if not header.startswith("%%MatrixMarket"):
         raise MatrixMarketError(header_lineno, "missing %%MatrixMarket header")
     fields = header.split()
     if len(fields) != 5 or fields[1].lower() != "matrix":
@@ -252,108 +272,87 @@ def read_matrix_market(text):
         raise MatrixMarketError(header_lineno, f"unsupported field {field!r} (only real)")
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError(header_lineno, f"unsupported symmetry {symmetry!r}")
+    symmetric = symmetry == "symmetric"
 
-    body = [(ln, toks) for ln, toks in _tokenize(text) if ln > header_lineno]
-    if not body:
+    linenos, tokens, counts = _body(lines, header_lineno)
+    if not linenos.size:
         raise MatrixMarketError(len(lines) + 1, "missing size line")
-    size_lineno, size_toks = body[0]
-    entries = body[1:]
+    size_lineno, last_lineno = linenos[0], linenos[-1]
 
     if fmt == "coordinate":
-        if len(size_toks) != 3:
+        if counts[0] != 3:
             raise MatrixMarketError(size_lineno, "coordinate size line needs 'rows cols nnz'")
-        nrows = _parse_int(size_toks[0], size_lineno, "row count")
-        ncols = _parse_int(size_toks[1], size_lineno, "column count")
-        nnz = _parse_int(size_toks[2], size_lineno, "entry count")
+        nrows, ncols, nnz = _numbers(tokens[:3], size_lineno,
+                                     ("row count", "column count", "entry count")).tolist()
         if nrows < 0 or ncols < 0 or nnz < 0:
             raise MatrixMarketError(size_lineno, "negative size")
-        if len(entries) != nnz:
-            lineno = entries[-1][0] if entries else size_lineno
-            raise MatrixMarketError(lineno, f"expected {nnz} entries, found {len(entries)}")
-        ri, ci, vi = [], [], []
-        for lineno, toks in entries:
-            if len(toks) != 3:
-                raise MatrixMarketError(lineno, "coordinate entry needs 'i j value'")
-            i = _parse_int(toks[0], lineno, "row index")
-            j = _parse_int(toks[1], lineno, "column index")
-            if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise MatrixMarketError(lineno, f"index ({i}, {j}) out of range for {nrows}x{ncols}")
-            v = _parse_float(toks[2], lineno)
-            if symmetry == "symmetric" and i < j:
-                raise MatrixMarketError(lineno, "symmetric storage must list the lower triangle")
-            ri.append(i - 1)
-            ci.append(j - 1)
-            vi.append(v)
-            if symmetry == "symmetric" and i != j:
-                ri.append(j - 1)
-                ci.append(i - 1)
-                vi.append(v)
-        return SparseMat.from_coo(nrows, ncols, ri, ci, vi, symmetric=(symmetry == "symmetric"))
+        linenos, counts, tokens = linenos[1:], counts[1:], tokens[3:]
+        if linenos.size != nnz:
+            raise MatrixMarketError(last_lineno, f"expected {nnz} entries, found {linenos.size}")
+        _first(counts != 3, linenos, lambda k: "coordinate entry needs 'i j value'")
+        rows = _numbers(tokens[0::3], linenos, "row index")
+        cols = _numbers(tokens[1::3], linenos, "column index")
+        _first((rows < 1) | (rows > nrows) | (cols < 1) | (cols > ncols), linenos,
+               lambda k: f"index ({rows[k]}, {cols[k]}) out of range for {nrows}x{ncols}")
+        vals = _numbers(tokens[2::3], linenos)
+        if symmetric:
+            _first(rows < cols, linenos, lambda k: "symmetric storage must list the lower triangle")
+            # each entry followed by its mirror image off the diagonal, in file order
+            keep = np.repeat(rows != cols, 2)
+            keep[0::2] = True
+            rows, cols, vals = (np.stack(p, axis=1).ravel()[keep]
+                                for p in ((rows, cols), (cols, rows), (vals, vals)))
+        return SparseMat.from_coo(nrows, ncols, rows - 1, cols - 1, vals, symmetric=symmetric)
 
     # array format: dense values in column-major order
-    if len(size_toks) != 2:
+    if counts[0] != 2:
         raise MatrixMarketError(size_lineno, "array size line needs 'rows cols'")
-    nrows = _parse_int(size_toks[0], size_lineno, "row count")
-    ncols = _parse_int(size_toks[1], size_lineno, "column count")
-    if symmetry == "symmetric" and nrows != ncols:
+    nrows, ncols = _numbers(tokens[:2], size_lineno, ("row count", "column count")).tolist()
+    if symmetric and nrows != ncols:
         raise MatrixMarketError(size_lineno, "symmetric array storage requires a square matrix")
-    vals = []
-    for lineno, toks in entries:
-        for tok in toks:
-            vals.append(_parse_float(tok, lineno))
-    if symmetry == "general":
-        expected = nrows * ncols
-    else:
-        expected = nrows * (nrows + 1) // 2
-    if len(vals) != expected:
-        lineno = entries[-1][0] if entries else size_lineno
-        raise MatrixMarketError(lineno, f"expected {expected} values, found {len(vals)}")
+    vals = _numbers(tokens[2:], np.repeat(linenos[1:], counts[1:]))
+    expected = nrows * (nrows + 1) // 2 if symmetric else nrows * ncols
+    if vals.size != expected:
+        raise MatrixMarketError(last_lineno, f"expected {expected} values, found {vals.size}")
     dense = np.zeros((nrows, ncols))
-    if symmetry == "general":
-        dense[:] = np.asarray(vals).reshape((ncols, nrows)).T
-    else:
+    if symmetric:
         # the lower triangle column by column is the upper one row by row, transposed
         cols, rows = np.triu_indices(nrows)
         dense[rows, cols] = vals
         dense[cols, rows] = vals
-    return SparseMat.from_dense(dense, symmetric=(symmetry == "symmetric"))
+    else:
+        dense[:] = vals.reshape((ncols, nrows)).T
+    return SparseMat.from_dense(dense, symmetric=symmetric)
 
 
 def write_matrix_market(matrix):
     """Serialize to general coordinate format with 17 significant digits."""
-    out = ["%%MatrixMarket matrix coordinate real general"]
-    out.append(f"{matrix.nrows} {matrix.ncols} {matrix.nnz}")
     csr = matrix.scipy()
-    for i in range(matrix.nrows):
-        lo, hi = csr.indptr[i], csr.indptr[i + 1]
-        for j, v in zip(csr.indices[lo:hi], csr.data[lo:hi]):
-            out.append(f"{i + 1} {j + 1} {v:.17g}")
-    return "\n".join(out) + "\n"
+    rows = np.repeat(np.arange(1, matrix.nrows + 1), np.diff(csr.indptr))
+    return "\n".join([
+        "%%MatrixMarket matrix coordinate real general",
+        f"{matrix.nrows} {matrix.ncols} {matrix.nnz}",
+        *map("{} {} {:.17g}".format, rows.tolist(), (csr.indices + 1).tolist(), csr.data.tolist()),
+    ]) + "\n"
 
 
 def load_matrix_market(path):
-    with open(path, "r") as fh:
-        return read_matrix_market(fh.read())
+    return read_matrix_market(Path(path).read_text())
 
 
 def save_matrix_market(path, matrix):
-    with open(path, "w") as fh:
-        fh.write(write_matrix_market(matrix))
+    Path(path).write_text(write_matrix_market(matrix))
 
 
 def read_vector(text):
     """Parse a vector from Matrix Market array text or one value per line."""
-    stripped = text.lstrip()
-    if stripped.startswith("%%MatrixMarket"):
+    if text.lstrip().startswith("%%MatrixMarket"):
         mat = read_matrix_market(text)
         if mat.ncols != 1:
             raise ValueError(f"expected a single-column vector, got {mat.ncols} columns")
         return mat.scipy().toarray().ravel()
-    vals = []
-    for lineno, toks in _tokenize(text):
-        for tok in toks:
-            vals.append(_parse_float(tok, lineno))
-    return np.asarray(vals, dtype=np.float64)
+    linenos, tokens, counts = _body(text.splitlines(), 0)
+    return _numbers(tokens, np.repeat(linenos, counts))
 
 
 def write_vector(vec):
@@ -362,5 +361,4 @@ def write_vector(vec):
 
 
 def load_vector(path):
-    with open(path, "r") as fh:
-        return read_vector(fh.read())
+    return read_vector(Path(path).read_text())

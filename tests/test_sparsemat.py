@@ -521,6 +521,20 @@ VECTOR_ERRORS = [
     ("vector-crlf-inf", "1\r\n2\r\n+inf\r\n", 3, "non-finite value '+inf'"),
 ]
 
+# (id, text, line, message): two errors, and the check order decides which
+# one is named (entry count, tokens per line, row index, column index, index
+# range, value, lower triangle); the per-token oracle names the earlier line
+READ_PRECEDENCE = [
+    ("tokens-before-value", GEN + "2 2 2\n1 1 abc\n2 2\n", 4,
+     "coordinate entry needs 'i j value'"),
+    ("row-index-before-range", GEN + "2 2 2\n3 1 1\n1.5 1 1\n", 4,
+     "expected an integer row index, got '1.5'"),
+    ("column-index-before-range", GEN + "2 2 2\n0 1 1\n1 y 1\n", 4,
+     "expected an integer column index, got 'y'"),
+    ("range-before-value", GEN + "2 2 2\n1 1 x\n1 3 1\n", 4, "index (1, 3) out of range for 2x2"),
+    ("value-before-triangle", SYM + "2 2 2\n1 2 1\n2 2 nan\n", 4, "non-finite value 'nan'"),
+]
+
 # inputs the reader accepts, each with its own trap
 READ_VALID = [
     ("banded7", None),
@@ -569,6 +583,14 @@ class TestReadErrors:
         assert info.value.lineno == lineno
         assert str(info.value) == f"line {lineno}: {message}"
         assert read_outcome(reference_read, text) == (MatrixMarketError, lineno, str(info.value))
+
+    @pytest.mark.parametrize("text, lineno, message", [case[1:] for case in READ_PRECEDENCE],
+                             ids=[c[0] for c in READ_PRECEDENCE])
+    def test_check_order_decides_between_two_errors(self, text, lineno, message):
+        with pytest.raises(MatrixMarketError) as info:
+            read_matrix_market(text)
+        assert (info.value.lineno, str(info.value)) == (lineno, f"line {lineno}: {message}")
+        assert read_outcome(reference_read, text)[1] < lineno
 
     @pytest.mark.parametrize("text, lineno, message",
                              [case[1:] for case in VECTOR_ERRORS], ids=[c[0] for c in VECTOR_ERRORS])
