@@ -224,6 +224,8 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         None picks "asm" for symmetric matrices, "ras" otherwise.
     combine : {"none", "additive", "deflated"} or None
         None picks "additive" for symmetric matrices, "deflated" otherwise.
+        "none" applies the one-level method alone and, like
+        ``coarse="none"``, builds no coarse space: either one sets both.
 
     Coarse columns are made one subdomain at a time as the assembly asks for
     them: at most one dense extension is alive, and the assembly keeps only
@@ -244,8 +246,8 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         combine = "additive" if symmetric else "deflated"
     if combine not in COMBINE_KINDS:
         raise ValueError(f"unknown combination {combine!r}")
-    if coarse == "none":
-        combine = "none"
+    if "none" in (coarse, combine):
+        coarse = combine = "none"
     if nu is not None and not symmetric:
         raise ValueError("partition-of-unity modes require a symmetric matrix")
 

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import tlschwarz.cli
 from tlschwarz import ExperimentConfig, ProblemSpec, generate, save_matrix_market, write_vector
@@ -96,6 +97,40 @@ def test_file_based_run(capsys, tmp_path):
     )
     assert code == 0, err
     assert "converged = True" in out
+
+
+def test_symmetric_storage_file_takes_the_cg_path(capsys, tmp_path, monkeypatch):
+    # the lower triangle in symmetric storage solves as the general-storage
+    # file of test_file_based_run does: CG, same iterations, same solution
+    import tlschwarz.krylov
+
+    def no_gmres(*args, **kwargs):
+        raise AssertionError("a symmetric matrix file must take the CG path")
+
+    solves = []
+    pcg = tlschwarz.krylov.pcg
+    monkeypatch.setattr(tlschwarz.krylov, "pcg", lambda *a, **kw: solves.append(pcg(*a, **kw))
+                        or solves[-1])
+    monkeypatch.setattr(tlschwarz.krylov, "gmres", no_gmres)
+    mat, rhs = generate(ProblemSpec("poisson2d", 8))
+    lower = sp.tril(mat.scipy()).tocoo()
+    general, symmetric, rpath = tmp_path / "a.mtx", tmp_path / "lower.mtx", tmp_path / "b.txt"
+    save_matrix_market(str(general), mat)
+    symmetric.write_text(
+        f"%%MatrixMarket matrix coordinate real symmetric\n{mat.nrows} {mat.ncols} {lower.nnz}\n"
+        + "".join(f"{i + 1} {j + 1} {v:.17g}\n" for i, j, v in zip(lower.row, lower.col, lower.data)))
+    rpath.write_text(write_vector(rhs))
+    outs = []
+    for path in (general, symmetric):
+        code, out, err = run(capsys, "--matrix", str(path), "--rhs", str(rpath), "--N", "2",
+                             "--tol", "1e-10")
+        assert code == 0, err
+        assert "symmetric = True" in out and "condition_estimate" in out
+        outs.append([line for line in out.splitlines() if line.startswith("iterations")])
+    assert outs[0] == outs[1]
+    (x_general, report_general), (x_symmetric, report_symmetric) = solves
+    assert report_symmetric.iterations == report_general.iterations
+    np.testing.assert_array_equal(x_symmetric, x_general)
 
 
 def test_missing_source_is_usage_error(capsys):

@@ -291,18 +291,20 @@ class TestRunExperiment:
     def test_ras_bound_uses_the_run_thresholds(self):
         # the bound is checked on the asm + additive operator with the run's
         # maps, local factor and coarse space, whatever the run applied, so
-        # every run must match the asm + additive run's certificate
+        # every two-level run must match the asm + additive run's certificate;
+        # a one-level run builds no coarse space and has no bound to check
         def bound(one_level, combine):
             return run_experiment(ExperimentConfig(
                 kind="poisson2d", m=12, n_subdomains=4, nu=1.5, one_level=one_level,
                 combine=combine, solver="gmres")).bound_check
 
         want = bound("asm", "additive")
-        for run in [("ras", "additive"), ("asm", "none"), ("ras", "none"), ("asm", "deflated"),
-                    ("ras", "deflated")]:
+        for run in [("ras", "additive"), ("asm", "deflated"), ("ras", "deflated")]:
             got = bound(*run)
             assert got["measured"] == want["measured"], run
             assert got["inputs"] == want["inputs"], run
+        for run in [("asm", "none"), ("ras", "none")]:
+            assert bound(*run) is None, run
 
     def test_unknown_solver(self, monkeypatch):
         # the solver name is checked before the preconditioner is built

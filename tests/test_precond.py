@@ -314,6 +314,21 @@ class TestDefaultsAndErrors:
         assert pre.combine == "none"
         assert pre.coarse is None
 
+    @pytest.mark.parametrize("coarse", ["gevp", "full", "svd"])
+    def test_combine_none_builds_no_coarse_space(self, monkeypatch, coarse):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a coarse space was built that no apply reads")
+
+        monkeypatch.setattr(precond_mod, "build_harmonic", refuse)
+        monkeypatch.setattr(precond_mod.coarse_mod, "galerkin_coarse", refuse)
+        mat, _ = generate(ProblemSpec("poisson2d", 8))
+        pre = setup(mat, 4, coarse=coarse, combine="none")
+        assert pre.combine == "none" and pre.coarse is None
+        assert pre.report.coarse_kind == "none" and pre.report.n_coarse == 0
+        one_level = setup(mat, 4, coarse="none")
+        r = np.random.default_rng(3).standard_normal(mat.nrows)
+        assert np.array_equal(pre.apply(r), one_level.apply(r))
+
     def test_empty_selection_disables_coarse(self):
         mat = laplace1d(12)
         pre = setup(mat, 2, overlap=1, tau=1e6, coarse="gevp")
