@@ -224,8 +224,7 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         None picks "asm" for symmetric matrices, "ras" otherwise.
     combine : {"none", "additive", "deflated"} or None
         None picks "additive" for symmetric matrices, "deflated" otherwise.
-        "none" applies the one-level method alone and, like
-        ``coarse="none"``, builds no coarse space: either one sets both.
+        "none", like ``coarse="none"``, builds no coarse space: either sets both.
 
     Coarse columns are made one subdomain at a time as the assembly asks for
     them: at most one dense extension is alive, and the assembly keeps only

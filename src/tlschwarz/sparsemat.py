@@ -1,12 +1,11 @@
 """Sparse CSR matrices, sparsity graphs, block-diagonal SuperLU factors, Matrix Market I/O.
 
 The on-disk format is Matrix Market (coordinate or array, real, general or
-symmetric storage).  A read splits the body into tokens once and converts
-each kind of token with one numpy call; each check then runs over all entries
-at once, in the order ``read_matrix_market`` lists, and the first entry that
-fails it names its line in a ``MatrixMarketError``.  The writer always emits
-general coordinate format with 17 significant digits so that a write/read
-round trip reproduces every float64 exactly.
+symmetric storage).  A read converts each kind of token with one numpy call
+and runs each check over all entries at once, in the order entry count,
+tokens per line, row index, column index, range, value, lower triangle.  The
+writer emits general coordinate format with 17 significant digits, so a
+write/read round trip reproduces every float64 exactly.
 """
 
 from __future__ import annotations
@@ -250,12 +249,11 @@ def read_matrix_market(text):
     storage.  Symmetric storage must list only the lower triangle; it is
     expanded on read and the result carries the verified symmetry flag.
 
-    Every error is a ``MatrixMarketError`` naming a line.  The header and the
-    size line are checked first.  The coordinate body is then checked one
-    property at a time over all entries, and the first entry that fails a
-    check is named, in this order: entry count, tokens per line, row index,
-    column index, index range, value, lower triangle (symmetric storage).
-    The array body is checked for its values, then for their count.
+    Each error is a ``MatrixMarketError`` naming a line.  After the header
+    and the size line, a coordinate body is checked one property at a time
+    over all entries, in this order: entry count, tokens per line, row index,
+    column index, index range, value, lower triangle.  The first entry that
+    fails a check is named, so of two errors the earlier check's is reported.
     """
     lines = text.splitlines()
     header_lineno, header = next(
@@ -296,7 +294,8 @@ def read_matrix_market(text):
                lambda k: f"index ({rows[k]}, {cols[k]}) out of range for {nrows}x{ncols}")
         vals = _numbers(tokens[2::3], linenos)
         if symmetric:
-            _first(rows < cols, linenos, lambda k: "symmetric storage must list the lower triangle")
+            _first(rows < cols, linenos,
+                   lambda k: "symmetric storage must list the lower triangle")
             # each entry followed by its mirror image off the diagonal, in file order
             keep = np.repeat(rows != cols, 2)
             keep[0::2] = True
@@ -318,8 +317,7 @@ def read_matrix_market(text):
     if symmetric:
         # the lower triangle column by column is the upper one row by row, transposed
         cols, rows = np.triu_indices(nrows)
-        dense[rows, cols] = vals
-        dense[cols, rows] = vals
+        dense[rows, cols] = dense[cols, rows] = vals
     else:
         dense[:] = vals.reshape((ncols, nrows)).T
     return SparseMat.from_dense(dense, symmetric=symmetric)
@@ -356,8 +354,7 @@ def read_vector(text):
 
 
 def write_vector(vec):
-    vec = np.asarray(vec, dtype=np.float64)
-    return "\n".join(f"{v:.17g}" for v in vec) + "\n"
+    return "\n".join(map("{:.17g}".format, np.asarray(vec, dtype=np.float64).tolist())) + "\n"
 
 
 def load_vector(path):

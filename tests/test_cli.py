@@ -118,7 +118,8 @@ def test_symmetric_storage_file_takes_the_cg_path(capsys, tmp_path, monkeypatch)
     save_matrix_market(str(general), mat)
     symmetric.write_text(
         f"%%MatrixMarket matrix coordinate real symmetric\n{mat.nrows} {mat.ncols} {lower.nnz}\n"
-        + "".join(f"{i + 1} {j + 1} {v:.17g}\n" for i, j, v in zip(lower.row, lower.col, lower.data)))
+        + "".join(f"{i + 1} {j + 1} {v:.17g}\n"
+                  for i, j, v in zip(lower.row, lower.col, lower.data)))
     rpath.write_text(write_vector(rhs))
     outs = []
     for path in (general, symmetric):

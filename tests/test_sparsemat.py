@@ -475,7 +475,8 @@ READ_ERRORS = [
      "coordinate size line needs 'rows cols nnz'"),
     ("coordinate-size-four-tokens", GEN + "2 2 1 1\n1 1 1\n", 2,
      "coordinate size line needs 'rows cols nnz'"),
-    ("array-size-three-tokens", ARR + "2 2 4\n1\n2\n3\n4\n", 2, "array size line needs 'rows cols'"),
+    ("array-size-three-tokens", ARR + "2 2 4\n1\n2\n3\n4\n", 2,
+     "array size line needs 'rows cols'"),
     ("row-count", GEN + "two 2 1\n1 1 1\n", 2, "expected an integer row count, got 'two'"),
     ("column-count", GEN + "2 2.0 1\n1 1 1\n", 2, "expected an integer column count, got '2.0'"),
     ("entry-count", GEN + "2 2 1e0\n1 1 1\n", 2, "expected an integer entry count, got '1e0'"),
@@ -559,11 +560,16 @@ READ_VALID = [
 ]
 
 
+def cases(table):
+    """pytest parameters from ``(id, *values)`` rows."""
+    return [pytest.param(*row[1:], id=row[0]) for row in table]
+
+
 def read_outcome(read, text):
     """What ``read`` does with ``text``: its result, or (type, line, message)."""
     try:
         return read(text)
-    except Exception as exc:  # noqa: BLE001 - the oracle's exception is the expectation
+    except Exception as exc:  # any exception: the oracle's is the expectation
         return type(exc), getattr(exc, "lineno", None), str(exc)
 
 
@@ -575,8 +581,7 @@ def assert_same_matrix(mat, ref):
 
 
 class TestReadErrors:
-    @pytest.mark.parametrize("text, lineno, message",
-                             [case[1:] for case in READ_ERRORS], ids=[c[0] for c in READ_ERRORS])
+    @pytest.mark.parametrize("text, lineno, message", cases(READ_ERRORS))
     def test_error_names_its_line(self, text, lineno, message):
         with pytest.raises(MatrixMarketError) as info:
             read_matrix_market(text)
@@ -584,16 +589,14 @@ class TestReadErrors:
         assert str(info.value) == f"line {lineno}: {message}"
         assert read_outcome(reference_read, text) == (MatrixMarketError, lineno, str(info.value))
 
-    @pytest.mark.parametrize("text, lineno, message", [case[1:] for case in READ_PRECEDENCE],
-                             ids=[c[0] for c in READ_PRECEDENCE])
+    @pytest.mark.parametrize("text, lineno, message", cases(READ_PRECEDENCE))
     def test_check_order_decides_between_two_errors(self, text, lineno, message):
         with pytest.raises(MatrixMarketError) as info:
             read_matrix_market(text)
         assert (info.value.lineno, str(info.value)) == (lineno, f"line {lineno}: {message}")
         assert read_outcome(reference_read, text)[1] < lineno
 
-    @pytest.mark.parametrize("text, lineno, message",
-                             [case[1:] for case in VECTOR_ERRORS], ids=[c[0] for c in VECTOR_ERRORS])
+    @pytest.mark.parametrize("text, lineno, message", cases(VECTOR_ERRORS))
     def test_vector_error_names_its_line(self, text, lineno, message):
         with pytest.raises(MatrixMarketError) as info:
             read_vector(text)
@@ -602,12 +605,13 @@ class TestReadErrors:
         assert read_outcome(reference_read_vector, text) == (MatrixMarketError, lineno,
                                                               str(info.value))
 
-    @pytest.mark.parametrize("name, text", READ_VALID, ids=[c[0] for c in READ_VALID])
-    def test_valid_input_matches_reference(self, name, text, banded7_text):
+    @pytest.mark.parametrize("text", cases(READ_VALID))
+    def test_valid_input_matches_reference(self, text, banded7_text):
         text = banded7_text if text is None else text
         assert_same_matrix(read_matrix_market(text), reference_read(text))
 
-    @pytest.mark.parametrize("text", ["", "\n", "1.5\n-2\n3e-4\n", "% c\n 1 2\t3 \n\n+4 1_0\r\n-0\n"])
+    @pytest.mark.parametrize("text", ["", "\n", "1.5\n-2\n3e-4\n",
+                                      "% c\n 1 2\t3 \n\n+4 1_0\r\n-0\n"])
     def test_plain_vector_matches_reference(self, text):
         v = read_vector(text)
         assert v.dtype == np.float64
