@@ -109,8 +109,12 @@ def test_symmetric_storage_file_takes_the_cg_path(capsys, tmp_path, monkeypatch)
 
     solves = []
     pcg = tlschwarz.krylov.pcg
-    monkeypatch.setattr(tlschwarz.krylov, "pcg", lambda *a, **kw: solves.append(pcg(*a, **kw))
-                        or solves[-1])
+
+    def recording_pcg(*args, **kwargs):
+        solves.append(pcg(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(tlschwarz.krylov, "pcg", recording_pcg)
     monkeypatch.setattr(tlschwarz.krylov, "gmres", no_gmres)
     mat, rhs = generate(ProblemSpec("poisson2d", 8))
     lower = sp.tril(mat.scipy()).tocoo()
