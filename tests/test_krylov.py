@@ -132,6 +132,10 @@ class TestPcg:
             expected = float(ritz[-1] / ritz[0])
         assert krylov._cond_from_recurrence(alphas, betas) == expected
 
+    def test_recurrence_with_a_nonpositive_ritz_value_is_infinite(self):
+        # diag (1, -1), no coupling: the smallest Ritz value is -1
+        assert krylov._cond_from_recurrence([1.0, -1.0], [0.0]) == float("inf")
+
     def test_report_text(self):
         mat = laplace1d(16)
         _, report = pcg(mat, None, np.ones(16), tol=1e-10, track_tridiagonal=True)
@@ -413,3 +417,19 @@ class TestConditionEstimate:
         pre = setup(mat, 2, overlap=1, coarse="none", one_level="ras")
         with pytest.raises(ValueError):
             estimate_condition(mat, pre)
+
+    def test_rejects_indefinite_preconditioner(self):
+        class Negated:
+            is_symmetric = True
+
+            def apply(self, r):
+                return -r
+
+        with pytest.raises(ValueError, match="^preconditioner is not positive definite$"):
+            estimate_condition(laplace1d(10), Negated())
+
+    def test_rejects_indefinite_matrix(self):
+        mat = SparseMat.from_dense(np.diag([1.0, -1.0]), symmetric=True)
+        with pytest.raises(ValueError,
+                           match="^preconditioned operator is not positive definite$"):
+            estimate_condition(mat)

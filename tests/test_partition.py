@@ -7,6 +7,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from tlschwarz import (
     Partition,
+    SubdomainMap,
     color_subdomains,
     extend_overlap,
     partition_graph,
@@ -80,6 +81,17 @@ class TestPartition:
             Partition(3, np.array([0, 0, 1, 1]))
         with pytest.raises(ValueError, match="out of range"):
             Partition(2, np.array([0, 2]))
+        with pytest.raises(ValueError, match="flat vector"):
+            Partition(1, np.zeros((2, 2), dtype=int))
+        for count in (0, 3):
+            with pytest.raises(ValueError, match="subdomain count out of range"):
+                Partition(count, np.array([0, 0]))
+
+    def test_subdomain_map_validation(self):
+        with pytest.raises(ValueError, match="subdomain 4 has empty interior"):
+            SubdomainMap(4, 5, np.array([], dtype=int), (np.array([1]),))
+        with pytest.raises(ValueError, match="subdomain 2 has repeated indices"):
+            SubdomainMap(2, 5, np.array([0, 1]), (np.array([2, 1]),))
 
 
 def budgets_by_rescan(sizes, n_parts):
@@ -189,6 +201,10 @@ class TestColoring:
         k_c, colors = color_subdomains(extend_overlap(g, part, 1))
         assert k_c == 2
         assert colors[0] != colors[1]
+
+    def test_no_subdomains_rejected(self):
+        with pytest.raises(ValueError, match="no subdomains to color"):
+            color_subdomains([])
 
     def test_single_subdomain(self):
         g = path_graph(6)

@@ -179,6 +179,25 @@ class TestSparseMat:
         with pytest.raises(ValueError, match="finite"):
             SparseMat.from_coo(1, 1, [0], [0], [np.nan])
 
+    def test_constructor_validation(self):
+        with pytest.raises(TypeError, match="expected a scipy sparse matrix"):
+            SparseMat(np.eye(2))
+        with pytest.raises(ValueError, match="symmetric flag requires a square matrix"):
+            SparseMat(sp.csr_matrix((2, 3)), symmetric=True)
+
+    @pytest.mark.parametrize("rows, cols, message", [
+        ([2], [0], "row index out of range"),
+        ([-1], [0], "row index out of range"),
+        ([0], [3], "column index out of range"),
+        ([0], [-1], "column index out of range"),
+    ])
+    def test_from_coo_index_out_of_range(self, rows, cols, message):
+        with pytest.raises(ValueError, match=message):
+            SparseMat.from_coo(2, 3, rows, cols, [1.0])
+
+    def test_rectangular_is_not_numerically_symmetric(self):
+        assert not SparseMat.from_coo(2, 3, [0], [0], [1.0]).is_numerically_symmetric()
+
     def test_immutability(self, banded7):
         with pytest.raises(ValueError):
             banded7.data[0] = 99.0

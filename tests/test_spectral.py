@@ -217,6 +217,14 @@ class TestHarmonicModes:
         with pytest.raises(ValueError):
             select_harmonic_modes(blocks, ext, 0.0)
 
+    def test_rejects_nonsymmetric(self):
+        blocks, ext = fixture_1d3()
+        ns = type(blocks)(
+            subdomain=0, a=blocks.a, n_interior=2, layer_sizes=(1,), symmetric=False
+        )
+        with pytest.raises(ValueError, match="require a symmetric block"):
+            select_harmonic_modes(ns, ext, 0.1)
+
     def test_boundary_pencil_matches_full_pencil(self):
         # the n_boundary pencil selects the span of the n_local pencil, and
         # the n_inner zeros it cannot see are appended to its values
@@ -258,6 +266,12 @@ class TestSvdModes:
         blocks, ext = fixture_1d3()
         sigma = svd_harmonic_modes(blocks, ext, 0.1).all_values[0]
         assert svd_harmonic_modes(blocks, ext, float(sigma)).n_selected == 0
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.1])
+    def test_rejects_bad_threshold(self, threshold):
+        blocks, ext = fixture_1d3()
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            svd_harmonic_modes(blocks, ext, threshold)
 
     def test_empty_boundary(self):
         mat = laplace1d(4)
