@@ -3,7 +3,7 @@
 The package builds overlapping-subdomain preconditioners directly from the
 sparsity pattern and entries of a matrix — no mesh or geometry — including a
 spectrally chosen coarse space, and verifies the attendant condition-number
-bounds on desk-scale problems.
+bound on desk-scale problems.
 """
 
 from .sparsemat import (

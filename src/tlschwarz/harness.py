@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import eigsh
 
 from . import krylov
 from .precond import setup, Preconditioner
@@ -134,10 +134,10 @@ def lambda_star(matrix, maps):
     """Largest eigenvalue of sum_i R_i^T A_ii R_i u = lambda A u.
 
     Dense generalized eigensolve up to ``krylov.DENSE_CUTOFF`` rows; beyond
-    it, inverse-weighted power iteration from a seeded random start, stopped
-    when the Rayleigh quotient changes by at most 1e-6 relative or after 2000
-    steps.  Always at least one (up to round-off) because the subdomains
-    cover every unknown.
+    it, one call to ARPACK's Lanczos method (``eigsh`` with M = A, which
+    solves with a sparse LU of A) from a seeded random start, converged to
+    machine precision.  Always at least one (up to round-off) because the
+    subdomains cover every unknown.
     """
     n = matrix.nrows
     if not matrix.symmetric:
@@ -148,28 +148,14 @@ def lambda_star(matrix, maps):
     if n <= krylov.DENSE_CUTOFF:
         vals = eigh(stacked.toarray(), matrix.to_dense(), eigvals_only=True)
         return max(float(vals[-1]), 1.0)
-    a = matrix.scipy()
-    lu = splu(a.tocsc())
-
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(2000):
-        sv = stacked @ v
-        lam_next = float(v @ sv) / float(v @ (a @ v))
-        w = lu.solve(sv)
-        w /= np.linalg.norm(w)
-        if abs(lam_next - lam) <= 1e-6 * max(abs(lam_next), 1.0):
-            lam = lam_next
-            break
-        lam, v = lam_next, w
-    return max(lam, 1.0)
+    v0 = np.random.default_rng(12345).standard_normal(n)
+    vals = eigsh(stacked, k=1, M=matrix.scipy(), which="LA", v0=v0, return_eigenvectors=False)
+    return max(float(vals[0]), 1.0)
 
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Constants entering the two-level condition bounds.
+    """Constants entering the two-level condition bound.
 
     ``nu`` and ``tau`` are the sharp data-derived thresholds (largest value
     left out of the coarse space in each pencil), not the user's knobs, so a
@@ -192,41 +178,45 @@ class BoundInputs:
             raise ValueError("lambda_star must be at least 1")
 
 
-def theoretical_bound(inputs, variant):
-    """Certified condition bound for the symmetric additive two-level method.
+def theoretical_bound(inputs):
+    """Certified condition bound for the symmetric additive two-level method:
 
-    variant "full"   — (k_c + 1) * (2 + (2 k_c + 1) * k_c * nu)
-    variant "shrunk" — (k_c + 1) * (2 + (2 k_c + 1) * nu *
-                       (k_c + lam_star * (2 tau + tau^2)))
+        (k_c + 1) * (2 + (2 k_c + 1) * nu * (k_c + lam_star * (2 tau + tau^2)))
+
+    At tau = 0, as for the full coarse space, it is
+    (k_c + 1) * (2 + (2 k_c + 1) * k_c * nu).
     """
-    kc, nu = inputs.k_c, inputs.nu
-    if variant == "full":
-        return (kc + 1) * (2.0 + (2 * kc + 1) * kc * nu)
-    if variant == "shrunk":
-        tau, lam = inputs.tau, inputs.lam_star
-        return (kc + 1) * (2.0 + (2 * kc + 1) * nu * (kc + lam * (2 * tau + tau * tau)))
-    raise ValueError(f"unknown bound variant {variant!r}")
+    kc, nu, tau, lam = inputs.k_c, inputs.nu, inputs.tau, inputs.lam_star
+    return (kc + 1) * (2.0 + (2 * kc + 1) * nu * (kc + lam * (2 * tau + tau * tau)))
 
 
-def derive_bound_inputs(precond, variant):
-    """Sharp bound constants from a built (symmetric) preconditioner.
+def _bound_covers(precond):
+    """Whether the bound covers ``precond``: a symmetric matrix and a coarse
+    space of every harmonic extension ("full") or of the harmonic pencil's
+    modes ("gevp")."""
+    return (precond.matrix.symmetric and precond.coarse is not None
+            and precond.report.coarse_kind in ("full", "gevp"))
+
+
+def derive_bound_inputs(precond):
+    """Sharp bound constants from a built preconditioner the bound covers.
 
     ``nu`` is the largest partition-of-unity eigenvalue not represented in
     the coarse space (all of them when those modes are disabled), clamped to
     one, recomputed block by block (each densified in turn) at the threshold
     the setup report records; ``tau`` is the largest harmonic singular value
-    left unselected, as recorded in the report.
+    left unselected, as recorded in the report (0 for the full coarse
+    space, which selects every mode).  Raises ``ValueError`` for a
+    nonsymmetric matrix and for a run without a "full" or "gevp" coarse
+    space (``coarse="svd"`` or ``"none"``), which the bound does not cover.
     """
-    if not precond.matrix.symmetric:
-        raise ValueError("bound constants are defined for the symmetric theory")
+    if not _bound_covers(precond):
+        raise ValueError("the condition bound covers a symmetric matrix with a built "
+                         "'full' or 'gevp' coarse space")
     report = precond.report
     threshold = np.inf if report.nu is None else report.nu
     nu = max([1.0] + [select_pou_modes(b, threshold).largest_unselected for b in precond.blocks])
-    tau = 0.0
-    if variant == "shrunk":
-        if not report.largest_unselected:
-            raise ValueError("shrunk bound needs the harmonic-pencil selection")
-        tau = max(report.largest_unselected)
+    tau = max(report.largest_unselected, default=0.0)
     lam = lambda_star(precond.matrix, precond.maps)
     return BoundInputs(k_c=report.k_c, nu=nu, tau=tau, lam_star=lam)
 
@@ -311,11 +301,8 @@ def run_experiment(config):
                                        maxit=config.maxit)
 
     bound_check = None
-    if (matrix.symmetric and matrix.nrows <= krylov.DENSE_CUTOFF
-            and precond.coarse is not None
-            and precond.report.coarse_kind in ("full", "gevp")):
-        variant = "full" if precond.report.coarse_kind == "full" else "shrunk"
-        bound_check = _bound_verdict(matrix, precond, variant)
+    if _bound_covers(precond) and matrix.nrows <= krylov.DENSE_CUTOFF:
+        bound_check = _bound_verdict(matrix, precond)
 
     lines = [precond.report.to_text(), solve_report.to_text()]
     if bound_check is not None:
@@ -335,14 +322,14 @@ def run_experiment(config):
     return ExperimentResult(matrix, rhs, x, precond, solve_report, bound_check, report_text)
 
 
-def _bound_verdict(matrix, precond, variant):
+def _bound_verdict(matrix, precond):
     """Check the bound on the symmetric (asm, additive) operator the theory
     covers: the built preconditioner's maps, local factor and coarse space,
     applied as asm + additive whatever the run itself applies."""
     theory_pc = replace(precond, one_level="asm", combine="additive")
     measured = krylov.estimate_condition(matrix, theory_pc)
-    inputs = derive_bound_inputs(theory_pc, variant)
-    bound = theoretical_bound(inputs, variant)
+    inputs = derive_bound_inputs(theory_pc)
+    bound = theoretical_bound(inputs)
     return {
         "measured": measured,
         "bound": bound,

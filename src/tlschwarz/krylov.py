@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh_tridiagonal, solve_triangular
+from scipy.linalg import LinAlgError, cholesky, eigvalsh, eigvalsh_tridiagonal, solve_triangular
 
 GMRES_MAXIT_CAP = 1000
 GMRES_START_CAPACITY = 16  # rows of the first basis; doubled when full
@@ -232,10 +232,11 @@ def estimate_condition(matrix, precond=None):
     """Condition number of the preconditioned operator (symmetric case).
 
     Up to ``DENSE_CUTOFF`` rows this is the exact extreme-eigenvalue ratio of
-    C^{1/2} A C^{1/2} with C the assembled dense preconditioner (similar to
-    C A).  Beyond it, the Lanczos estimate harvested from a conjugate-gradient
-    run (tolerance 1e-12, at most 400 iterations) on a random right-hand side
-    of seed 0.
+    L^T A L, where L is the lower Cholesky factor of the assembled dense
+    preconditioner C = L L^T (L^T A L is similar to C A); the factorization
+    reads only C's lower triangle.  Beyond it, the Lanczos estimate harvested from
+    a conjugate-gradient run (tolerance 1e-12, at most 400 iterations) on a
+    random right-hand side of seed 0.
     """
     if not matrix.symmetric:
         raise ValueError("condition estimation is defined for symmetric matrices")
@@ -243,18 +244,15 @@ def estimate_condition(matrix, precond=None):
         raise ValueError("condition estimation needs a symmetric preconditioner")
     n = matrix.nrows
     if n <= DENSE_CUTOFF:
-        dense_a = matrix.to_dense()
         c = np.empty((n, n))
         eye = np.eye(n)
         for j in range(n):
             c[:, j] = _apply_precond(precond, eye[:, j])
-        c = 0.5 * (c + c.T)
-        mu, u = eigh(c)
-        if mu[0] <= 0:
-            raise ValueError("preconditioner is not positive definite")
-        root = u * np.sqrt(mu)
-        sym = root.T @ dense_a @ root
-        lam = eigh(0.5 * (sym + sym.T), eigvals_only=True)
+        try:
+            low = cholesky(c, lower=True)
+        except LinAlgError:
+            raise ValueError("preconditioner is not positive definite") from None
+        lam = eigvalsh(low.T @ matrix.to_dense() @ low)
         if lam[0] <= 0:
             raise ValueError("preconditioned operator is not positive definite")
         return float(lam[-1] / lam[0])

@@ -236,6 +236,17 @@ def _numbers(tokens, linenos, what=None):
     return np.array([int(tok) for tok in tokens], dtype=object)  # integers beyond int64
 
 
+def _sizes(tokens, lineno, names):
+    """The size line's integers, named by ``names``; a negative one raises
+    ``negative size`` and one beyond int64 ``size out of range``."""
+    sizes = _numbers(tokens, lineno, names).tolist()
+    if min(sizes) < 0:
+        raise MatrixMarketError(lineno, "negative size")
+    if max(sizes) > np.iinfo(np.int64).max:
+        raise MatrixMarketError(lineno, "size out of range")
+    return sizes
+
+
 def _first(bad, linenos, message):
     """Raise ``message`` naming the line of the first True in ``bad``."""
     if bad.any():
@@ -249,8 +260,10 @@ def read_matrix_market(text):
     storage.  Symmetric storage must list only the lower triangle; it is
     expanded on read and the result carries the verified symmetry flag.
 
-    Each error is a ``MatrixMarketError`` naming a line.  After the header
-    and the size line, a coordinate body is checked one property at a time
+    Each error is a ``MatrixMarketError`` naming a line.  The size line's
+    values, in either format, must be integers, none negative (``negative
+    size``) or beyond int64 (``size out of range``).  After the header and
+    the size line, a coordinate body is checked one property at a time
     over all entries, in this order: entry count, tokens per line, row index,
     column index, index range, value, lower triangle.  The first entry that
     fails a check is named, so of two errors the earlier check's is reported.
@@ -280,10 +293,8 @@ def read_matrix_market(text):
     if fmt == "coordinate":
         if counts[0] != 3:
             raise MatrixMarketError(size_lineno, "coordinate size line needs 'rows cols nnz'")
-        nrows, ncols, nnz = _numbers(tokens[:3], size_lineno,
-                                     ("row count", "column count", "entry count")).tolist()
-        if nrows < 0 or ncols < 0 or nnz < 0:
-            raise MatrixMarketError(size_lineno, "negative size")
+        nrows, ncols, nnz = _sizes(tokens[:3], size_lineno,
+                                   ("row count", "column count", "entry count"))
         linenos, counts, tokens = linenos[1:], counts[1:], tokens[3:]
         if linenos.size != nnz:
             raise MatrixMarketError(last_lineno, f"expected {nnz} entries, found {linenos.size}")
@@ -306,7 +317,7 @@ def read_matrix_market(text):
     # array format: dense values in column-major order
     if counts[0] != 2:
         raise MatrixMarketError(size_lineno, "array size line needs 'rows cols'")
-    nrows, ncols = _numbers(tokens[:2], size_lineno, ("row count", "column count")).tolist()
+    nrows, ncols = _sizes(tokens[:2], size_lineno, ("row count", "column count"))
     if symmetric and nrows != ncols:
         raise MatrixMarketError(size_lineno, "symmetric array storage requires a square matrix")
     vals = _numbers(tokens[2:], np.repeat(linenos[1:], counts[1:]))

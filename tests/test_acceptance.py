@@ -154,8 +154,8 @@ def test_criterion_4_spectral_coarse_bound():
         pre = setup(mat, n_sub, overlap=2, tau=0.1, coarse="gevp",
                     one_level="asm", combine="additive")
         measured = estimate_condition(mat, pre)
-        inputs = derive_bound_inputs(pre, "shrunk")
-        bound = theoretical_bound(inputs, "shrunk")
+        inputs = derive_bound_inputs(pre)
+        bound = theoretical_bound(inputs)
         ok &= measured <= bound
         rows.append(f"{spec.kind}/m={spec.m}/N={n_sub}: {measured:.2f}<={bound:.1f}")
     elapsed = time.perf_counter() - t0
@@ -172,8 +172,8 @@ def test_criterion_5_full_coarse_bound():
     mat, _ = generate(ProblemSpec("poisson2d", 12))
     pre = setup(mat, 4, overlap=2, coarse="full", one_level="asm", combine="additive")
     measured = estimate_condition(mat, pre)
-    inputs = derive_bound_inputs(pre, "full")
-    bound = theoretical_bound(inputs, "full")
+    inputs = derive_bound_inputs(pre)
+    bound = theoretical_bound(inputs)
     ok = measured <= bound
     verdict(
         "criterion-5 full-coarse bound",

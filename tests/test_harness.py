@@ -142,13 +142,13 @@ class TestLambdaStar:
         # overlap cannot cross components, so the stacked sum is the matrix
         assert lambda_star(mat, maps) == pytest.approx(1.0, abs=1e-10)
 
-    def test_dense_and_power_paths_agree(self, monkeypatch):
+    def test_dense_and_eigsh_paths_agree(self, monkeypatch):
         mat, _ = generate(ProblemSpec("poisson2d", 8))
         pre = setup(mat, 4, overlap=2, coarse="none")
         dense = lambda_star(mat, pre.maps)
         monkeypatch.setattr(krylov, "DENSE_CUTOFF", 0)
-        power = lambda_star(mat, pre.maps)
-        assert power == pytest.approx(dense, rel=1e-3)
+        iterative = lambda_star(mat, pre.maps)
+        assert iterative == pytest.approx(dense, rel=1e-12)
         assert dense >= 1.0
 
     def test_rejects_nonsymmetric(self):
@@ -160,20 +160,16 @@ class TestLambdaStar:
 
 class TestBounds:
     def test_frozen_values(self):
-        assert theoretical_bound(BoundInputs(2, 1.0), "full") == pytest.approx(36.0)
-        assert theoretical_bound(BoundInputs(1, 1.0), "full") == pytest.approx(10.0)
-        shrunk = theoretical_bound(BoundInputs(2, 1.5, tau=0.1, lam_star=2.0), "shrunk")
+        assert theoretical_bound(BoundInputs(2, 1.0)) == pytest.approx(36.0)
+        assert theoretical_bound(BoundInputs(1, 1.0)) == pytest.approx(10.0)
+        shrunk = theoretical_bound(BoundInputs(2, 1.5, tau=0.1, lam_star=2.0))
         assert shrunk == pytest.approx(60.45)
 
     def test_shrunk_reduces_to_full_at_zero_tau(self):
         for kc, nu in ((1, 1.0), (2, 1.3), (4, 2.5)):
-            full = theoretical_bound(BoundInputs(kc, nu), "full")
-            shrunk = theoretical_bound(BoundInputs(kc, nu, tau=0.0, lam_star=7.0), "shrunk")
+            full = (kc + 1) * (2.0 + (2 * kc + 1) * kc * nu)
+            shrunk = theoretical_bound(BoundInputs(kc, nu, tau=0.0, lam_star=7.0))
             assert shrunk == pytest.approx(full)
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            theoretical_bound(BoundInputs(1, 1.0), "banana")
 
     def test_inputs_validation(self):
         with pytest.raises(ValueError):
@@ -188,14 +184,14 @@ class TestBounds:
     def test_derived_constants_are_consistent(self):
         mat, _ = generate(ProblemSpec("poisson2d", 10))
         pre = setup(mat, 4, overlap=2, tau=0.1)
-        inputs = derive_bound_inputs(pre, "shrunk")
+        inputs = derive_bound_inputs(pre)
         assert inputs.k_c == pre.report.k_c
         assert inputs.nu >= 1.0
         # whatever was left out of the coarse space sits at or below the knob
         assert inputs.tau <= 0.1 * (1 + 1e-9)
         assert inputs.lam_star >= 1.0
         measured = estimate_condition(mat, pre)
-        assert measured <= theoretical_bound(inputs, "shrunk")
+        assert measured <= theoretical_bound(inputs)
 
     @pytest.mark.parametrize("kind, m, n_sub, nu, expected", [
         ("poisson2d", 12, 4, None, (3, 2.3983864772441987, 0.08241624485513435, 10.426478816873761)),
@@ -205,18 +201,26 @@ class TestBounds:
     ])
     def test_shrunk_constants_pinned(self, kind, m, n_sub, nu, expected):
         mat, _ = generate(ProblemSpec(kind, m))
-        inputs = derive_bound_inputs(setup(mat, n_sub, nu=nu), "shrunk")
+        inputs = derive_bound_inputs(setup(mat, n_sub, nu=nu))
         assert inputs.k_c == expected[0]
         np.testing.assert_allclose([inputs.nu, inputs.tau, inputs.lam_star], expected[1:],
                                    rtol=1e-12)
 
-    def test_shrunk_requires_selection(self):
+    def test_full_coarse_space_has_zero_tau(self):
         mat, _ = generate(ProblemSpec("poisson2d", 8))
         pre = setup(mat, 2, overlap=2, coarse="full")
-        with pytest.raises(ValueError):
-            derive_bound_inputs(pre, "shrunk")
-        inputs = derive_bound_inputs(pre, "full")
-        assert inputs.tau == 0.0
+        assert pre.report.largest_unselected == ()
+        assert derive_bound_inputs(pre).tau == 0.0
+
+    @pytest.mark.parametrize("coarse", ["svd", "none"])
+    def test_refuses_a_coarse_space_it_does_not_cover(self, coarse):
+        # the Euclidean SVD selection and the one-level operator are outside
+        # the theory: no bound may be certified for them
+        mat, _ = generate(ProblemSpec("poisson2d", 12))
+        pre = setup(mat, 4, coarse=coarse)
+        assert not harness._bound_covers(pre)
+        with pytest.raises(ValueError, match="'full' or 'gevp' coarse space"):
+            derive_bound_inputs(pre)
 
     def test_bound_inputs_traced_peak(self):
         # traced allocations of the bound path alone: 39.9 MB while it held a
@@ -225,7 +229,7 @@ class TestBounds:
         pre = setup(mat, 64)
         tracemalloc.start()
         try:
-            derive_bound_inputs(pre, "shrunk")
+            derive_bound_inputs(pre)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

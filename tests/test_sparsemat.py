@@ -555,6 +555,26 @@ READ_PRECEDENCE = [
     ("value-before-triangle", SYM + "2 2 2\n1 2 1\n2 2 nan\n", 4, "non-finite value 'nan'"),
 ]
 
+# (id, text, message): size-line errors, each named on line 2.  The per-token
+# oracle checked none but the last (it raised numpy's ValueError, an
+# OverflowError or a value-count error); the last pins that a negative size is
+# reported before one beyond int64
+SIZE_ERRORS = [
+    ("array-negative-rows", ARR + "-1 0\n", "negative size"),
+    ("array-negative-product", ARR + "-2 2\n", "negative size"),
+    ("array-negative-columns", ARR + "2 -1\n1\n", "negative size"),
+    ("array-negative-beyond-int64", ARR + "-99999999999999999999 1\n", "negative size"),
+    ("array-rows-beyond-int64", ARR + "99999999999999999999 1\n1\n", "size out of range"),
+    ("coordinate-columns-beyond-int64", GEN + "2 99999999999999999999 1\n1 1 1\n",
+     "size out of range"),
+    ("coordinate-rows-beyond-int64", GEN + "99999999999999999999 2 1\n1 1 1\n",
+     "size out of range"),
+    ("coordinate-entries-beyond-int64", GEN + "2 2 99999999999999999999\n1 1 1\n",
+     "size out of range"),
+    ("negative-before-beyond-int64", GEN + "-1 99999999999999999999 1\n1 1 1\n",
+     "negative size"),
+]
+
 # inputs the reader accepts, each with its own trap
 READ_VALID = [
     ("banded7", None),
@@ -614,6 +634,12 @@ class TestReadErrors:
             read_matrix_market(text)
         assert (info.value.lineno, str(info.value)) == (lineno, f"line {lineno}: {message}")
         assert read_outcome(reference_read, text)[1] < lineno
+
+    @pytest.mark.parametrize("text, message", cases(SIZE_ERRORS))
+    def test_size_line_error_names_it(self, text, message):
+        with pytest.raises(MatrixMarketError) as info:
+            read_matrix_market(text)
+        assert (info.value.lineno, str(info.value)) == (2, f"line 2: {message}")
 
     @pytest.mark.parametrize("text, lineno, message", cases(VECTOR_ERRORS))
     def test_vector_error_names_its_line(self, text, lineno, message):
