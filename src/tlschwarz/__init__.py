@@ -30,7 +30,6 @@ from .subdomain import (
     SubdomainSetupError,
     extract_local_blocks,
     build_harmonic,
-    spsd_splitting,
 )
 from .spectral import (
     SpectralBasis,

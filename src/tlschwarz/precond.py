@@ -24,6 +24,11 @@ stacked, ras zeroes the result off the interiors (D_i = I for asm), and
 ``np.bincount`` adds it back in stacked order.  The coarse operator A00
 stays sparse, and only its factor is kept.
 
+``setup`` builds the coarse level before it factors the one-level blocks:
+the levels meet only in the apply, and the coarse factorization, where
+setup's memory peaks, then runs without the one-level factor (README has
+the peaks).  A failing local block is still reported before a coarse error.
+
 The two levels of the additive apply are independent, so the coarse solve
 runs on one private worker thread while the calling thread runs the
 one-level solve, and each BLAS call stays single-threaded.  The levels
@@ -229,6 +234,10 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     Coarse columns are made one subdomain at a time as the assembly asks for
     them: at most one dense extension is alive, and the assembly keeps only
     each subdomain's interior block.
+
+    The one-level factor is made last, after the coarse factor, so that
+    setup's memory peak holds no one-level factor.  If the coarse stage
+    raises, a failing local block raises ``SubdomainSetupError`` instead.
     """
     if coarse not in COARSE_KINDS:
         raise ValueError(f"unknown coarse kind {coarse!r}")
@@ -256,23 +265,23 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     k_c, _ = color_subdomains(maps)
 
     local = [extract_local_blocks(matrix, s) for s in maps]
-    local_lu, failed = factor_blocks([b.a for b in local], symmetric)
-    if failed is not None:
-        raise SubdomainSetupError(failed, "local block is not positive definite" if symmetric
-                                  else "local block is numerically singular")
-
     unselected, cs, mode_counts = [], None, (0,) * len(maps)
     if coarse != "none":
         def columns(smap, blocks):
             block, largest_unselected = _subdomain_columns(smap, blocks, coarse, tau, nu)
             unselected.append(largest_unselected)
             return block
-        z, mode_counts = coarse_mod.assemble_coarse_basis(maps, map(columns, maps, local),
-                                                          matrix.nrows)
-        if z.shape[1]:
-            cs = coarse_mod.galerkin_coarse(matrix, z)
-        else:
-            combine = "none"
+        try:
+            z, mode_counts = coarse_mod.assemble_coarse_basis(maps, map(columns, maps, local),
+                                                              matrix.nrows)
+            if z.shape[1]:
+                cs = coarse_mod.galerkin_coarse(matrix, z)
+            else:
+                combine = "none"
+        except Exception:
+            _factor_local(local, symmetric)  # a failing local block is reported first
+            raise
+    local_lu = _factor_local(local, symmetric)
 
     report = SetupReport(
         n=matrix.nrows,
@@ -295,6 +304,15 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     overlap_rows = np.flatnonzero(np.concatenate([~s.pou_mask for s in maps]))
     return Preconditioner(matrix, maps, gather, overlap_rows, local_lu, cs, one_level, combine,
                           report)
+
+
+def _factor_local(local, symmetric):
+    """The one-level factor: one SuperLU factor of all local blocks."""
+    local_lu, failed = factor_blocks([b.a for b in local], symmetric)
+    if failed is not None:
+        raise SubdomainSetupError(failed, "local block is not positive definite" if symmetric
+                                  else "local block is numerically singular")
+    return local_lu
 
 
 def _subdomain_columns(smap, blocks, coarse, tau, nu):

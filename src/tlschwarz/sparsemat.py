@@ -179,11 +179,11 @@ def factor_blocks(blocks, symmetric):
         else:
             lu = splu(a)
     except RuntimeError:  # exactly singular: find the block on its own
-        failed = [0] if len(blocks) == 1 else [
-            i for i, b in enumerate(blocks) if factor_blocks([b], symmetric)[1] is not None]
-        if not failed:
+        failed = 0 if len(blocks) == 1 else next(
+            (i for i, b in enumerate(blocks) if factor_blocks([b], symmetric)[1] is not None), None)
+        if failed is None:
             raise
-        return None, failed[0]
+        return None, failed
     del a
     sizes = np.array([b.shape[0] for b in blocks])
     starts = np.cumsum(sizes) - sizes

@@ -5,12 +5,11 @@ For a subdomain with local ordering (interior, layer 1, ..., layer d) the
 ring" is that outermost layer.  The harmonic extension E, a dense
 (n_local, n_boundary) array, maps boundary-ring values to the full subdomain
 by solving the inner block against the inner-to-ring coupling; it gives the
-projection used both to split the local matrix into a positive-semidefinite
-piece and to build coarse basis vectors.
+projection from which the coarse basis vectors are built.
 
 A block's matrix is the sparse cut that ``extract_local_blocks`` makes; a
 dense n_local x n_local copy is made one block at a time, only where a dense
-pencil or the splitting is posed.
+pencil is posed.
 """
 
 from __future__ import annotations
@@ -98,25 +97,3 @@ def build_harmonic(blocks):
                 else "inner block is numerically singular")
         extension[:ni] = -lu.solve(a[:ni, ni:].toarray())
     return extension
-
-
-def spsd_splitting(blocks, extension):
-    """Positive-semidefinite local splitting of a symmetric block.
-
-    Computed as (I - P)^T A (I - P) with P the projection that applies
-    ``extension`` to the boundary-ring part, which stays well defined even
-    with a single overlap layer.  The result agrees with the explicit
-    Schur-complement construction whenever there are at least two layers,
-    and reduces to the block itself when the boundary ring is empty.
-    """
-    if not blocks.symmetric:
-        raise ValueError("positive-semidefinite splitting requires a symmetric block")
-    if blocks.n_boundary == 0:
-        return blocks.dense
-    e = np.eye(blocks.n_local)
-    e[:, blocks.n_inner:] -= extension
-    tilde = e.T @ blocks.dense @ e
-    tilde = 0.5 * (tilde + tilde.T)
-    if not np.all(np.isfinite(tilde)):
-        raise ValueError(f"subdomain {blocks.subdomain}: splitting produced non-finite values")
-    return tilde

@@ -23,12 +23,12 @@ from tlschwarz import (
     select_harmonic_modes,
     select_pou_modes,
     setup,
-    spsd_splitting,
     symmetrized_graph,
     theoretical_bound,
 )
 
 from conftest import random_partition, random_spd
+from test_subdomain import spsd_splitting
 
 
 def verdict(name, ok, detail):

@@ -22,6 +22,7 @@ from tlschwarz import (
     pcg,
     setup,
 )
+from tlschwarz import coarse as coarse_mod
 from tlschwarz import precond as precond_mod
 
 from conftest import laplace1d, random_spd
@@ -380,6 +381,41 @@ class TestCoarseFactorErrors:
         with pytest.raises(CoarseSetupError, match="coarse operator is not positive definite"):
             setup(shifted, 16)
         assert issubclass(CoarseSetupError, RuntimeError)
+
+
+class TestStageOrder:
+    """The one-level blocks are factored after the coarse space is built."""
+
+    def test_local_factor_follows_galerkin(self, monkeypatch):
+        calls = []
+        factor, galerkin = precond_mod.factor_blocks, coarse_mod.galerkin_coarse
+
+        def record_factor(*args):
+            calls.append("factor_blocks")
+            return factor(*args)
+
+        def record_galerkin(*args):
+            calls.append("galerkin_coarse")
+            cs = galerkin(*args)
+            calls.append("galerkin_coarse returned")
+            return cs
+
+        monkeypatch.setattr(precond_mod, "factor_blocks", record_factor)
+        monkeypatch.setattr(coarse_mod, "galerkin_coarse", record_galerkin)
+        mat, _ = generate(ProblemSpec("poisson2d", 20))
+        setup(mat, 8)
+        assert calls == ["galerkin_coarse", "galerkin_coarse returned", "factor_blocks"]
+
+    def test_failing_local_block_wins_over_coarse_error(self):
+        # the negative diagonal entry makes subdomain 0's block indefinite and
+        # breaks its harmonic pencil, which fails before any local factor ran
+        mat, _ = generate(ProblemSpec("poisson2d", 30))
+        a = mat.scipy().tolil()
+        a[22, 22] = -50.0
+        with pytest.raises(SubdomainSetupError, match="subdomain 0: local block is not "
+                                                      "positive definite") as info:
+            setup(SparseMat(a.tocsr(), symmetric=True), 4)
+        assert info.value.subdomain == 0
 
 
 class FailingSolve:

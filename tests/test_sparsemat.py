@@ -287,6 +287,18 @@ class TestFactorBlocks:
         assert not np.shares_memory(seen[1].indices, unsorted.indices)
         assert not np.shares_memory(seen[1].data, unsorted.data)
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_exactly_singular_stops_at_first_failing_block(self, monkeypatch, symmetric):
+        # a zero column makes SuperLU raise; the blocks are then refactored one
+        # by one, up to and including the first that fails
+        seen = []
+        monkeypatch.setattr(sparsemat, "splu", lambda a, **kw: seen.append(a) or splu(a, **kw))
+        singular = sp.csc_matrix(laplace1d(4).scipy().multiply(np.array([1.0, 0.0, 1.0, 1.0])))
+        blocks = [laplace1d(4).scipy().tocsc(), singular, laplace1d(5).scipy().tocsc(), singular]
+        lu, failed = factor_blocks(blocks, symmetric)
+        assert (lu, failed) == (None, 1)
+        assert len(seen) == 3  # the block-diagonal matrix, then blocks 0 and 1
+
     @pytest.mark.parametrize("n_blocks, size", [(1, 1000), (3, 600)])
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_factor_keeps_no_copy_of_l_and_u(self, n_blocks, size, symmetric):

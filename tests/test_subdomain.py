@@ -11,12 +11,34 @@ from tlschwarz import (
     build_harmonic,
     extend_overlap,
     extract_local_blocks,
-    spsd_splitting,
     symmetrized_graph,
 )
 from tlschwarz.sparsemat import DENSE_GUARD
 
 from conftest import laplace1d, random_partition, random_spd
+
+
+def spsd_splitting(blocks, extension):
+    """Positive-semidefinite local splitting of a symmetric block: the test
+    oracle for the harmonic extension (criteria 1 and 3).
+
+    Computed as (I - P)^T A (I - P) with P the projection that applies
+    ``extension`` to the boundary-ring part, which stays well defined even
+    with a single overlap layer.  The result agrees with the explicit
+    Schur-complement construction whenever there are at least two layers,
+    and reduces to the block itself when the boundary ring is empty.
+    """
+    if not blocks.symmetric:
+        raise ValueError("positive-semidefinite splitting requires a symmetric block")
+    if blocks.n_boundary == 0:
+        return blocks.dense
+    e = np.eye(blocks.n_local)
+    e[:, blocks.n_inner:] -= extension
+    tilde = e.T @ blocks.dense @ e
+    tilde = 0.5 * (tilde + tilde.T)
+    if not np.all(np.isfinite(tilde)):
+        raise ValueError(f"subdomain {blocks.subdomain}: splitting produced non-finite values")
+    return tilde
 
 
 def make_map(interior, layers, n_global):
