@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from .harness import ExperimentConfig, run_experiment
+from .precond import COARSE_KINDS, COMBINE_KINDS, ONE_LEVEL_KINDS
 
 
 def build_parser():
@@ -34,9 +35,9 @@ def build_parser():
                      help="harmonic singular-value threshold (smaller keeps more modes)")
     cfg.add_argument("--nu", type=float,
                      help="partition-of-unity eigenvalue threshold (off by default)")
-    cfg.add_argument("--coarse", choices=["none", "full", "gevp", "svd", "auto"])
-    cfg.add_argument("--one-level", choices=["asm", "ras"])
-    cfg.add_argument("--combine", choices=["additive", "deflated"])
+    cfg.add_argument("--coarse", choices=COARSE_KINDS)
+    cfg.add_argument("--one-level", choices=ONE_LEVEL_KINDS)
+    cfg.add_argument("--combine", choices=COMBINE_KINDS)
 
     slv = p.add_argument_group("solver")
     slv.add_argument("--solver", choices=["cg", "gmres"],

@@ -9,9 +9,10 @@ and any linear dependence the rank filter has to remove is local to a single
 subdomain's interior block.
 
 Each stage hands on plain arrays: one dense interior block per subdomain,
-then Z as a scipy CSR matrix with each subdomain's kept column count, then
-the complete ``CoarseSpace`` from ``galerkin_coarse``, which keeps the factor
-of A00 = Z^T A Z (``galerkin_operator``) but not A00: an apply never reads it.
+made from its ``LocalBlocks`` by ``subdomain_coarse_columns``, then Z as a
+scipy CSR matrix with each subdomain's kept column count, then the complete
+``CoarseSpace`` from ``galerkin_coarse``, which keeps the factor of
+A00 = Z^T A Z (``galerkin_operator``) but not A00: an apply never reads it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import scipy.sparse as sp
 from scipy.linalg import qr
 
 from .sparsemat import factor_blocks
+from .spectral import select_harmonic_modes, select_pou_modes, svd_harmonic_modes
+from .subdomain import build_harmonic
 
 DROP_TOL = 1e-10
 
@@ -42,19 +45,26 @@ class CoarseSpace:
     nnz: int
 
 
-def subdomain_coarse_columns(smap, vectors, pou_basis=None):
-    """One subdomain's interior block of coarse columns: the interior rows of
-    ``vectors``, followed by those of any partition-of-unity modes, as a new
-    (n_interior, k) array.  The Boolean partition of unity zeroes every other
-    row, so these rows are all of the subdomain's columns in Z.
+def subdomain_coarse_columns(blocks, kind, tau, nu=None):
+    """One subdomain's coarse columns and the largest value its harmonic
+    selection left out (None for the "full" kind, which selects nothing).
 
-    ``vectors`` is the harmonic extension (every column, for the "full"
-    coarse space) or the selected harmonic-pencil or singular vectors.
+    The columns are the harmonic extension E (kind "full") or its "gevp" or
+    "svd" modes above ``tau``, then the partition-of-unity modes above ``nu``
+    if it is set, cut to their interior rows as a new (n_interior, k) array:
+    the Boolean partition of unity zeroes every other row of Z.
     """
-    ni = smap.interior.size
-    if pou_basis is not None:
-        return np.hstack([vectors[:ni], pou_basis.vectors[:ni]])
-    return vectors[:ni].copy()
+    extension = build_harmonic(blocks)
+    vectors, largest_unselected = extension, None
+    if kind != "full":
+        select = select_harmonic_modes if kind == "gevp" else svd_harmonic_modes
+        basis = select(blocks, extension, tau)
+        vectors, largest_unselected = basis.vectors, basis.largest_unselected
+    ni = blocks.n_interior
+    if nu is None:
+        return vectors[:ni].copy(), largest_unselected
+    pou = select_pou_modes(blocks, nu).vectors
+    return np.hstack([vectors[:ni], pou[:ni]]), largest_unselected
 
 
 def assemble_coarse_basis(maps, column_blocks, n_global):

@@ -53,13 +53,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import coarse as coarse_mod
-from . import spectral
 from .partition import color_subdomains, extend_overlap, partition_graph
 from .sparsemat import SparseMat, factor_blocks, symmetrized_graph
-from .subdomain import SubdomainSetupError, build_harmonic, extract_local_blocks
+from .subdomain import SubdomainSetupError, extract_local_blocks
 
 ONE_LEVEL_KINDS = ("asm", "ras")
-COMBINE_KINDS = ("none", "additive", "deflated")
+COMBINE_KINDS = ("additive", "deflated")
 COARSE_KINDS = ("none", "full", "gevp", "svd", "auto")
 
 
@@ -224,12 +223,12 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         help, but they are part of the theory and can be switched on.
     coarse : {"none", "full", "gevp", "svd", "auto"}
         Coarse-space recipe.  "auto" picks "gevp" for symmetric matrices and
-        "svd" otherwise.
+        "svd" otherwise.  "none" builds no coarse space: the preconditioner
+        is the one-level part alone, and its ``combine`` reads "none".
     one_level : {"asm", "ras"} or None
         None picks "asm" for symmetric matrices, "ras" otherwise.
-    combine : {"none", "additive", "deflated"} or None
+    combine : {"additive", "deflated"} or None
         None picks "additive" for symmetric matrices, "deflated" otherwise.
-        "none", like ``coarse="none"``, builds no coarse space: either sets both.
 
     Coarse columns are made one subdomain at a time as the assembly asks for
     them: at most one dense extension is alive, and the assembly keeps only
@@ -254,8 +253,8 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         combine = "additive" if symmetric else "deflated"
     if combine not in COMBINE_KINDS:
         raise ValueError(f"unknown combination {combine!r}")
-    if "none" in (coarse, combine):
-        coarse = combine = "none"
+    if coarse == "none":
+        combine = "none"
     if nu is not None and not symmetric:
         raise ValueError("partition-of-unity modes require a symmetric matrix")
 
@@ -267,12 +266,12 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     local = [extract_local_blocks(matrix, s) for s in maps]
     unselected, cs, mode_counts = [], None, (0,) * len(maps)
     if coarse != "none":
-        def columns(smap, blocks):
-            block, largest_unselected = _subdomain_columns(smap, blocks, coarse, tau, nu)
+        def columns(blocks):
+            block, largest_unselected = coarse_mod.subdomain_coarse_columns(blocks, coarse, tau, nu)
             unselected.append(largest_unselected)
             return block
         try:
-            z, mode_counts = coarse_mod.assemble_coarse_basis(maps, map(columns, maps, local),
+            z, mode_counts = coarse_mod.assemble_coarse_basis(maps, map(columns, local),
                                                               matrix.nrows)
             if z.shape[1]:
                 cs = coarse_mod.galerkin_coarse(matrix, z)
@@ -313,18 +312,3 @@ def _factor_local(local, symmetric):
         raise SubdomainSetupError(failed, "local block is not positive definite" if symmetric
                                   else "local block is numerically singular")
     return local_lu
-
-
-def _subdomain_columns(smap, blocks, coarse, tau, nu):
-    """One subdomain's interior block of coarse columns, and the largest value
-    its harmonic selection left out (None for the "full" coarse space, which
-    takes every extension column)."""
-    extension = build_harmonic(blocks)
-    vectors, largest_unselected = extension, None
-    if coarse != "full":
-        select = spectral.select_harmonic_modes if coarse == "gevp" else spectral.svd_harmonic_modes
-        basis = select(blocks, extension, tau)
-        vectors, largest_unselected = basis.vectors, basis.largest_unselected
-    pou = spectral.select_pou_modes(blocks, nu) if nu is not None else None
-    return coarse_mod.subdomain_coarse_columns(smap, vectors, pou_basis=pou), largest_unselected
-

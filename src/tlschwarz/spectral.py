@@ -16,7 +16,8 @@ Three selections feed the coarse space:
 
 Each selector reads D from the subdomain's ``LocalBlocks`` (one on its first
 ``n_interior`` rows, zero on the overlap layers); the harmonic ones also take
-E as the dense array that ``build_harmonic`` returns.
+E as the dense array that ``build_harmonic`` returns.  Each returns a
+``SpectralBasis`` of the selected vectors and every value it solved for.
 
 All selections use strict inequality with a small relative tie guard so a
 value sitting exactly on the threshold is never admitted, regardless of
@@ -35,15 +36,14 @@ TIE_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Selected vectors for one subdomain, values sorted descending.
+    """Selected vectors for one subdomain and the spectrum they came from.
 
-    ``all_values`` keeps the complete spectrum (same scale as ``values``) so
-    the sharpest admissible threshold — the largest value left out — stays
-    available for bound checks.
+    ``all_values`` is sorted descending and selection is a threshold on it,
+    so its first ``n_selected`` entries are the selected values and the next
+    is the largest value left out, the sharpest threshold for bound checks.
     """
 
     vectors: np.ndarray
-    values: np.ndarray
     all_values: np.ndarray
 
     @property
@@ -85,8 +85,7 @@ def sym_gevp(lhs, rhs):
 
 
 def _select_above(vals, vecs, threshold):
-    keep = vals > threshold * (1.0 + TIE_GUARD)
-    return vecs[:, keep], vals[keep]
+    return vecs[:, vals > threshold * (1.0 + TIE_GUARD)]
 
 
 def select_pou_modes(blocks, threshold):
@@ -103,8 +102,7 @@ def select_pou_modes(blocks, threshold):
     d = blocks.pou_weights
     a = blocks.dense
     vals, vecs = sym_gevp(a * np.outer(d, d), a)
-    sel_vecs, sel_vals = _select_above(vals, vecs, threshold)
-    return SpectralBasis(sel_vecs, sel_vals, vals)
+    return SpectralBasis(_select_above(vals, vecs, threshold), vals)
 
 
 def select_harmonic_modes(blocks, extension, threshold):
@@ -114,9 +112,8 @@ def select_harmonic_modes(blocks, extension, threshold):
     pencil has n_inner zero eigenvalues and the others are those of the
     n_boundary pencil (E^T D A D E, E^T A E); E^T A E is the boundary Schur
     complement.  Selected vectors are E w: full local vectors, orthonormal in
-    the block's inner product.  Stored values are the A-weighted singular
-    values (square roots of the pencil eigenvalues), padded with the
-    n_inner zeros.
+    the block's inner product.  Values are the n_boundary A-weighted singular
+    values (square roots of the boundary pencil's eigenvalues).
     """
     if not blocks.symmetric:
         raise ValueError("harmonic-pencil modes require a symmetric block")
@@ -127,9 +124,7 @@ def select_harmonic_modes(blocks, extension, threshold):
     schur = extension.T @ (blocks.a @ extension)
     vals, vecs = sym_gevp(0.5 * (lhs + lhs.T), 0.5 * (schur + schur.T))
     sigmas = np.sqrt(np.clip(vals, 0.0, None))
-    sel_vecs, sel_vals = _select_above(sigmas, vecs, threshold)
-    all_values = np.concatenate([sigmas, np.zeros(blocks.n_inner)])
-    return SpectralBasis(_fix_signs(extension @ sel_vecs), sel_vals, all_values)
+    return SpectralBasis(_fix_signs(extension @ _select_above(sigmas, vecs, threshold)), sigmas)
 
 
 def svd_harmonic_modes(blocks, extension, threshold):
@@ -141,13 +136,7 @@ def svd_harmonic_modes(blocks, extension, threshold):
     """
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
-    m = blocks.n_local
     ni = blocks.n_interior
-    block = extension[:ni, :]
-    if block.size == 0:
-        return SpectralBasis(np.zeros((m, 0)), np.zeros(0), np.zeros(0))
-    u, s, _ = np.linalg.svd(block, full_matrices=False)
-    keep = s > threshold * (1.0 + TIE_GUARD)
-    vectors = np.zeros((m, int(keep.sum())))
-    vectors[:ni, :] = u[:, keep]
-    return SpectralBasis(_fix_signs(vectors), s[keep], s.copy())
+    u, s, _ = np.linalg.svd(extension[:ni], full_matrices=False)
+    vectors = np.pad(_select_above(s, u, threshold), ((0, blocks.n_local - ni), (0, 0)))
+    return SpectralBasis(_fix_signs(vectors), s)

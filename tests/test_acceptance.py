@@ -26,6 +26,7 @@ from tlschwarz import (
     symmetrized_graph,
     theoretical_bound,
 )
+from tlschwarz.krylov import DENSE_CUTOFF
 
 from conftest import random_partition, random_spd
 from test_subdomain import spsd_splitting
@@ -263,8 +264,10 @@ def test_criterion_9_operator_equivalence():
     for one_level in ("asm", "ras"):
         for combine in ("none", "additive", "deflated"):
             for coarse in ("full", "gevp", "svd"):
-                pre = setup(mat, 4, overlap=2, tau=0.05, coarse=coarse,
-                            one_level=one_level, combine=combine)
+                # combine "none" is the one-level operator, which coarse="none" builds
+                kinds = ({"coarse": "none"} if combine == "none"
+                         else {"coarse": coarse, "combine": combine})
+                pre = setup(mat, 4, overlap=2, tau=0.05, one_level=one_level, **kinds)
                 m1 = np.zeros((n, n))
                 for smap, blocks in zip(pre.maps, pre.blocks):
                     local = np.linalg.inv(blocks.dense)
@@ -322,4 +325,58 @@ def test_criterion_10_manufactured_solutions():
         "criterion-10 manufactured solutions",
         ok,
         "; ".join(rows) + " (all <=1e-6)",
+    )
+
+
+def test_criterion_11_tau_controls_condition():
+    """Lowering tau keeps more coarse vectors and lowers the condition number."""
+    t0 = time.perf_counter()
+    ok = True
+    rows = []
+    for spec, n_sub in [(ProblemSpec("poisson2d", 20), 16),
+                        (ProblemSpec("hetero-diffusion2d", 60), 36)]:
+        mat, _ = generate(spec)
+        sizes, kappas, bounds = [], [], []
+        for tau in (0.5, 0.3, 0.1):
+            pre = setup(mat, n_sub, overlap=2, tau=tau)
+            sizes.append(pre.report.n_coarse)
+            kappas.append(estimate_condition(mat, pre))
+            if mat.nrows <= DENSE_CUTOFF:  # the exact condition number can be certified
+                bounds.append(theoretical_bound(derive_bound_inputs(pre)))
+        ok &= all(b > a for a, b in zip(sizes, sizes[1:]))
+        ok &= all(b < a for a, b in zip(kappas, kappas[1:]))
+        ok &= all(k <= b for k, b in zip(kappas, bounds))
+        held = f" <= bounds {[round(b, 1) for b in bounds]}" if bounds else ""
+        rows.append(f"{spec.kind}/m={spec.m}/N={n_sub}: n_coarse={sizes} "
+                    f"kappa={[round(k, 2) for k in kappas]}{held}")
+    elapsed = time.perf_counter() - t0
+    verdict(
+        "criterion-11 tau controls kappa",
+        ok,
+        "; ".join(rows) + f" (tau 0.5, 0.3, 0.1: n_coarse strictly growing, kappa strictly "
+        f"falling), time={elapsed:.1f}s",
+    )
+
+
+def test_criterion_12_contrast_robustness():
+    """Two-level iterations stay flat over coefficient contrast and beat one level."""
+    t0 = time.perf_counter()
+    contrasts = (1.0, 1e2, 1e4, 1e6, 1e8)
+    two_level, one_level = [], []
+    ok = True
+    for contrast in contrasts:
+        mat, b = generate(ProblemSpec("hetero-diffusion2d", 60, contrast=contrast))
+        _, rep2 = pcg(mat, setup(mat, 36, overlap=2, tau=0.1), b, tol=1e-8, maxit=500)
+        _, rep1 = pcg(mat, setup(mat, 36, overlap=2, coarse="none"), b, tol=1e-8, maxit=500)
+        ok &= rep2.converged and rep1.converged
+        two_level.append(rep2.iterations)
+        one_level.append(rep1.iterations)
+    spread = max(two_level) / min(two_level)
+    ok &= spread <= 2.0 and all(t < o for t, o in zip(two_level, one_level))
+    elapsed = time.perf_counter() - t0
+    verdict(
+        "criterion-12 contrast robustness",
+        ok,
+        f"hetero-diffusion2d/m=60/N=36, contrast 1 to 1e8: two-level its={two_level} "
+        f"(spread {spread:.2f}<=2) < one-level its={one_level}, time={elapsed:.1f}s",
     )

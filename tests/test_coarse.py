@@ -36,17 +36,8 @@ from conftest import random_partition, random_spd
 def pipeline(mat, part, delta, tau=0.1, coarse="gevp"):
     g = symmetrized_graph(mat)
     maps = extend_overlap(g, part, delta)
-    column_blocks = []
-    for smap in maps:
-        blocks = extract_local_blocks(mat, smap)
-        ext = build_harmonic(blocks)
-        if coarse == "full":
-            vectors = ext
-        elif coarse == "svd":
-            vectors = svd_harmonic_modes(blocks, ext, tau).vectors
-        else:
-            vectors = select_harmonic_modes(blocks, ext, tau).vectors
-        column_blocks.append(subdomain_coarse_columns(smap, vectors))
+    column_blocks = [subdomain_coarse_columns(extract_local_blocks(mat, smap), coarse, tau)[0]
+                     for smap in maps]
     return maps, column_blocks, assemble_coarse_basis(maps, column_blocks, mat.nrows)
 
 
@@ -82,7 +73,8 @@ class TestColumns:
         maps = extend_overlap(g, part, 1)
         smap = maps[0]
         blocks = extract_local_blocks(banded7, smap)
-        cols = subdomain_coarse_columns(smap, build_harmonic(blocks))
+        cols, largest_unselected = subdomain_coarse_columns(blocks, "full", 0.1)
+        assert largest_unselected is None
         ni = blocks.n_inner
         assert ni == smap.interior.size
         expected = -np.linalg.solve(blocks.dense[:ni, :ni], blocks.dense[:ni, ni:])
@@ -96,24 +88,31 @@ class TestColumns:
         blocks = extract_local_blocks(mat, smap)
         ext = build_harmonic(blocks)
         basis = select_harmonic_modes(blocks, ext, 0.05)
-        cols = subdomain_coarse_columns(smap, basis.vectors)
+        cols, largest_unselected = subdomain_coarse_columns(blocks, "gevp", 0.05)
+        assert largest_unselected == basis.largest_unselected
         assert cols.shape == (smap.interior.size, basis.n_selected)
         expected = (ext @ basis.vectors[blocks.n_inner:, :])[:smap.interior.size]
         np.testing.assert_allclose(cols, expected, atol=1e-13)
 
     @pytest.mark.parametrize("nu", [None, 1.5])
     def test_new_interior_block(self, nu):
-        # a view would keep the full-height extension alive with the block
+        # the interior rows of the kind's vectors, then of the
+        # partition-of-unity modes, bit for bit, in an array of its own: a
+        # view would keep the full-height extension alive with the block
         mat = random_spd(40, seed=8)
         smap = extend_overlap(symmetrized_graph(mat), random_partition(40, 3, seed=9), 2)[1]
         blocks = extract_local_blocks(mat, smap)
         ext = build_harmonic(blocks)
-        pou = select_pou_modes(blocks, nu) if nu is not None else None
-        cols = subdomain_coarse_columns(smap, ext, pou_basis=pou)
-        offered = [ext] + ([pou.vectors] if pou is not None else [])
-        assert cols.shape == (smap.interior.size, sum(v.shape[1] for v in offered))
-        np.testing.assert_array_equal(cols, np.hstack(offered)[:smap.interior.size])
-        assert not any(np.shares_memory(cols, v) for v in offered)
+        pou = [select_pou_modes(blocks, nu).vectors] if nu is not None else []
+        for kind, select in [("full", None), ("gevp", select_harmonic_modes),
+                             ("svd", svd_harmonic_modes)]:
+            basis = select(blocks, ext, 0.05) if select is not None else None
+            offered = [ext if basis is None else basis.vectors] + pou
+            cols, largest_unselected = subdomain_coarse_columns(blocks, kind, 0.05, nu)
+            assert cols.shape == (smap.interior.size, sum(v.shape[1] for v in offered))
+            np.testing.assert_array_equal(cols, np.hstack(offered)[:smap.interior.size])
+            assert cols.base is None
+            assert largest_unselected == (None if basis is None else basis.largest_unselected)
 
 
 class TestAssembly:

@@ -297,18 +297,18 @@ class TestRunExperiment:
         # maps, local factor and coarse space, whatever the run applied, so
         # every two-level run must match the asm + additive run's certificate;
         # a one-level run builds no coarse space and has no bound to check
-        def bound(one_level, combine):
+        def bound(one_level, **kinds):
             return run_experiment(ExperimentConfig(
                 kind="poisson2d", m=12, n_subdomains=4, nu=1.5, one_level=one_level,
-                combine=combine, solver="gmres")).bound_check
+                solver="gmres", **kinds)).bound_check
 
-        want = bound("asm", "additive")
+        want = bound("asm", combine="additive")
         for run in [("ras", "additive"), ("asm", "deflated"), ("ras", "deflated")]:
-            got = bound(*run)
+            got = bound(run[0], combine=run[1])
             assert got["measured"] == want["measured"], run
             assert got["inputs"] == want["inputs"], run
-        for run in [("asm", "none"), ("ras", "none")]:
-            assert bound(*run) is None, run
+        for one_level in ("asm", "ras"):
+            assert bound(one_level, coarse="none") is None, one_level
 
     def test_unknown_solver(self, monkeypatch):
         # the solver name is checked before the preconditioner is built

@@ -96,9 +96,10 @@ class TestAgainstDenseOracle:
     @pytest.mark.parametrize("combine", ["none", "additive", "deflated"])
     @pytest.mark.parametrize("coarse", ["full", "gevp", "svd"])
     def test_symmetric_variants(self, one_level, combine, coarse):
+        # combine "none" is the one-level operator, which only coarse="none" builds
+        kinds = {"coarse": "none"} if combine == "none" else {"coarse": coarse, "combine": combine}
         mat, _ = generate(ProblemSpec("poisson2d", 8))
-        pre = setup(mat, 4, overlap=2, tau=0.05, coarse=coarse,
-                    one_level=one_level, combine=combine)
+        pre = setup(mat, 4, overlap=2, tau=0.05, one_level=one_level, **kinds)
         oracle = dense_oracle(pre)
         rng = np.random.default_rng(7)
         for _ in range(3):
@@ -315,20 +316,21 @@ class TestDefaultsAndErrors:
         assert pre.combine == "none"
         assert pre.coarse is None
 
-    @pytest.mark.parametrize("coarse", ["gevp", "full", "svd"])
-    def test_combine_none_builds_no_coarse_space(self, monkeypatch, coarse):
+    def test_coarse_none_builds_no_coarse_space(self, monkeypatch):
+        # only coarse="none" asks for one level; combine has no "none" of its own
         def refuse(*args, **kwargs):
             raise AssertionError("a coarse space was built that no apply reads")
 
-        monkeypatch.setattr(precond_mod, "build_harmonic", refuse)
-        monkeypatch.setattr(precond_mod.coarse_mod, "galerkin_coarse", refuse)
+        monkeypatch.setattr(coarse_mod, "subdomain_coarse_columns", refuse)
+        monkeypatch.setattr(coarse_mod, "galerkin_coarse", refuse)
         mat, _ = generate(ProblemSpec("poisson2d", 8))
-        pre = setup(mat, 4, coarse=coarse, combine="none")
+        pre = setup(mat, 4, coarse="none", combine="deflated")
         assert pre.combine == "none" and pre.coarse is None
         assert pre.report.coarse_kind == "none" and pre.report.n_coarse == 0
-        one_level = setup(mat, 4, coarse="none")
         r = np.random.default_rng(3).standard_normal(mat.nrows)
-        assert np.array_equal(pre.apply(r), one_level.apply(r))
+        assert np.array_equal(pre.apply(r), pre.apply_one_level(r))
+        with pytest.raises(ValueError, match="unknown combination 'none'"):
+            setup(mat, 4, combine="none")
 
     def test_empty_selection_disables_coarse(self):
         mat = laplace1d(12)
@@ -452,7 +454,7 @@ class TestConcurrentApply:
     @pytest.mark.parametrize("kind, options", [
         ("advection2d", {}),  # deflated by default
         ("poisson2d", {"combine": "deflated"}),
-        ("poisson2d", {"combine": "none"}),
+        ("poisson2d", {"tau": 1e6}),  # an empty selection leaves one level
         ("poisson2d", {"coarse": "none"}),
     ])
     def test_other_combinations_stay_on_the_calling_thread(self, monkeypatch, kind, options):

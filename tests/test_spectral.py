@@ -98,7 +98,7 @@ class TestPouModes:
         basis = select_pou_modes(blocks, threshold=1.4)
         np.testing.assert_allclose(basis.all_values, [1.5, 1.0, 0.0], atol=1e-13)
         assert basis.n_selected == 1
-        np.testing.assert_allclose(basis.values, [1.5], atol=1e-13)
+        np.testing.assert_allclose(basis.all_values[:basis.n_selected], [1.5], atol=1e-13)
         assert basis.largest_unselected == pytest.approx(1.0, abs=1e-13)
 
     def test_threshold_on_eigenvalue_excludes_it(self):
@@ -171,7 +171,11 @@ class TestHarmonicModes:
         blocks, ext = fixture_1d3()
         basis = select_harmonic_modes(blocks, ext, threshold=0.01)
         assert basis.n_selected == 1
-        np.testing.assert_allclose(basis.values, [np.sqrt(0.5)], rtol=1e-12)
+        np.testing.assert_allclose(basis.all_values[:basis.n_selected], [np.sqrt(0.5)], rtol=1e-12)
+        # one value per boundary-ring node and none for the inner zeros: with
+        # the ring's one mode kept, nothing is left out
+        assert basis.all_values.size == blocks.n_boundary == 1
+        assert basis.largest_unselected == 0.0
         assert select_harmonic_modes(blocks, ext, threshold=0.8).n_selected == 0
 
     def test_rank_bounded_by_boundary_ring(self):
@@ -197,7 +201,9 @@ class TestHarmonicModes:
             y = np.linalg.solve(lfac, np.linalg.solve(lfac, lhs).T)
             vals, u = eigh(0.5 * (y + y.T))
             sig = np.sqrt(np.clip(vals[::-1], 0, None))
-            np.testing.assert_allclose(basis.all_values, sig, atol=1e-9)
+            nb = blocks.n_boundary
+            np.testing.assert_allclose(basis.all_values, sig[:nb], atol=1e-9)
+            np.testing.assert_allclose(sig[nb:], 0.0, atol=1e-9)
             k = int(np.sum(sig > tau))
             assert basis.n_selected == k
             if k:
@@ -227,7 +233,7 @@ class TestHarmonicModes:
 
     def test_boundary_pencil_matches_full_pencil(self):
         # the n_boundary pencil selects the span of the n_local pencil, and
-        # the n_inner zeros it cannot see are appended to its values
+        # its values are the n_local pencil's but for the n_inner zeros
         mat, _ = generate(ProblemSpec("poisson2d", 20))
         pre = setup(mat, 16, tau=0.1)
         for blocks, smap in zip(pre.blocks, pre.maps):
@@ -236,9 +242,10 @@ class TestHarmonicModes:
             sigmas, oracle = full_harmonic_pencil(blocks, smap.pou_mask.astype(float), ext, 0.1)
             assert basis.n_selected == oracle.shape[1] > 0
             assert subspace_angles(basis.vectors, oracle).max() < 1e-10
-            assert basis.all_values.size == blocks.n_local
-            assert np.all(basis.all_values[blocks.n_boundary:] == 0.0)
-            np.testing.assert_allclose(basis.all_values, sigmas, atol=1e-7)
+            nb = blocks.n_boundary
+            assert basis.all_values.size == nb
+            np.testing.assert_allclose(basis.all_values, sigmas[:nb], atol=1e-7)
+            np.testing.assert_allclose(sigmas[nb:], 0.0, atol=1e-7)
 
 
 class TestSvdModes:
@@ -246,7 +253,8 @@ class TestSvdModes:
         blocks, ext = fixture_1d3()
         basis = svd_harmonic_modes(blocks, ext, threshold=0.1)
         assert basis.n_selected == 1
-        np.testing.assert_allclose(basis.values, [np.sqrt(5.0) / 3.0], rtol=1e-12)
+        np.testing.assert_allclose(basis.all_values[:basis.n_selected], [np.sqrt(5.0) / 3.0],
+                                   rtol=1e-12)
         np.testing.assert_allclose(
             basis.vectors[:, 0], [1 / np.sqrt(5), 2 / np.sqrt(5), 0.0], rtol=1e-12
         )
