@@ -329,8 +329,18 @@ class TestDefaultsAndErrors:
         assert pre.report.coarse_kind == "none" and pre.report.n_coarse == 0
         r = np.random.default_rng(3).standard_normal(mat.nrows)
         assert np.array_equal(pre.apply(r), pre.apply_one_level(r))
+
+    @pytest.mark.parametrize("coarse", ["gevp", "full", "svd"])
+    def test_combine_none_builds_no_coarse_space(self, monkeypatch, coarse):
+        # combine="none" is refused before any coarse stage runs, whatever the kind
+        def refuse(*args, **kwargs):
+            raise AssertionError("a coarse space was built for a refused combination")
+
+        monkeypatch.setattr(coarse_mod, "subdomain_coarse_columns", refuse)
+        monkeypatch.setattr(coarse_mod, "galerkin_coarse", refuse)
+        mat, _ = generate(ProblemSpec("poisson2d", 8))
         with pytest.raises(ValueError, match="unknown combination 'none'"):
-            setup(mat, 4, combine="none")
+            setup(mat, 4, coarse=coarse, combine="none")
 
     def test_empty_selection_disables_coarse(self):
         mat = laplace1d(12)
