@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import qr
 
-from .sparsemat import factor_blocks
+from .sparsemat import _factor_owned, release_free_heap
 from .spectral import select_harmonic_modes, select_pou_modes, svd_harmonic_modes
 from .subdomain import build_harmonic
 
@@ -134,13 +134,19 @@ def galerkin_coarse(matrix, z):
     """Form and factor the coarse operator A00 = Z^T A Z.
 
     A00 is sorted in place and handed to SuperLU without a copy; only its
-    factor is kept.  The factor must show it positive definite (symmetric)
+    factor is kept, and A00 is freed as soon as SuperLU returns, so the
+    pivot read's copies of L and U can take its memory.  The heap the
+    product freed is given back before the factorization, and the pivot
+    read's after it.  The factor must show A00 positive definite (symmetric)
     or numerically nonsingular.  ``z`` must have at least one column.
     """
-    a00 = galerkin_operator(matrix, z)
-    a00.sum_duplicates()  # sorts in place and marks it canonical: factor_blocks takes it as is
-    lu, failed = factor_blocks([a00], matrix.symmetric)
+    owned = [galerkin_operator(matrix, z)]  # A00's only reference, which _factor_owned drops
+    owned[0].sum_duplicates()  # sorts in place and marks it canonical: SuperLU takes it as is
+    nnz = owned[0].nnz
+    release_free_heap()
+    lu, failed = _factor_owned(owned, matrix.symmetric)
+    release_free_heap()
     if failed is not None:
         raise CoarseSetupError("coarse operator is not positive definite" if matrix.symmetric
                                else "coarse operator is numerically singular")
-    return CoarseSpace(z, z.T, lu, a00.nnz)
+    return CoarseSpace(z, z.T, lu, nnz)

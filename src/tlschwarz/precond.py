@@ -54,7 +54,7 @@ import numpy as np
 
 from . import coarse as coarse_mod
 from .partition import color_subdomains, extend_overlap, partition_graph
-from .sparsemat import SparseMat, factor_blocks, symmetrized_graph
+from .sparsemat import SparseMat, factor_blocks, release_free_heap, symmetrized_graph
 from .subdomain import SubdomainSetupError, extract_local_blocks
 
 ONE_LEVEL_KINDS = ("asm", "ras")
@@ -173,7 +173,7 @@ class Preconditioner:
         return self.coarse.basis @ self.coarse.lu.solve(self.coarse.basis_t @ r)
 
     def apply(self, r):
-        if self.coarse is None or self.combine == "none":
+        if self.coarse is None:
             return self.apply_one_level(r)
         if self.combine == "additive":
             coarse = _worker.submit(self.coarse_apply, r)
@@ -237,6 +237,8 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     The one-level factor is made last, after the coarse factor, so that
     setup's memory peak holds no one-level factor.  If the coarse stage
     raises, a failing local block raises ``SubdomainSetupError`` instead.
+    Setup ends by giving the heap's free memory back to the OS, as
+    ``galerkin_coarse`` does around the coarse factorization.
     """
     if coarse not in COARSE_KINDS:
         raise ValueError(f"unknown coarse kind {coarse!r}")
@@ -301,6 +303,7 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     )
     gather = np.concatenate([s.indices for s in maps])
     overlap_rows = np.flatnonzero(np.concatenate([~s.pou_mask for s in maps]))
+    release_free_heap()  # what the stages freed, which glibc would keep resident
     return Preconditioner(matrix, maps, gather, overlap_rows, local_lu, cs, one_level, combine,
                           report)
 

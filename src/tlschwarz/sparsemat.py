@@ -10,6 +10,7 @@ write/read round trip reproduces every float64 exactly.
 
 from __future__ import annotations
 
+import ctypes
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,14 @@ def factor_blocks(blocks, symmetric):
     n * eps * max|U| of that block.  Elimination never couples two blocks.
     The factor keeps no copy of L or U: its ``.L`` and ``.U`` are empty.
     """
+    return _factor_owned(list(blocks), symmetric)
+
+
+def _factor_owned(blocks, symmetric):
+    """``factor_blocks`` on a list this call owns: it empties the list once
+    SuperLU has returned, so a block the caller holds no other reference to
+    is freed before the pivot read makes its CSC copies of L and U."""
+    sizes = np.array([b.shape[0] for b in blocks])
     # splu sorts the indices of a CSC argument in place: a single block goes to
     # it as it is only when already CSC in canonical format, else as a copy
     a = sp.block_diag(blocks, format="csc") if len(blocks) > 1 else blocks[0]
@@ -185,7 +194,7 @@ def factor_blocks(blocks, symmetric):
             raise
         return None, failed
     del a
-    sizes = np.array([b.shape[0] for b in blocks])
+    blocks.clear()
     starts = np.cumsum(sizes) - sizes
     pivots = lu.U.diagonal()[lu.perm_c]  # in the original column order
     if symmetric:
@@ -198,6 +207,31 @@ def factor_blocks(blocks, symmetric):
         cached.__init__((0, 0))
     bad = np.flatnonzero(bad)
     return lu, (int(np.searchsorted(starts, bad[0], side="right")) - 1 if bad.size else None)
+
+
+def _find_malloc_trim():
+    """The C library's ``malloc_trim``, or None where it has none (macOS,
+    musl, Windows)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+_malloc_trim = _find_malloc_trim()
+
+
+def release_free_heap():
+    """Give the heap's free memory back to the OS.
+
+    glibc serves large temporaries from its heap once its mmap threshold has
+    risen, and keeps them resident after they are freed; setup calls this
+    where it has just dropped large ones.  A no-op without ``malloc_trim``.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 # -- Matrix Market ---------------------------------------------------------
@@ -267,6 +301,8 @@ def read_matrix_market(text):
     over all entries, in this order: entry count, tokens per line, row index,
     column index, index range, value, lower triangle.  The first entry that
     fails a check is named, so of two errors the earlier check's is reported.
+    A coordinate matrix whose sizes no process can allocate raises ``too
+    large to allocate`` last, naming the size line.
     """
     lines = text.splitlines()
     header_lineno, header = next(
@@ -312,7 +348,13 @@ def read_matrix_market(text):
             keep[0::2] = True
             rows, cols, vals = (np.stack(p, axis=1).ravel()[keep]
                                 for p in ((rows, cols), (cols, rows), (vals, vals)))
-        return SparseMat.from_coo(nrows, ncols, rows - 1, cols - 1, vals, symmetric=symmetric)
+        too_large = MatrixMarketError(size_lineno, f"size {nrows}x{ncols} too large to allocate")
+        if nrows >= np.iinfo(np.intp).max // 8:  # numpy refuses CSR's nrows + 1 row pointers
+            raise too_large
+        try:
+            return SparseMat.from_coo(nrows, ncols, rows - 1, cols - 1, vals, symmetric=symmetric)
+        except MemoryError:
+            raise too_large from None
 
     # array format: dense values in column-major order
     if counts[0] != 2:

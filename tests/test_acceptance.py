@@ -7,7 +7,6 @@ Run with ``pytest -v`` (captured verdict lines are echoed in the summary) or
 import time
 
 import numpy as np
-from scipy.linalg import eigh
 
 from tlschwarz import (
     ProblemSpec,

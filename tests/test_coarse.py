@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import qr
+from scipy.sparse.linalg import splu
 
 from tlschwarz import (
     Partition,
@@ -27,7 +29,7 @@ from tlschwarz import (
     symmetrized_graph,
     write_matrix_market,
 )
-from tlschwarz import coarse
+from tlschwarz import coarse, sparsemat
 from tlschwarz.coarse import DROP_TOL
 
 from conftest import random_partition, random_spd
@@ -366,6 +368,39 @@ class TestGalerkin:
             tracemalloc.stop()
         assert space.nnz == nnz
         assert held < 0.01 * 12 * nnz
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_coarse_operator_freed_before_pivot_read(self, monkeypatch, symmetric):
+        # the pivot read's CSC copies of L and U can take A00's memory only
+        # when nothing holds A00 once SuperLU has returned
+        mat = random_spd(35, seed=32)
+        if not symmetric:
+            mat = SparseMat(mat.scipy() + sp.diags(np.full(34, 0.3), 1))
+        refs, alive_at_read = [], []
+
+        def operator(matrix, z):
+            a00 = galerkin_operator(matrix, z)
+            refs.append(weakref.ref(a00))
+            return a00
+
+        class Factor:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+            @property
+            def U(self):
+                alive_at_read.append(refs[0]() is not None)
+                return self.lu.U
+
+        monkeypatch.setattr(coarse, "galerkin_operator", operator)
+        monkeypatch.setattr(sparsemat, "splu", lambda a, **kw: Factor(splu(a, **kw)))
+        space = galerkin_coarse(mat, whole_graph_basis(mat))
+        assert alive_at_read and not any(alive_at_read)
+        rhs = np.random.default_rng(2).standard_normal(mat.nrows)
+        np.testing.assert_allclose(mat.matvec(space.lu.solve(rhs)), rhs, atol=1e-9)
 
     @pytest.mark.parametrize("dense", [
         np.diag([1.0, -1.0, 2.0]),  # negative pivot

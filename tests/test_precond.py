@@ -1,3 +1,4 @@
+import ctypes
 import multiprocessing
 import sys
 import threading
@@ -24,8 +25,10 @@ from tlschwarz import (
 )
 from tlschwarz import coarse as coarse_mod
 from tlschwarz import precond as precond_mod
+from tlschwarz import sparsemat
 
 from conftest import laplace1d, random_spd
+from test_coarse_fingerprint import CASES, EXPECTED, fingerprint
 
 
 def dense_apply(precond):
@@ -51,7 +54,7 @@ def dense_oracle(precond):
         e = np.zeros((n, smap.n_local))
         e[smap.indices, np.arange(smap.n_local)] = 1.0
         m1 += e @ local @ e.T
-    if precond.coarse is None or precond.combine == "none":
+    if precond.coarse is None:
         return m1
     b = precond.coarse.basis.toarray()
     q = b @ np.linalg.solve(b.T @ a @ b, b.T)
@@ -428,6 +431,33 @@ class TestStageOrder:
                                                       "positive definite") as info:
             setup(SparseMat(a.tocsr(), symmetric=True), 4)
         assert info.value.subdomain == 0
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+class TestReleaseFreeHeap:
+    """setup gives the heap's free memory back before and after the coarse
+    factorization and at its end."""
+
+    @pytest.mark.parametrize("coarse, releases", [("auto", 3), ("none", 1)])
+    def test_release_points(self, monkeypatch, coarse, releases):
+        calls = []
+        monkeypatch.setattr(sparsemat, "_malloc_trim", calls.append)
+        mat, _ = generate(ProblemSpec("poisson2d", 20))
+        setup(mat, 8, coarse=coarse)
+        assert calls == [0] * releases
+
+    @pytest.mark.parametrize("cdll", [lambda name: object(), _no_c_library],
+                             ids=["no-malloc-trim", "no-c-library"])
+    def test_without_malloc_trim(self, monkeypatch, cdll):
+        # as on macOS, musl or Windows: the release does nothing
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        monkeypatch.setattr(sparsemat, "_malloc_trim", sparsemat._find_malloc_trim())
+        assert sparsemat._malloc_trim is None
+        name = "poisson2d-m20-gevp"
+        assert fingerprint(*CASES[name]) == EXPECTED[name]
 
 
 class FailingSolve:

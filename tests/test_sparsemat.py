@@ -583,6 +583,8 @@ SIZE_ERRORS = [
      "size out of range"),
     ("coordinate-entries-beyond-int64", GEN + "2 2 99999999999999999999\n1 1 1\n",
      "size out of range"),
+    ("coordinate-rows-beyond-any-array", GEN + "4611686018427387903 1 1\n1 1 1\n",
+     "size 4611686018427387903x1 too large to allocate"),
     ("negative-before-beyond-int64", GEN + "-1 99999999999999999999 1\n1 1 1\n",
      "negative size"),
 ]
@@ -652,6 +654,16 @@ class TestReadErrors:
         with pytest.raises(MatrixMarketError) as info:
             read_matrix_market(text)
         assert (info.value.lineno, str(info.value)) == (2, f"line 2: {message}")
+
+    def test_size_beyond_memory_names_size_line(self, monkeypatch):
+        # the real call would ask for a 22.4 GiB row pointer
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 22.4 GiB")
+
+        monkeypatch.setattr(SparseMat, "from_coo", out_of_memory)
+        with pytest.raises(MatrixMarketError) as info:
+            read_matrix_market(GEN + "3000000000 3000000000 1\n1 1 1\n")
+        assert str(info.value) == "line 2: size 3000000000x3000000000 too large to allocate"
 
     @pytest.mark.parametrize("text, lineno, message", cases(VECTOR_ERRORS))
     def test_vector_error_names_its_line(self, text, lineno, message):
