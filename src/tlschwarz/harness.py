@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
 from . import krylov
@@ -133,21 +132,20 @@ def _advection2d(spec):
 def lambda_star(matrix, maps):
     """Largest eigenvalue of sum_i R_i^T A_ii R_i u = lambda A u.
 
-    Dense generalized eigensolve up to ``krylov.DENSE_CUTOFF`` rows; beyond
-    it, one call to ARPACK's Lanczos method (``eigsh`` with M = A, which
-    solves with a sparse LU of A) from a seeded random start, converged to
-    machine precision.  Always at least one (up to round-off) because the
-    subdomains cover every unknown.
+    One call to ARPACK's Lanczos method (``eigsh`` with M = A, which solves
+    with a sparse LU of A) from a seeded random start, converged to machine
+    precision, at every size.  A single subdomain gives exactly one, since
+    its stacked operator is A itself.  Always at least one (up to round-off)
+    because the subdomains cover every unknown.
     """
     n = matrix.nrows
     if not matrix.symmetric:
         raise ValueError("lambda_star is defined for symmetric matrices")
+    if len(maps) == 1:
+        return 1.0
     gather = np.concatenate([s.indices for s in maps])
     local = sp.block_diag([extract_local_blocks(matrix, s).a for s in maps], format="coo")
     stacked = sp.csr_matrix((local.data, (gather[local.row], gather[local.col])), shape=(n, n))
-    if n <= krylov.DENSE_CUTOFF:
-        vals = eigh(stacked.toarray(), matrix.to_dense(), eigvals_only=True)
-        return max(float(vals[-1]), 1.0)
     v0 = np.random.default_rng(12345).standard_normal(n)
     vals = eigsh(stacked, k=1, M=matrix.scipy(), which="LA", v0=v0, return_eigenvectors=False)
     return max(float(vals[0]), 1.0)
@@ -294,8 +292,7 @@ def run_experiment(config):
         if not precond.is_symmetric:
             raise ValueError("solver 'cg' needs a symmetric preconditioner; "
                              "use 'gmres' or a symmetric setup (asm, additive)")
-        x, solve_report = krylov.pcg(matrix, precond, rhs, tol=config.tol,
-                                     maxit=config.maxit, track_tridiagonal=True)
+        x, solve_report = krylov.pcg(matrix, precond, rhs, tol=config.tol, maxit=config.maxit)
     else:
         x, solve_report = krylov.gmres(matrix, precond, rhs, tol=config.tol,
                                        maxit=config.maxit)

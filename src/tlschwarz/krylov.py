@@ -25,8 +25,9 @@ from scipy.linalg import LinAlgError, cholesky, eigvalsh, eigvalsh_tridiagonal, 
 
 GMRES_MAXIT_CAP = 1000
 GMRES_START_CAPACITY = 16  # rows of the first basis; doubled when full
-# Largest system whose condition number and bound constants are computed
-# densely; read at call time, so larger systems take the iterative path.
+# Largest system whose condition number estimate_condition computes densely
+# and whose bound run_experiment checks; read at call time, so larger systems
+# take the Lanczos estimate and go unchecked.
 DENSE_CUTOFF = 400
 
 
@@ -68,14 +69,15 @@ def _apply_precond(precond, r):
     return precond.apply(r)
 
 
-def pcg(matrix, precond, b, tol=1e-8, maxit=500, track_tridiagonal=False):
+def pcg(matrix, precond, b, tol=1e-8, maxit=500):
     """Preconditioned conjugate gradients from the zero start.
 
     Stops when the recursive residual reaches tol * ||b||; it is replaced by
     the true residual every 25 iterations to guard against drift.  Raises
-    BreakdownError when p'Ap <= 0 or r'z <= 0 (matrix or preconditioner not SPD).  With
-    ``track_tridiagonal`` the report carries a condition estimate of the
-    preconditioned operator from the underlying three-term recurrence.
+    BreakdownError when p'Ap <= 0 or r'z <= 0 (matrix or preconditioner not SPD).
+    The report's ``cond_estimate`` is the condition estimate of the
+    preconditioned operator from the underlying three-term recurrence; it is
+    None only when no iteration ran (b = 0) or a coefficient is not finite.
     """
     t0 = time.perf_counter()
     b = np.asarray(b, dtype=np.float64)
@@ -114,22 +116,21 @@ def pcg(matrix, precond, b, tol=1e-8, maxit=500, track_tridiagonal=False):
             stop = "tol"
             break
     true_res = float(np.linalg.norm(b - matrix.matvec(x))) / bnorm
-    cond = None
-    if track_tridiagonal and alphas:
-        cond = _cond_from_recurrence(alphas, betas)
+    cond = _cond_from_recurrence(alphas, betas) if alphas else None
     report = SolveReport(it, true_res <= tol, np.asarray(history), time.perf_counter() - t0,
                          true_res, stop, cond)
     return x, report
 
 
 def _cond_from_recurrence(alphas, betas):
-    """Extreme generalized Ritz values from the CG coefficients."""
-    if len(alphas) == 1:
-        return 1.0
+    """Extreme generalized Ritz values from the CG coefficients; None when
+    the tridiagonal matrix they make is not finite."""
     alphas, betas = np.asarray(alphas), np.asarray(betas)
     diag = 1.0 / alphas
     diag[1:] += betas / alphas[:-1]
     off = np.sqrt(np.maximum(betas, 0.0)) / alphas[:-1]
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        return None
     ritz = eigvalsh_tridiagonal(diag, off)
     if ritz[0] <= 0:
         return float("inf")
@@ -257,5 +258,5 @@ def estimate_condition(matrix, precond=None):
             raise ValueError("preconditioned operator is not positive definite")
         return float(lam[-1] / lam[0])
     b = np.random.default_rng(0).standard_normal(n)
-    _, report = pcg(matrix, precond, b, tol=1e-12, maxit=min(n, 400), track_tridiagonal=True)
+    _, report = pcg(matrix, precond, b, tol=1e-12, maxit=min(n, 400))
     return report.cond_estimate

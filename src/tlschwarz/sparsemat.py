@@ -43,8 +43,7 @@ class SparseMat:
         if not sp.issparse(csr):
             raise TypeError("expected a scipy sparse matrix")
         csr = csr.tocsr().astype(np.float64)
-        csr.sum_duplicates()
-        csr.sort_indices()
+        csr.sum_duplicates()  # sorts the indices first
         if not np.all(np.isfinite(csr.data)):
             raise ValueError("matrix entries must be finite")
         if symmetric:
@@ -94,18 +93,6 @@ class SparseMat:
     @property
     def nnz(self):
         return self._csr.nnz
-
-    @property
-    def indptr(self):
-        return self._csr.indptr
-
-    @property
-    def indices(self):
-        return self._csr.indices
-
-    @property
-    def data(self):
-        return self._csr.data
 
     def scipy(self):
         """The underlying scipy CSR matrix (read-only buffers)."""
@@ -162,7 +149,8 @@ def factor_blocks(blocks, symmetric):
     """One SuperLU factor of the block-diagonal matrix of square sparse ``blocks``.
 
     Returns ``(lu, failed)``, ``failed`` being the first block that fails its
-    test or None (``lu`` is None after an exactly zero pivot column).  A
+    test or None (``lu`` is None when a block is exactly singular: an empty row
+    or column, refused before SuperLU sees it, or an exactly zero pivot).  A
     symmetric block must keep symmetric pivoting with positive pivots, i.e. be
     positive definite; any other block must keep every pivot above
     n * eps * max|U| of that block.  Elimination never couples two blocks.
@@ -182,6 +170,9 @@ def _factor_owned(blocks, symmetric):
     if not (a.format == "csc" and a.has_canonical_format):
         a = sp.csc_matrix(a, copy=True)
     try:
+        # an empty row or column is exactly singular; SuperLU may print from BLAS before it says so
+        if not (np.diff(a.indptr).all() and np.bincount(a.indices, minlength=a.shape[0]).all()):
+            raise RuntimeError("Factor is exactly singular")
         if symmetric:
             lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                       options={"SymmetricMode": True})

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from tlschwarz import (
     BoundInputs,
@@ -21,9 +22,9 @@ from tlschwarz import (
     theoretical_bound,
     write_vector,
 )
-from tlschwarz import harness, krylov
+from tlschwarz import harness
 
-from conftest import laplace1d
+from conftest import laplace1d, scatter_dense
 
 T3 = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
 
@@ -111,7 +112,8 @@ class TestGenerators:
     def test_fingerprint(self, spec, digest):
         mat, _ = generate(spec)
         h = hashlib.sha256()
-        for a, dtype in ((mat.indptr, np.int64), (mat.indices, np.int64), (mat.data, np.float64)):
+        csr = mat.scipy()
+        for a, dtype in ((csr.indptr, np.int64), (csr.indices, np.int64), (csr.data, np.float64)):
             a = np.asarray(a, dtype=dtype)
             h.update(np.int64(a.size).tobytes())
             h.update(a.tobytes())
@@ -128,7 +130,11 @@ class TestLambdaStar:
     def test_single_subdomain_is_one(self):
         mat = laplace1d(30)
         pre = setup(mat, 1, overlap=1, coarse="none")
-        assert lambda_star(mat, pre.maps) == pytest.approx(1.0, abs=1e-10)
+        assert lambda_star(mat, pre.maps) == 1.0
+
+    def test_one_by_one_matrix(self):
+        mat = laplace1d(1)
+        assert lambda_star(mat, setup(mat, 1, coarse="none").maps) == 1.0
 
     def test_disjoint_components_give_one(self):
         import scipy.sparse as sp
@@ -142,14 +148,19 @@ class TestLambdaStar:
         # overlap cannot cross components, so the stacked sum is the matrix
         assert lambda_star(mat, maps) == pytest.approx(1.0, abs=1e-10)
 
-    def test_dense_and_eigsh_paths_agree(self, monkeypatch):
-        mat, _ = generate(ProblemSpec("poisson2d", 8))
-        pre = setup(mat, 4, overlap=2, coarse="none")
-        dense = lambda_star(mat, pre.maps)
-        monkeypatch.setattr(krylov, "DENSE_CUTOFF", 0)
-        iterative = lambda_star(mat, pre.maps)
-        assert iterative == pytest.approx(dense, rel=1e-12)
-        assert dense >= 1.0
+    def test_dense_and_eigsh_paths_agree(self):
+        # eigsh against the dense pencil (sum_i R_i^T A_ii R_i, A), on poisson2d
+        # m=8 N=4 and on the problems of test_shrunk_constants_pinned
+        for kind, m, n_sub in [("poisson2d", 8, 4), ("poisson2d", 12, 4),
+                               ("hetero-diffusion2d", 20, 16)]:
+            mat, _ = generate(ProblemSpec(kind, m))
+            maps = setup(mat, n_sub, overlap=2, coarse="none").maps
+            a = mat.to_dense()
+            stacked = sum(scatter_dense(s, a[np.ix_(s.indices, s.indices)], mat.nrows)
+                          for s in maps)
+            dense = eigh(stacked, a, eigvals_only=True)[-1]
+            assert dense >= 1.0
+            assert lambda_star(mat, maps) == pytest.approx(dense, rel=1e-12)
 
     def test_rejects_nonsymmetric(self):
         mat, _ = generate(ProblemSpec("advection2d", 5))

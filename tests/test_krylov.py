@@ -111,7 +111,7 @@ class TestPcg:
         mat = laplace1d(64)
         rng = np.random.default_rng(5)
         b = rng.standard_normal(64)
-        _, report = pcg(mat, None, b, tol=1e-12, maxit=200, track_tridiagonal=True)
+        _, report = pcg(mat, None, b, tol=1e-12, maxit=200)
         exact = np.linalg.cond(mat.to_dense())
         assert report.cond_estimate == pytest.approx(exact, rel=1e-2)
 
@@ -136,9 +136,25 @@ class TestPcg:
         # diag (1, -1), no coupling: the smallest Ritz value is -1
         assert krylov._cond_from_recurrence([1.0, -1.0], [0.0]) == float("inf")
 
+    def test_plain_report_carries_condition_estimate(self):
+        mat = laplace1d(16)
+        _, report = pcg(mat, None, np.ones(16), tol=1e-10)
+        assert report.converged
+        # a Lanczos estimate: from below
+        assert 1.0 < report.cond_estimate <= np.linalg.cond(mat.to_dense())
+
+    def test_nan_preconditioner_still_reports(self):
+        class NanPrecond:
+            def apply(self, r):
+                return np.full_like(r, np.nan)
+
+        _, report = pcg(laplace1d(16), NanPrecond(), np.ones(16), maxit=5)
+        assert not report.converged
+        assert report.cond_estimate is None
+
     def test_report_text(self):
         mat = laplace1d(16)
-        _, report = pcg(mat, None, np.ones(16), tol=1e-10, track_tridiagonal=True)
+        _, report = pcg(mat, None, np.ones(16), tol=1e-10)
         text = report.to_text()
         assert "iterations" in text and "condition_estimate" in text
 

@@ -1,3 +1,7 @@
+import ctypes
+import os
+import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -100,13 +104,18 @@ class TestParse:
         assert mat.scipy()[0, 1] == 3.5
 
 
+def assert_same_arrays(mat, ref):
+    """The CSR arrays of two SparseMats are equal, entry for entry."""
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(mat.scipy(), name), getattr(ref.scipy(), name),
+                                      err_msg=name)
+
+
 class TestRoundTrip:
     def test_banded7_bit_for_bit(self, banded7, banded7_text):
         again = read_matrix_market(write_matrix_market(banded7))
         assert again.shape == banded7.shape
-        np.testing.assert_array_equal(again.indptr, banded7.indptr)
-        np.testing.assert_array_equal(again.indices, banded7.indices)
-        np.testing.assert_array_equal(again.data, banded7.data)
+        assert_same_arrays(again, banded7)
 
     def test_random_exact(self):
         rng = np.random.default_rng(7)
@@ -116,8 +125,7 @@ class TestRoundTrip:
                 np.where(rng.random((n, n)) < 0.3, rng.standard_normal((n, n)), 0.0)
             )
             again = read_matrix_market(write_matrix_market(mat))
-            np.testing.assert_array_equal(again.data, mat.data)
-            np.testing.assert_array_equal(again.indices, mat.indices)
+            assert_same_arrays(again, mat)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -131,7 +139,7 @@ class TestRoundTrip:
         n = len(vals)
         mat = SparseMat.from_coo(n, 1, list(range(n)), [0] * n, vals)
         again = read_matrix_market(write_matrix_market(mat))
-        np.testing.assert_array_equal(again.data, mat.data)
+        np.testing.assert_array_equal(again.scipy().data, mat.scipy().data)
 
     def test_empty_matrix(self):
         mat = SparseMat.from_coo(3, 4, [], [], [])
@@ -148,7 +156,7 @@ class TestSparseMat:
 
     def test_sorted_unique_columns(self, banded7):
         for i in range(banded7.nrows):
-            cols = banded7.indices[banded7.indptr[i]:banded7.indptr[i + 1]]
+            cols = neighbors(banded7.scipy(), i)
             assert np.all(np.diff(cols) > 0)
 
     def test_symmetric_flag_verified(self):
@@ -200,7 +208,7 @@ class TestSparseMat:
 
     def test_immutability(self, banded7):
         with pytest.raises(ValueError):
-            banded7.data[0] = 99.0
+            banded7.scipy().data[0] = 99.0
 
 
 def neighbors(g, i):
@@ -247,6 +255,41 @@ def unsorted_csc(mat):
         a.data[lo:hi] = a.data[lo:hi][::-1].copy()
     a.has_sorted_indices = False
     return a
+
+
+# A 28x28 block with empty rows and columns, as COO triplets (rows, columns,
+# values): a random sparse block reduced to 29 entries that still make SuperLU
+# print "** On entry to DTRSV parameter number 6 had an illegal value".
+EMPTY_ROWS_BLOCK = (
+    [4, 11, 21, 4, 6, 0, 3, 10, 14, 10, 18, 21, 20, 22, 26, 5, 5, 5, 3, 10, 10, 4, 10, 5, 22, 6,
+     26, 3, 5],
+    [0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 4, 5, 5, 5, 6, 7, 8, 9, 9, 10, 11, 11, 13, 13, 18, 18, 21,
+     21],
+    [0.47, 0.12, 0.27, 0.55, 0.55, 0.02, 0.47, 0.66, 0.52, 0.21, 0.64, 0.74, 0.65, 0.17, 0.52,
+     0.37, 0.2, 1.0, 0.16, 0.87, 0.99, 0.94, 0.35, 0.33, 0.38, 0.89, 0.59, 0.43, 0.77],
+)
+
+
+def fd_output(call):
+    """``call()``'s result and the bytes written to file descriptors 1 and 2
+    while it ran, C stdio buffers included."""
+    fflush = ctypes.CDLL(None).fflush
+    fflush.argtypes, fflush.restype = [ctypes.c_void_p], ctypes.c_int
+    sys.stdout.flush()
+    sys.stderr.flush()
+    saved = [os.dup(1), os.dup(2)]
+    with tempfile.TemporaryFile() as sink:
+        os.dup2(sink.fileno(), 1)
+        os.dup2(sink.fileno(), 2)
+        try:
+            result = call()
+        finally:
+            fflush(None)  # every C stream
+            for fd, old in zip((1, 2), saved):
+                os.dup2(old, fd)
+                os.close(old)
+        sink.seek(0)
+        return result, sink.read()
 
 
 class TestFactorBlocks:
@@ -298,6 +341,16 @@ class TestFactorBlocks:
         lu, failed = factor_blocks(blocks, symmetric)
         assert (lu, failed) == (None, 1)
         assert len(seen) == 3  # the block-diagonal matrix, then blocks 0 and 1
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("before", [0, 1])
+    def test_empty_row_refused_without_output(self, symmetric, before):
+        # SuperLU, given this block, writes BLAS parameter errors to fd 1 before
+        # it reports the block exactly singular
+        block = sp.csc_matrix((EMPTY_ROWS_BLOCK[2], EMPTY_ROWS_BLOCK[:2]), shape=(28, 28))
+        blocks = [laplace1d(5).scipy().tocsc()] * before + [block]
+        (lu, failed), written = fd_output(lambda: factor_blocks(blocks, symmetric))
+        assert (lu, failed, written) == (None, before, b"")
 
     @pytest.mark.parametrize("n_blocks, size", [(1, 1000), (3, 600)])
     @pytest.mark.parametrize("symmetric", [True, False])
@@ -629,8 +682,7 @@ def read_outcome(read, text):
 def assert_same_matrix(mat, ref):
     assert mat.shape == ref.shape
     assert mat.symmetric == ref.symmetric
-    for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(mat, name), getattr(ref, name), err_msg=name)
+    assert_same_arrays(mat, ref)
 
 
 class TestReadErrors:
@@ -722,5 +774,4 @@ class TestRoundTripStorage:
         again = read_matrix_market(write_matrix_market(mat))
         assert not again.symmetric
         assert again.shape == mat.shape
-        for name in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(again, name), getattr(mat, name), err_msg=name)
+        assert_same_arrays(again, mat)
