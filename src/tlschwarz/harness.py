@@ -213,7 +213,8 @@ def derive_bound_inputs(precond):
                          "'full' or 'gevp' coarse space")
     report = precond.report
     threshold = np.inf if report.nu is None else report.nu
-    nu = max([1.0] + [select_pou_modes(b, threshold).largest_unselected for b in precond.blocks])
+    nu = max([1.0] + [select_pou_modes(extract_local_blocks(precond.matrix, s),
+                                       threshold).largest_unselected for s in precond.maps])
     tau = max(report.largest_unselected, default=0.0)
     lam = lambda_star(precond.matrix, precond.maps)
     return BoundInputs(k_c=report.k_c, nu=nu, tau=tau, lam_star=lam)

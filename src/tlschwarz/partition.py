@@ -48,10 +48,9 @@ class Partition:
 class SubdomainMap:
     """One subdomain: interior set plus ordered overlap layers.
 
-    ``indices`` is the local-to-global map (interior, then each layer);
-    ``pou_mask`` is True exactly on the interior positions, so that the
-    Boolean partition-of-unity weights are mask multiplications and
-    sum(scatter(mask)) over all subdomains is the identity.
+    ``indices`` is the local-to-global map (interior, then each layer).  The
+    Boolean partition of unity is one on its first ``interior.size`` entries
+    and zero on the rest, so summed over all subdomains it is one everywhere.
     """
 
     index: int
@@ -59,7 +58,6 @@ class SubdomainMap:
     interior: np.ndarray
     layers: tuple
     indices: np.ndarray = field(init=False)
-    pou_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         interior = np.asarray(self.interior, dtype=np.int64)
@@ -71,10 +69,7 @@ class SubdomainMap:
         idx = np.concatenate([interior, *layers]) if layers else interior.copy()
         if np.unique(idx).size != idx.size:
             raise ValueError(f"subdomain {self.index} has repeated indices")
-        mask = np.zeros(idx.size, dtype=bool)
-        mask[: interior.size] = True
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "pou_mask", mask)
 
     @property
     def n_local(self):

@@ -154,11 +154,6 @@ class Preconditioner:
         return self.matrix.nrows
 
     @property
-    def blocks(self):
-        """Sparse local blocks, cut from the matrix anew on each access."""
-        return [extract_local_blocks(self.matrix, s) for s in self.maps]
-
-    @property
     def is_symmetric(self):
         """Whether the preconditioner itself is a symmetric operator."""
         return self.matrix.symmetric and self.one_level == "asm" and self.combine != "deflated"
@@ -302,7 +297,8 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         largest_unselected=tuple(v for v in unselected if v is not None),
     )
     gather = np.concatenate([s.indices for s in maps])
-    overlap_rows = np.flatnonzero(np.concatenate([~s.pou_mask for s in maps]))
+    overlap_rows = np.flatnonzero(np.concatenate([np.arange(s.n_local) >= s.interior.size
+                                                  for s in maps]))
     release_free_heap()  # what the stages freed, which glibc would keep resident
     return Preconditioner(matrix, maps, gather, overlap_rows, local_lu, cs, one_level, combine,
                           report)

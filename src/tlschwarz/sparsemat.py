@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
-# Largest row count for which an explicit dense copy is allowed.  Everything
-# in this package that densifies a block goes through SparseMat.to_dense or
-# works on subdomain blocks that are small by construction.
+# Largest row count for which an explicit dense copy is allowed: SparseMat.to_dense and
+# spectral.select_pou_modes, the one place that densifies a whole local block, check it.
 DENSE_GUARD = 5000
 
 
@@ -149,10 +149,10 @@ def factor_blocks(blocks, symmetric):
     """One SuperLU factor of the block-diagonal matrix of square sparse ``blocks``.
 
     Returns ``(lu, failed)``, ``failed`` being the first block that fails its
-    test or None (``lu`` is None when a block is exactly singular: an empty row
-    or column, refused before SuperLU sees it, or an exactly zero pivot).  A
-    symmetric block must keep symmetric pivoting with positive pivots, i.e. be
-    positive definite; any other block must keep every pivot above
+    test or None (``lu`` is None when a block is exactly singular: structurally
+    singular, refused before SuperLU sees it, or with an exactly zero pivot).
+    A symmetric block must keep symmetric pivoting with positive pivots, i.e.
+    be positive definite; any other block must keep every pivot above
     n * eps * max|U| of that block.  Elimination never couples two blocks.
     The factor keeps no copy of L or U: its ``.L`` and ``.U`` are empty.
     """
@@ -170,8 +170,9 @@ def _factor_owned(blocks, symmetric):
     if not (a.format == "csc" and a.has_canonical_format):
         a = sp.csc_matrix(a, copy=True)
     try:
-        # an empty row or column is exactly singular; SuperLU may print from BLAS before it says so
-        if not (np.diff(a.indptr).all() and np.bincount(a.indices, minlength=a.shape[0]).all()):
+        # structurally singular is exactly singular; SuperLU may print from BLAS before it says so.
+        # a.T is a CSR view, which csgraph takes without the copy it makes of a CSC matrix
+        if csgraph.structural_rank(a.T) < a.shape[0]:
             raise RuntimeError("Factor is exactly singular")
         if symmetric:
             lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,

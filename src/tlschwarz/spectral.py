@@ -31,6 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
+from .sparsemat import DENSE_GUARD
+
 TIE_GUARD = 1e-12
 
 
@@ -94,13 +96,17 @@ def select_pou_modes(blocks, threshold):
     The pencil's spectrum splits into an exact zero group (one per overlap
     node), an exact one group, and the rest above one; the selection only
     ever draws from the last group since the threshold must exceed one.
+    The pencil is dense, so a block above ``DENSE_GUARD`` nodes is refused.
     """
     if not blocks.symmetric:
         raise ValueError("partition-of-unity modes require a symmetric block")
     if threshold <= 1.0:
         raise ValueError("threshold must exceed 1")
+    if blocks.n_local > DENSE_GUARD:
+        raise ValueError(f"subdomain {blocks.subdomain} has {blocks.n_local} nodes; "
+                         f"dense guard is {DENSE_GUARD}")
     d = blocks.pou_weights
-    a = blocks.dense
+    a = blocks.a.toarray()
     vals, vecs = sym_gevp(a * np.outer(d, d), a)
     return SpectralBasis(_select_above(vals, vecs, threshold), vals)
 

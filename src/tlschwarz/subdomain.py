@@ -7,9 +7,9 @@ ring" is that outermost layer.  The harmonic extension E, a dense
 by solving the inner block against the inner-to-ring coupling; it gives the
 projection from which the coarse basis vectors are built.
 
-A block's matrix is the sparse cut that ``extract_local_blocks`` makes; a
-dense n_local x n_local copy is made one block at a time, only where a dense
-pencil is posed.
+A block's matrix is the sparse cut that ``extract_local_blocks`` makes.
+Only the partition-of-unity pencil (``spectral.select_pou_modes``) makes a
+dense n_local x n_local copy of it, one block at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .sparsemat import DENSE_GUARD, factor_blocks
+from .sparsemat import factor_blocks
 
 
 class SubdomainSetupError(RuntimeError):
@@ -56,15 +56,6 @@ class LocalBlocks:
     def pou_weights(self):
         """The Boolean partition of unity D as 0/1 floats: one on the interior rows."""
         return (np.arange(self.n_local) < self.n_interior).astype(np.float64)
-
-    @property
-    def dense(self):
-        """A new dense copy of the local matrix."""
-        if self.n_local > DENSE_GUARD:
-            raise ValueError(
-                f"subdomain {self.subdomain} has {self.n_local} nodes; dense guard is {DENSE_GUARD}"
-            )
-        return self.a.toarray()
 
 
 def extract_local_blocks(matrix, smap):

@@ -112,6 +112,34 @@ def scatter_dense(smap, local, n):
     return out
 
 
+def interior_mask(smap):
+    """The Boolean partition of unity of a subdomain as 0/1 floats: one on
+    the first ``interior.size`` local positions (test oracle)."""
+    return (np.arange(smap.n_local) < smap.interior.size).astype(np.float64)
+
+
+def dense_oracle(precond):
+    """Rebuild the operator from scratch with plain dense inverses of blocks
+    cut from the dense matrix."""
+    n = precond.n
+    a = precond.matrix.to_dense()
+    m1 = np.zeros((n, n))
+    for smap in precond.maps:
+        cut = np.ix_(smap.indices, smap.indices)
+        local = np.linalg.inv(a[cut])
+        if precond.one_level == "ras":
+            local[smap.interior.size:] = 0.0
+        m1[cut] += local
+    if precond.coarse is None:
+        return m1
+    b = precond.coarse.basis.toarray()
+    q = b @ np.linalg.solve(b.T @ a @ b, b.T)
+    if precond.combine == "additive":
+        return m1 + q
+    eye = np.eye(n)
+    return q + (eye - q @ a) @ m1 @ (eye - a @ q)
+
+
 def full_harmonic_pencil(blocks, mask, extension, threshold):
     """Oracle for the harmonic selection: the n_local x n_local pencil
     ([[0, 0], [0, (DE)^T A (DE)]], A) solved densely.
@@ -119,7 +147,7 @@ def full_harmonic_pencil(blocks, mask, extension, threshold):
     Returns the descending A-weighted singular values and the eigenvectors
     whose value exceeds ``threshold`` (with the selection's tie guard).
     """
-    a = blocks.dense
+    a = blocks.a.toarray()
     masked = extension * mask[:, None]
     gram = masked.T @ a @ masked
     lhs = np.zeros_like(a)

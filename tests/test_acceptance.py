@@ -27,7 +27,7 @@ from tlschwarz import (
 )
 from tlschwarz.krylov import DENSE_CUTOFF
 
-from conftest import random_partition, random_spd
+from conftest import dense_oracle, interior_mask, random_partition, random_spd
 from test_subdomain import spsd_splitting
 
 
@@ -56,7 +56,7 @@ def test_criterion_1_projection_and_splitting():
         for smap in maps:
             blocks = extract_local_blocks(mat, smap)
             ext = build_harmonic(blocks)
-            m, ni, a = blocks.n_local, blocks.n_inner, blocks.dense
+            m, ni, a = blocks.n_local, blocks.n_inner, blocks.a.toarray()
             pi = np.zeros((m, m))
             pi[:, ni:] = ext
             scale = max(1.0, np.abs(pi).max())
@@ -86,9 +86,9 @@ def test_criterion_2_pencil_multiplicities():
         mat, maps = subdomain_suite(60 + 8 * trial, 3 + trial % 3, 1 + trial % 2, seed=200 + trial)
         for smap in maps:
             blocks = extract_local_blocks(mat, smap)
-            mask = smap.pou_mask.astype(np.float64)
+            mask = interior_mask(smap)
             vals = select_pou_modes(blocks, 1e9).all_values
-            d, a = np.diag(mask), blocks.dense
+            d, a = np.diag(mask), blocks.a.toarray()
             dad = d @ a @ d
             n = blocks.n_local
             n_zero = int(np.sum(np.abs(vals) < 1e-8))
@@ -255,8 +255,6 @@ def test_criterion_8_nonsymmetric_two_level():
 def test_criterion_9_operator_equivalence():
     """Every variant matches an independently assembled dense operator."""
     mat, _ = generate(ProblemSpec("poisson2d", 8))
-    n = mat.nrows
-    dense = mat.to_dense()
     rng = np.random.default_rng(9)
     worst = 0.0
     combos = 0
@@ -267,26 +265,9 @@ def test_criterion_9_operator_equivalence():
                 kinds = ({"coarse": "none"} if combine == "none"
                          else {"coarse": coarse, "combine": combine})
                 pre = setup(mat, 4, overlap=2, tau=0.05, one_level=one_level, **kinds)
-                m1 = np.zeros((n, n))
-                for smap, blocks in zip(pre.maps, pre.blocks):
-                    local = np.linalg.inv(blocks.dense)
-                    if one_level == "ras":
-                        local = np.diag(smap.pou_mask.astype(float)) @ local
-                    e = np.zeros((n, smap.n_local))
-                    e[smap.indices, np.arange(smap.n_local)] = 1.0
-                    m1 += e @ local @ e.T
-                if pre.combine == "none":
-                    oracle = m1
-                else:
-                    basis = pre.coarse.basis.toarray()
-                    q = basis @ np.linalg.solve(basis.T @ dense @ basis, basis.T)
-                    if pre.combine == "additive":
-                        oracle = m1 + q
-                    else:
-                        eye = np.eye(n)
-                        oracle = q + (eye - q @ dense) @ m1 @ (eye - dense @ q)
+                oracle = dense_oracle(pre)
                 for _ in range(3):
-                    r = rng.standard_normal(n)
+                    r = rng.standard_normal(mat.nrows)
                     ref = oracle @ r
                     err = np.abs(pre.apply(r) - ref).max() / max(np.abs(ref).max(), 1e-300)
                     worst = max(worst, err)

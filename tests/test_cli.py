@@ -6,8 +6,11 @@ import pytest
 import scipy.sparse as sp
 
 import tlschwarz.cli
-from tlschwarz import ExperimentConfig, ProblemSpec, generate, save_matrix_market, write_vector
+from tlschwarz import (ExperimentConfig, ProblemSpec, SparseMat, generate, save_matrix_market,
+                       write_vector)
 from tlschwarz.cli import main
+
+from test_sparsemat import RANK_DEFICIENT_BLOCK
 
 EVERY_FLAG = [
     ("--matrix", "a.mtx", "matrix_path", "a.mtx"),
@@ -193,6 +196,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert "converged = True" in proc.stdout
+
+
+@pytest.mark.parametrize("n_subdomains", ["1", "2"])
+def test_stdout_carries_only_the_report(tmp_path, n_subdomains):
+    # SuperLU, given this structurally singular matrix, writes BLAS parameter
+    # errors to fd 1 unless setup refuses the block before it is factored
+    import subprocess
+    import sys
+
+    path = tmp_path / "rank_deficient.mtx"
+    save_matrix_market(path, SparseMat.from_coo(24, 24, *RANK_DEFICIENT_BLOCK))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tlschwarz", "--matrix", str(path), "--N", n_subdomains],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error_type = SubdomainSetupError\n"
+                           "message = subdomain 0: local block is numerically singular\n")
 
 
 def test_nonsymmetric_preconditioner_defaults_to_gmres(capsys, monkeypatch):

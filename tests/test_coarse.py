@@ -79,7 +79,8 @@ class TestColumns:
         assert largest_unselected is None
         ni = blocks.n_inner
         assert ni == smap.interior.size
-        expected = -np.linalg.solve(blocks.dense[:ni, :ni], blocks.dense[:ni, ni:])
+        a = blocks.a.toarray()
+        expected = -np.linalg.solve(a[:ni, :ni], a[:ni, ni:])
         np.testing.assert_allclose(cols, expected, atol=1e-12)
 
     def test_shrunk_lifts_selected_modes(self):

@@ -11,7 +11,6 @@ import scipy.sparse as sp
 
 from tlschwarz import (
     CoarseSetupError,
-    LocalBlocks,
     ProblemSpec,
     SparseMat,
     SubdomainSetupError,
@@ -27,7 +26,7 @@ from tlschwarz import coarse as coarse_mod
 from tlschwarz import precond as precond_mod
 from tlschwarz import sparsemat
 
-from conftest import laplace1d, random_spd
+from conftest import dense_oracle, laplace1d, random_spd
 from test_coarse_fingerprint import CASES, EXPECTED, fingerprint
 
 
@@ -40,28 +39,6 @@ def dense_apply(precond):
         e[j] = 1.0
         out[:, j] = precond.apply(e)
     return out
-
-
-def dense_oracle(precond):
-    """Rebuild the operator from scratch with plain dense inverses."""
-    n = precond.n
-    a = precond.matrix.to_dense()
-    m1 = np.zeros((n, n))
-    for smap, blocks in zip(precond.maps, precond.blocks):
-        local = np.linalg.inv(blocks.dense)
-        if precond.one_level == "ras":
-            local = np.diag(smap.pou_mask.astype(float)) @ local
-        e = np.zeros((n, smap.n_local))
-        e[smap.indices, np.arange(smap.n_local)] = 1.0
-        m1 += e @ local @ e.T
-    if precond.coarse is None:
-        return m1
-    b = precond.coarse.basis.toarray()
-    q = b @ np.linalg.solve(b.T @ a @ b, b.T)
-    if precond.combine == "additive":
-        return m1 + q
-    eye = np.eye(n)
-    return q + (eye - q @ a) @ m1 @ (eye - a @ q)
 
 
 class TestOneLevel:
@@ -217,25 +194,18 @@ class TestSparseSetup:
         ("hetero-diffusion2d", "full"), ("advection2d", "svd"),
     ])
     def test_setup_makes_no_dense_local_block(self, monkeypatch, kind, coarse):
-        def refuse(*args):
+        # with nu=None setup poses no dense local pencil: it neither calls
+        # select_pou_modes nor makes a dense copy of a sparse local block
+        def refuse(*args, **kwargs):
             raise AssertionError("setup densified a local block")
 
-        monkeypatch.setattr(LocalBlocks, "dense", property(refuse))
+        monkeypatch.setattr(coarse_mod, "select_pou_modes", refuse)
+        monkeypatch.setattr(sp.csr_matrix, "toarray", refuse)
         mat, _ = generate(ProblemSpec(kind, 12))
         pre = setup(mat, 4, overlap=2, coarse=coarse)
         assert pre.report.n_coarse > 0
         with pytest.raises(AssertionError, match="densified"):
-            pre.blocks[0].dense
-
-    def test_blocks_are_the_one_sparse_cut(self):
-        mat, _ = generate(ProblemSpec("poisson2d", 12))
-        pre = setup(mat, 4, overlap=2)
-        for smap, blocks in zip(pre.maps, pre.blocks):
-            want, a = extract_local_blocks(mat, smap).a, blocks.a
-            assert sp.issparse(a) and a.format == "csr"
-            np.testing.assert_array_equal(a.data, want.data)
-            np.testing.assert_array_equal(a.indices, want.indices)
-            np.testing.assert_array_equal(a.indptr, want.indptr)
+            extract_local_blocks(mat, pre.maps[0]).a.toarray()
 
     def test_setup_traced_peak(self):
         # traced allocations (numpy buffers and Python objects, not SuperLU's
@@ -561,8 +531,8 @@ class TestReport:
         assert rep.n_coarse == sum(rep.mode_counts)
         assert rep.n_coarse == pre.coarse.basis.shape[1]
         # gevp modes cannot outnumber boundary-ring nodes
-        for count, blocks in zip(rep.mode_counts, pre.blocks):
-            assert count <= blocks.n_boundary
+        for count, smap in zip(rep.mode_counts, pre.maps):
+            assert count <= smap.layers[-1].size
         assert rep.nnz_matrix == mat.nnz
         a00 = galerkin_operator(mat, pre.coarse.basis)
         assert rep.nnz_coarse == np.count_nonzero(a00.toarray())

@@ -269,6 +269,30 @@ EMPTY_ROWS_BLOCK = (
      0.37, 0.2, 1.0, 0.16, 0.87, 0.99, 0.94, 0.35, 0.33, 0.38, 0.89, 0.59, 0.43, 0.77],
 )
 
+# A 24x24 block with no empty row or column but structural rank 23, as COO
+# triplets (rows, columns, values): sp.random(24, 24, density=0.1726,
+# random_state=687) with its values rounded to two digits.  SuperLU, given
+# it, prints "** On entry to DTRSV parameter number 6 had an illegal value"
+# and a DGEMV line before it reports the block singular or, with symmetric
+# pivoting, not positive definite.
+RANK_DEFICIENT_BLOCK = (
+    [5, 6, 0, 8, 9, 15, 17, 18, 19, 21, 23, 0, 1, 10, 14, 17, 19, 20, 2, 17, 13, 16, 19, 7, 20, 9,
+     20, 2, 7, 10, 17, 23, 19, 2, 5, 6, 17, 20, 4, 10, 20, 22, 9, 13, 14, 19, 9, 16, 7, 11, 18, 13,
+     15, 22, 23, 4, 8, 9, 10, 12, 16, 17, 3, 16, 18, 10, 15, 17, 22, 23, 7, 10, 13, 17, 22, 5, 7, 9,
+     11, 13, 14, 18, 23, 1, 14, 18, 2, 3, 5, 9, 20, 23, 18, 23, 13, 14, 17, 18, 22],
+    [0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 4, 4, 4, 5, 5, 6, 6, 7, 7, 7, 7, 7,
+     8, 9, 9, 9, 9, 9, 10, 10, 10, 10, 11, 11, 11, 11, 12, 12, 13, 13, 13, 14, 14, 14, 14, 15, 15,
+     15, 15, 15, 15, 15, 16, 16, 16, 17, 17, 17, 17, 17, 18, 18, 18, 18, 18, 19, 19, 19, 19, 19, 19,
+     19, 19, 20, 20, 20, 21, 21, 21, 21, 21, 21, 22, 22, 23, 23, 23, 23, 23],
+    [0.74, 0.44, 0.99, 0.06, 0.62, 0.97, 0.58, 0.41, 0.42, 0.53, 0.08, 0.5, 0.1, 0.69, 1.0, 0.95,
+     0.43, 0.24, 0.53, 0.29, 0.82, 0.05, 0.63, 0.57, 0.37, 0.24, 0.13, 0.31, 0.51, 0.85, 0.66, 0.1,
+     0.74, 0.8, 0.46, 0.82, 0.24, 0.61, 0.23, 0.98, 0.62, 0.42, 0.32, 0.35, 0.48, 0.08, 0.35, 0.38,
+     0.3, 0.96, 0.78, 0.43, 0.8, 0.65, 0.22, 0.02, 0.72, 0.9, 0.25, 0.44, 0.37, 0.9, 0.53, 0.87,
+     0.15, 0.55, 0.69, 0.85, 0.29, 0.12, 0.29, 0.97, 0.12, 0.78, 0.78, 0.91, 0.34, 0.98, 0.07,
+     0.27, 0.05, 0.35, 0.34, 0.71, 0.98, 0.97, 0.31, 0.74, 0.93, 0.08, 0.23, 0.99, 0.28, 0.5, 0.23,
+     0.09, 0.76, 0.5, 0.88],
+)
+
 
 def fd_output(call):
     """``call()``'s result and the bytes written to file descriptors 1 and 2
@@ -348,6 +372,17 @@ class TestFactorBlocks:
         # SuperLU, given this block, writes BLAS parameter errors to fd 1 before
         # it reports the block exactly singular
         block = sp.csc_matrix((EMPTY_ROWS_BLOCK[2], EMPTY_ROWS_BLOCK[:2]), shape=(28, 28))
+        blocks = [laplace1d(5).scipy().tocsc()] * before + [block]
+        (lu, failed), written = fd_output(lambda: factor_blocks(blocks, symmetric))
+        assert (lu, failed, written) == (None, before, b"")
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("before", [0, 1])
+    def test_structurally_singular_refused_without_output(self, symmetric, before):
+        # no empty row or column, but no perfect matching of rows to columns:
+        # SuperLU would write BLAS parameter errors to fd 1 before failing it
+        block = sp.csc_matrix((RANK_DEFICIENT_BLOCK[2], RANK_DEFICIENT_BLOCK[:2]), shape=(24, 24))
+        assert np.diff(block.indptr).all() and np.diff(block.tocsr().indptr).all()
         blocks = [laplace1d(5).scipy().tocsc()] * before + [block]
         (lu, failed), written = fd_output(lambda: factor_blocks(blocks, symmetric))
         assert (lu, failed, written) == (None, before, b"")

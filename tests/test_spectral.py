@@ -17,7 +17,7 @@ from tlschwarz import (
 )
 from tlschwarz.spectral import _fix_signs
 
-from conftest import full_harmonic_pencil, laplace1d, random_partition, random_spd
+from conftest import full_harmonic_pencil, interior_mask, laplace1d, random_partition, random_spd
 
 from test_subdomain import fixture_1d3, make_map
 
@@ -28,7 +28,7 @@ def subdomain_pieces(n, n_sub, delta, seed):
     out = []
     for smap in maps:
         blocks = extract_local_blocks(mat, smap)
-        out.append((blocks, smap.pou_mask.astype(np.float64), build_harmonic(blocks)))
+        out.append((blocks, interior_mask(smap), build_harmonic(blocks)))
     return out
 
 
@@ -121,7 +121,7 @@ class TestPouModes:
         for seed in range(6):
             pieces = subdomain_pieces(40, 3, 1, seed=30 + seed)
             for blocks, mask, _ in pieces:
-                d, a = np.diag(mask), blocks.dense
+                d, a = np.diag(mask), blocks.a.toarray()
                 dad = d @ a @ d
                 vals = select_pou_modes(blocks, 1e6).all_values
                 n = blocks.n_local
@@ -138,7 +138,7 @@ class TestPouModes:
         for blocks, mask, _ in subdomain_pieces(50, 4, 2, seed=50):
             basis = select_pou_modes(blocks, threshold=1.2)
             z = basis.vectors
-            d, a = np.diag(mask), blocks.dense
+            d, a = np.diag(mask), blocks.a.toarray()
             dad = d @ a @ d
             nu = basis.largest_unselected
             for _ in range(20):
@@ -152,7 +152,7 @@ class TestPouModes:
         for blocks, mask, _ in subdomain_pieces(40, 3, 1, seed=70):
             basis = select_pou_modes(blocks, threshold=1.1)
             if basis.n_selected:
-                gram = basis.vectors.T @ blocks.dense @ basis.vectors
+                gram = basis.vectors.T @ blocks.a.toarray() @ basis.vectors
                 np.testing.assert_allclose(gram, np.eye(basis.n_selected), atol=1e-10)
 
     def test_rejects_bad_threshold_and_nonsymmetric(self):
@@ -191,7 +191,7 @@ class TestHarmonicModes:
         tau = 0.15
         for blocks, mask, ext in subdomain_pieces(50, 3, 2, seed=90):
             basis = select_harmonic_modes(blocks, ext, tau)
-            a = blocks.dense
+            a = blocks.a.toarray()
             lfac = cholesky(a, lower=True)
             masked = ext * mask[:, None]
             gram = masked.T @ a @ masked
@@ -215,7 +215,7 @@ class TestHarmonicModes:
         for blocks, _, ext in subdomain_pieces(40, 3, 1, seed=100):
             basis = select_harmonic_modes(blocks, ext, threshold=0.05)
             if basis.n_selected:
-                gram = basis.vectors.T @ blocks.dense @ basis.vectors
+                gram = basis.vectors.T @ blocks.a.toarray() @ basis.vectors
                 np.testing.assert_allclose(gram, np.eye(basis.n_selected), atol=1e-10)
 
     def test_rejects_bad_threshold(self):
@@ -236,10 +236,11 @@ class TestHarmonicModes:
         # its values are the n_local pencil's but for the n_inner zeros
         mat, _ = generate(ProblemSpec("poisson2d", 20))
         pre = setup(mat, 16, tau=0.1)
-        for blocks, smap in zip(pre.blocks, pre.maps):
+        for smap in pre.maps:
+            blocks = extract_local_blocks(mat, smap)
             ext = build_harmonic(blocks)
             basis = select_harmonic_modes(blocks, ext, 0.1)
-            sigmas, oracle = full_harmonic_pencil(blocks, smap.pou_mask.astype(float), ext, 0.1)
+            sigmas, oracle = full_harmonic_pencil(blocks, interior_mask(smap), ext, 0.1)
             assert basis.n_selected == oracle.shape[1] > 0
             assert subspace_angles(basis.vectors, oracle).max() < 1e-10
             nb = blocks.n_boundary

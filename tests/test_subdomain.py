@@ -11,6 +11,7 @@ from tlschwarz import (
     build_harmonic,
     extend_overlap,
     extract_local_blocks,
+    select_pou_modes,
     symmetrized_graph,
 )
 from tlschwarz.sparsemat import DENSE_GUARD
@@ -31,10 +32,10 @@ def spsd_splitting(blocks, extension):
     if not blocks.symmetric:
         raise ValueError("positive-semidefinite splitting requires a symmetric block")
     if blocks.n_boundary == 0:
-        return blocks.dense
+        return blocks.a.toarray()
     e = np.eye(blocks.n_local)
     e[:, blocks.n_inner:] -= extension
-    tilde = e.T @ blocks.dense @ e
+    tilde = e.T @ blocks.a.toarray() @ e
     tilde = 0.5 * (tilde + tilde.T)
     if not np.all(np.isfinite(tilde)):
         raise ValueError(f"subdomain {blocks.subdomain}: splitting produced non-finite values")
@@ -64,7 +65,7 @@ class TestLocalBlocks:
         part = Partition(2, np.array([0, 0, 0, 1, 1, 1, 1]))
         maps = extend_overlap(g, part, 1)
         blocks = extract_local_blocks(banded7, maps[0])
-        np.testing.assert_array_equal(blocks.dense[0], [1, 2, 0, 0])
+        np.testing.assert_array_equal(blocks.a.toarray()[0], [1, 2, 0, 0])
         assert blocks.n_interior == 3
         assert blocks.layer_sizes == (1,)
         assert blocks.n_boundary == 1
@@ -76,7 +77,8 @@ class TestLocalBlocks:
         dense = mat.to_dense()
         for smap in maps:
             blocks = extract_local_blocks(mat, smap)
-            np.testing.assert_array_equal(blocks.dense, dense[np.ix_(smap.indices, smap.indices)])
+            np.testing.assert_array_equal(blocks.a.toarray(),
+                                          dense[np.ix_(smap.indices, smap.indices)])
 
     def test_pou_weights_are_the_interior_mask(self):
         mat = random_spd(30, seed=3)
@@ -84,7 +86,7 @@ class TestLocalBlocks:
         for smap in maps:
             weights = extract_local_blocks(mat, smap).pou_weights
             assert weights.dtype == np.float64
-            np.testing.assert_array_equal(weights, smap.pou_mask)
+            np.testing.assert_array_equal(weights, np.isin(smap.indices, smap.interior))
 
     def test_symmetric_flag_propagates(self):
         mat = random_spd(12, seed=5)
@@ -97,8 +99,9 @@ class TestLocalBlocks:
         smap = SubdomainMap(index=7, n_global=n, interior=np.arange(n), layers=())
         blocks = extract_local_blocks(mat, smap)
         assert sp.issparse(blocks.a) and blocks.n_local == n
-        with pytest.raises(ValueError, match=f"subdomain 7 has {n} nodes"):
-            blocks.dense
+        message = f"subdomain 7 has {n} nodes; dense guard is {DENSE_GUARD}"
+        with pytest.raises(ValueError, match=message):
+            select_pou_modes(blocks, 2.0)
 
 
 class TestHarmonicExtension:
@@ -128,14 +131,14 @@ class TestHarmonicExtension:
                 ext = build_harmonic(blocks)
                 pi = np.zeros((blocks.n_local, blocks.n_local))
                 pi[:, blocks.n_inner:] = ext
-                a = blocks.dense
+                a = blocks.a.toarray()
                 resid = (np.eye(blocks.n_local) - pi).T @ a @ pi
                 assert np.abs(resid).max() < 1e-8 * np.abs(a).max()
 
     def test_interior_rows_annihilated(self):
         # A (ext v) vanishes on the inner nodes: the extension is discrete-harmonic
         blocks, ext = fixture_1d3()
-        out = blocks.dense @ ext
+        out = blocks.a.toarray() @ ext
         np.testing.assert_allclose(out[: blocks.n_inner], 0, atol=1e-14)
 
     def test_empty_boundary(self):
@@ -172,7 +175,7 @@ class TestSplitting:
             for smap in maps:
                 blocks = extract_local_blocks(mat, smap)
                 tilde = spsd_splitting(blocks, build_harmonic(blocks))
-                a = blocks.dense
+                a = blocks.a.toarray()
                 scale = np.abs(a).max()
                 assert np.linalg.eigvalsh(tilde).min() > -1e-10 * scale
                 assert np.linalg.eigvalsh(a - tilde).min() > -1e-10 * scale
@@ -188,7 +191,7 @@ class TestSplitting:
                 continue
             tilde = spsd_splitting(blocks, build_harmonic(blocks))
             ni = blocks.n_inner
-            a = blocks.dense
+            a = blocks.a.toarray()
             # Schur complement of the strict-inner block inside the inner block
             strict = ni - blocks.layer_sizes[-2] if len(blocks.layer_sizes) >= 2 else 0
             inner = a[:ni, :ni]
@@ -211,7 +214,7 @@ class TestSplitting:
         smap = make_map(np.arange(5), [], 5)
         blocks = extract_local_blocks(mat, smap)
         tilde = spsd_splitting(blocks, build_harmonic(blocks))
-        np.testing.assert_array_equal(tilde, blocks.dense)
+        np.testing.assert_array_equal(tilde, blocks.a.toarray())
 
     def test_rejects_nonsymmetric(self):
         rng = np.random.default_rng(1)
