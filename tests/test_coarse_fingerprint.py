@@ -14,6 +14,8 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from tlschwarz import ProblemSpec, galerkin_operator, generate, setup
 
@@ -76,3 +78,44 @@ def fingerprint(kind, m, n_subdomains, kwargs):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_coarse_operator_fingerprint(name):
     assert fingerprint(*CASES[name]) == EXPECTED[name]
+
+
+def independent_apply(pre, r):
+    """``pre.apply(r)`` rebuilt from fresh default SuperLU factors: one per
+    subdomain block, zeroed off the interior for ras, and one of A00 formed
+    again from the built basis."""
+    a = pre.matrix.scipy()
+
+    def one_level(v):
+        out = np.zeros_like(v)
+        for smap in pre.maps:
+            idx = smap.indices
+            y = splu(sp.csc_matrix(a[idx][:, idx])).solve(v[idx])
+            if pre.one_level == "ras":
+                y[smap.interior.size:] = 0.0
+            np.add.at(out, idx, y)
+        return out
+
+    z = pre.coarse.basis
+    a00 = splu(sp.csc_matrix(galerkin_operator(pre.matrix, z)))
+
+    def q(v):
+        return z @ a00.solve(z.T @ v)
+
+    if pre.combine == "additive":
+        return one_level(r) + q(r)
+    qr_ = q(r)
+    w = one_level(r - a @ qr_)
+    return qr_ + w - q(a @ w)
+
+
+@pytest.mark.parametrize("name", ["poisson2d-m200-N256", "poisson3d-m16", "advection2d-m80-N16"])
+def test_bench_apply_matches_independent_construction(name):
+    # the apply digest pins bits; this pins the operator itself, independently
+    # of the factor options and the order of the one-level arithmetic
+    kind, m, n_subdomains, kwargs = CASES[name]
+    mat, _ = generate(ProblemSpec(kind, m))
+    pre = setup(mat, n_subdomains, **kwargs)
+    r = np.random.default_rng(0).standard_normal(mat.nrows)
+    expected = independent_apply(pre, r)
+    assert np.linalg.norm(pre.apply(r) - expected) <= 1e-12 * np.linalg.norm(expected)
