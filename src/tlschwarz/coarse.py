@@ -135,11 +135,13 @@ def galerkin_coarse(matrix, z):
 
     A00 is sorted in place and handed to SuperLU without a copy; only its
     factor is kept, and A00 is freed as soon as SuperLU returns, so the
-    pivot read's copies of L and U can take its memory.  The heap the
-    product freed is given back before the factorization, and the pivot
-    read's after it.  The factor must show A00 positive definite (symmetric)
-    or numerically nonsingular.  ``z`` must have at least one column.
+    pivot read's copies of L and U can take its memory.  The heap is given
+    back three times: what the basis assembly freed before the product, what
+    the product freed before the factorization, and the pivot read's after
+    it.  The factor must show A00 positive definite (symmetric) or
+    numerically nonsingular.  ``z`` must have at least one column.
     """
+    release_free_heap()
     owned = [galerkin_operator(matrix, z)]  # A00's only reference, which _factor_owned drops
     owned[0].sum_duplicates()  # sorts in place and marks it canonical: SuperLU takes it as is
     nnz = owned[0].nnz

@@ -106,7 +106,8 @@ def partition_graph(graph, n_subdomains):
     ties broken by smallest index.  Each subdomain grows breadth-first to
     about ceil(n/N) nodes; nodes left over when growth gets blocked are
     attached to the adjacent subdomain with the fewest nodes.  Deterministic
-    for a given graph and subdomain count.
+    for a given graph and subdomain count.  ``graph`` is a boolean sparsity
+    pattern without stored zeros, as ``symmetrized_graph`` makes it.
 
     Components come from ``csgraph.connected_components``, and the subdomain
     budget is split across them in proportion to their sizes.  Within a
@@ -123,7 +124,9 @@ def partition_graph(graph, n_subdomains):
     if not (1 <= n_subdomains <= n):
         raise ValueError(f"subdomain count {n_subdomains} out of range for {n} nodes")
 
-    graph = graph.astype(np.float64)  # csgraph's dtype: convert once, not per search
+    # csgraph's dtype, converted once rather than per search; every edge weighs
+    # 1.0, so a weighted search counts hops
+    graph = graph.astype(np.float64)
     _, labels = csgraph.connected_components(graph, directed=False)
     by_label = np.argsort(labels, kind="stable")
     comps = np.split(by_label, np.cumsum(np.bincount(labels))[:-1])
@@ -198,8 +201,7 @@ def _partition_component(graph, comp, n_parts, first_id, owner, sizes):
         free -= taken.size
         if remaining_after:
             score[np.searchsorted(comp, taken)] = -1
-            near = csgraph.dijkstra(graph, indices=taken, unweighted=True,
-                                    min_only=True, limit=score.max())
+            near = csgraph.dijkstra(graph, indices=taken, min_only=True, limit=score.max())
             np.minimum(score, near[comp], out=score)
             seed = int(comp[np.argmax(score)])
 

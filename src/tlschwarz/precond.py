@@ -25,9 +25,13 @@ stacked, ras zeroes the result off the interiors (D_i = I for asm), and
 stays sparse, and only its factor is kept.
 
 ``setup`` builds the coarse level before it factors the one-level blocks:
-the levels meet only in the apply, and the coarse factorization, where
-setup's memory peaks, then runs without the one-level factor (README has
-the peaks).  A failing local block is still reported before a coarse error.
+the levels meet only in the apply, so the coarse factorization runs without
+the one-level factor.  The one-level factor runs at SuperLU panel width 1
+(``sparsemat.BLOCK_DIAGONAL_OPTIONS``): its block diagonal stacks every
+subdomain's rows, and SuperLU's panel work arrays grow with the row count
+times the panel width.  The coarse factorization, with its pivot read, is
+then setup's memory peak (README has the phase peaks).  A failing local
+block is still reported before a coarse error.
 
 The two levels of the additive apply are independent, so the coarse solve
 runs on one private worker thread while the calling thread runs the
@@ -230,10 +234,11 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     each subdomain's interior block.
 
     The one-level factor is made last, after the coarse factor, so that
-    setup's memory peak holds no one-level factor.  If the coarse stage
+    the coarse factorization holds no one-level factor.  If the coarse stage
     raises, a failing local block raises ``SubdomainSetupError`` instead.
     Setup ends by giving the heap's free memory back to the OS, as
-    ``galerkin_coarse`` does around the coarse factorization.
+    ``galerkin_coarse`` does before the Galerkin product and around the
+    coarse factorization.
     """
     if coarse not in COARSE_KINDS:
         raise ValueError(f"unknown coarse kind {coarse!r}")

@@ -22,6 +22,12 @@ from scipy.sparse.linalg import splu
 # spectral.select_pou_modes, the one place that densifies a whole local block, check it.
 DENSE_GUARD = 5000
 
+# SuperLU options for a block diagonal of more than one block.  SuperLU's panel work arrays
+# hold the row count times the panel width (Demmel, Eisenstat, Gilbert, Li and Liu, SIAM J.
+# Matrix Anal. Appl. 20, 1999), and the one-level matrix stacks every subdomain's rows: a
+# panel one column wide keeps its fill and cuts SuperLU's transient memory (README).
+BLOCK_DIAGONAL_OPTIONS = {"panel_size": 1}
+
 
 class MatrixMarketError(ValueError):
     """Malformed Matrix Market input; the message names the offending line."""
@@ -154,15 +160,21 @@ def factor_blocks(blocks, symmetric):
     A symmetric block must keep symmetric pivoting with positive pivots, i.e.
     be positive definite; any other block must keep every pivot above
     n * eps * max|U| of that block.  Elimination never couples two blocks.
+    More than one block is factored with ``BLOCK_DIAGONAL_OPTIONS``, one
+    block with SuperLU's defaults.
     The factor keeps no copy of L or U: its ``.L`` and ``.U`` are empty.
     """
     return _factor_owned(list(blocks), symmetric)
 
 
-def _factor_owned(blocks, symmetric):
+def _factor_owned(blocks, symmetric, options=None):
     """``factor_blocks`` on a list this call owns: it empties the list once
     SuperLU has returned, so a block the caller holds no other reference to
-    is freed before the pivot read makes its CSC copies of L and U."""
+    is freed before the pivot read makes its CSC copies of L and U.  The
+    search for a failing block factors each block with the ``options`` the
+    whole was factored with."""
+    if options is None:
+        options = BLOCK_DIAGONAL_OPTIONS if len(blocks) > 1 else {}
     sizes = np.array([b.shape[0] for b in blocks])
     # splu sorts the indices of a CSC argument in place: a single block goes to
     # it as it is only when already CSC in canonical format, else as a copy
@@ -170,18 +182,18 @@ def _factor_owned(blocks, symmetric):
     if not (a.format == "csc" and a.has_canonical_format):
         a = sp.csc_matrix(a, copy=True)
     try:
-        # structurally singular is exactly singular; SuperLU may print from BLAS before it says so.
-        # a.T is a CSR view, which csgraph takes without the copy it makes of a CSC matrix
-        if csgraph.structural_rank(a.T) < a.shape[0]:
+        # structurally singular is exactly singular; SuperLU may print from BLAS before it says so
+        if _structurally_singular(a):
             raise RuntimeError("Factor is exactly singular")
         if symmetric:
             lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                      options={"SymmetricMode": True})
+                      options={"SymmetricMode": True}, **options)
         else:
-            lu = splu(a)
+            lu = splu(a, **options)
     except RuntimeError:  # exactly singular: find the block on its own
         failed = 0 if len(blocks) == 1 else next(
-            (i for i, b in enumerate(blocks) if factor_blocks([b], symmetric)[1] is not None), None)
+            (i for i, b in enumerate(blocks)
+             if _factor_owned([b], symmetric, options)[1] is not None), None)
         if failed is None:
             raise
         return None, failed
@@ -199,6 +211,14 @@ def _factor_owned(blocks, symmetric):
         cached.__init__((0, 0))
     bad = np.flatnonzero(bad)
     return lu, (int(np.searchsorted(starts, bad[0], side="right")) - 1 if bad.size else None)
+
+
+def _structurally_singular(a):
+    """Whether the square CSC matrix ``a`` has no perfect matching of rows to
+    columns.  A zero-free diagonal is one, so only a diagonal with a zero
+    needs csgraph's search; it gets ``a.T``, a CSR view, which csgraph takes
+    without the copy it makes of a CSC matrix."""
+    return not a.diagonal().all() and csgraph.structural_rank(a.T) < a.shape[0]
 
 
 def _find_malloc_trim():

@@ -50,19 +50,19 @@ CASES = {
 # (Z^T, A00, mode counts, apply(r))
 EXPECTED = {
     "poisson2d-m20-gevp": ("8a35e2250d4ce2b8", "0e313650ed1bf75a", "6e213b2c0211c257",
-                           "61a65dcfc01ce9c1"),
+                           "bb18b0d5e8c1aa8d"),
     "advection2d-m30-svd": ("7d04c6ac77685c85", "650b1778b2edd6f1", "16011159daa1151c",
-                            "4e1b4ef0319c8a0a"),
+                            "22153a09c7c69428"),
     "poisson2d-m12-full-nu": ("8cdeeba949cabf10", "159ca028ca013151", "f72c4bcbe5d5d907",
-                              "bc1537a571c2625b"),
+                              "000fadfea5da9799"),
     "hetero2d-m20-nu": ("e64cb545d7e45834", "c3cf260de460cea7", "8e94648a1de6fa25",
-                        "e4fc8ebf659fd851"),
+                        "739c7f94d92de2da"),
     "poisson3d-m16": ("f9125ff3972dc1de", "db3f9097af3ac1dd", "0c23ecab0c98677f",
-                      "8acfbd2d38d31313"),
+                      "a95b1751073050f8"),
     "poisson2d-m200-N256": ("c35b601e1c88ebbb", "01f87dc05fec64c0", "8441064c40d8db1c",
-                            "c445fb6760451694"),
+                            "812fbfd549744078"),
     "advection2d-m80-N16": ("88b5301aabc4ae04", "051c7da04293bc10", "68c7d2d155f7885a",
-                            "df1e8890daeefabf"),
+                            "ef2302478cfd6615"),
 }
 
 

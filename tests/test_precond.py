@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from tlschwarz import (
     CoarseSetupError,
@@ -403,15 +404,31 @@ class TestStageOrder:
         assert info.value.subdomain == 0
 
 
+class TestFactorOptions:
+    """Only the one-level factor, a block diagonal, runs at SuperLU panel width 1."""
+
+    @pytest.mark.parametrize("kind", ["poisson2d", "advection2d"])
+    def test_only_the_one_level_factor_gets_panel_width_one(self, monkeypatch, kind):
+        calls = []
+        monkeypatch.setattr(sparsemat, "splu",
+                            lambda a, **kw: calls.append((a.shape[0], kw)) or splu(a, **kw))
+        mat, _ = generate(ProblemSpec(kind, 20))
+        pre = setup(mat, 8)
+        # the inner blocks, A00, then the one-level block diagonal
+        assert len(calls) == 8 + 2
+        assert [kw.get("panel_size") for _, kw in calls] == [None] * 9 + [1]
+        assert calls[-1][0] == pre.gather.size
+
+
 def _no_c_library(name):
     raise OSError("no C library")
 
 
 class TestReleaseFreeHeap:
-    """setup gives the heap's free memory back before and after the coarse
-    factorization and at its end."""
+    """setup gives the heap's free memory back before the Galerkin product,
+    before and after the coarse factorization and at its end."""
 
-    @pytest.mark.parametrize("coarse, releases", [("auto", 3), ("none", 1)])
+    @pytest.mark.parametrize("coarse, releases", [("auto", 4), ("none", 1)])
     def test_release_points(self, monkeypatch, coarse, releases):
         calls = []
         monkeypatch.setattr(sparsemat, "_malloc_trim", calls.append)

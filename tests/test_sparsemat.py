@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
@@ -367,6 +368,34 @@ class TestFactorBlocks:
         assert len(seen) == 3  # the block-diagonal matrix, then blocks 0 and 1
 
     @pytest.mark.parametrize("symmetric", [True, False])
+    def test_search_factors_each_block_as_the_whole_was(self, monkeypatch, symmetric):
+        # the block diagonal runs at panel width 1, and so does each block the
+        # search for the failing one factors alone; a single block keeps SuperLU's
+        # defaults
+        seen = []
+        monkeypatch.setattr(sparsemat, "splu",
+                            lambda a, **kw: seen.append(kw.get("panel_size")) or splu(a, **kw))
+        singular = sp.csc_matrix(laplace1d(4).scipy().multiply(np.array([1.0, 0.0, 1.0, 1.0])))
+        blocks = [laplace1d(4).scipy().tocsc(), singular]
+        assert factor_blocks(blocks, symmetric) == (None, 1)
+        assert factor_blocks([singular], symmetric) == (None, 0)
+        assert sparsemat.BLOCK_DIAGONAL_OPTIONS == {"panel_size": 1}
+        assert seen == [1, 1, 1, None]
+
+    @given(n=st.integers(1, 12), density=st.floats(0.0, 0.4), zero_diagonal=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_structural_shortcut_decides_as_structural_rank(self, n, density, zero_diagonal,
+                                                            seed):
+        # a zero-free diagonal is a perfect matching: only a diagonal with a zero
+        # needs the search, and the shortcut must refuse exactly what it refuses
+        a = sp.random(n, n, density=density, random_state=seed, format="lil")
+        a.setdiag(np.random.default_rng(seed).integers(0, 2 if zero_diagonal else 1, n) == 0)
+        a = a.tocsc()
+        assert zero_diagonal or a.diagonal().all()
+        expected = csgraph.structural_rank(a) < n
+        assert sparsemat._structurally_singular(a) == expected
+
+    @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("before", [0, 1])
     def test_empty_row_refused_without_output(self, symmetric, before):
         # SuperLU, given this block, writes BLAS parameter errors to fd 1 before
@@ -408,10 +437,16 @@ class TestFactorBlocks:
         assert failed is None
         assert held < 0.01 * 12 * lu.nnz
         a = sp.block_diag(blocks, format="csc")
-        fresh = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                     options={"SymmetricMode": True}) if symmetric else splu(a)
+        options = dict(sparsemat.BLOCK_DIAGONAL_OPTIONS) if n_blocks > 1 else {}
+        if symmetric:
+            options.update(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                           options={"SymmetricMode": True})
+        fresh = splu(a, **options)
         rhs = np.random.default_rng(0).standard_normal(a.shape[0])
-        np.testing.assert_array_equal(lu.solve(rhs), fresh.solve(rhs))
+        x = lu.solve(rhs)
+        np.testing.assert_array_equal(x, fresh.solve(rhs))
+        default = splu(a).solve(rhs)
+        assert np.linalg.norm(x - default) <= 1e-12 * np.linalg.norm(default)
 
 
 class TestVectors:
