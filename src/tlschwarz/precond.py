@@ -30,8 +30,10 @@ the one-level factor.  The one-level factor runs at SuperLU panel width 1
 (``sparsemat.BLOCK_DIAGONAL_OPTIONS``): its block diagonal stacks every
 subdomain's rows, and SuperLU's panel work arrays grow with the row count
 times the panel width.  The coarse factorization, with its pivot read, is
-then setup's memory peak (README has the phase peaks).  A failing local
-block is still reported before a coarse error.
+then setup's memory peak (README has the phase peaks).  The graph and the
+partition are gone by then, each local block lived only while its coarse
+columns were made, and the one-level factor cuts the blocks again.  A
+failing local block is still reported before a coarse error.
 
 The two levels of the additive apply are independent, so the coarse solve
 runs on one private worker thread while the calling thread runs the
@@ -55,10 +57,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from . import coarse as coarse_mod
 from .partition import color_subdomains, extend_overlap, partition_graph
-from .sparsemat import SparseMat, factor_blocks, release_free_heap, symmetrized_graph
+from .sparsemat import (SparseMat, _structurally_singular, factor_blocks, release_free_heap,
+                        symmetrized_graph)
 from .subdomain import SubdomainSetupError, extract_local_blocks
 
 ONE_LEVEL_KINDS = ("asm", "ras")
@@ -229,13 +233,16 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     combine : {"additive", "deflated"} or None
         None picks "additive" for symmetric matrices, "deflated" otherwise.
 
-    Coarse columns are made one subdomain at a time as the assembly asks for
-    them: at most one dense extension is alive, and the assembly keeps only
+    A structurally singular matrix raises ``ValueError`` before any
+    factorization.  Coarse columns are made one subdomain at a time as the
+    assembly asks for them, each from its local block cut just then: at most
+    one block and one dense extension are alive, and the assembly keeps only
     each subdomain's interior block.
 
-    The one-level factor is made last, after the coarse factor, so that
-    the coarse factorization holds no one-level factor.  If the coarse stage
-    raises, a failing local block raises ``SubdomainSetupError`` instead.
+    The one-level factor is made last, from the blocks cut again, so that
+    the coarse factorization holds no local block or one-level factor.  If
+    the coarse stage raises, a failing local block raises
+    ``SubdomainSetupError`` instead.
     Setup ends by giving the heap's free memory back to the OS, as
     ``galerkin_coarse`` does before the Galerkin product and around the
     coarse factorization.
@@ -261,28 +268,31 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         raise ValueError("partition-of-unity modes require a symmetric matrix")
 
     graph = symmetrized_graph(matrix)
-    part = partition_graph(graph, n_subdomains)
-    maps = extend_overlap(graph, part, overlap)
+    if _structurally_singular(matrix.scipy().T):
+        raise ValueError(f"matrix is structurally singular: structural rank "
+                         f"{csgraph.structural_rank(matrix.scipy())} < n = {matrix.nrows}")
+    maps = extend_overlap(graph, partition_graph(graph, n_subdomains), overlap)
+    del graph  # no later stage reads the graph or the partition
     k_c, _ = color_subdomains(maps)
 
-    local = [extract_local_blocks(matrix, s) for s in maps]
     unselected, cs, mode_counts = [], None, (0,) * len(maps)
     if coarse != "none":
-        def columns(blocks):
+        def columns(smap):
+            blocks = extract_local_blocks(matrix, smap)
             block, largest_unselected = coarse_mod.subdomain_coarse_columns(blocks, coarse, tau, nu)
             unselected.append(largest_unselected)
             return block
         try:
-            z, mode_counts = coarse_mod.assemble_coarse_basis(maps, map(columns, local),
+            z, mode_counts = coarse_mod.assemble_coarse_basis(maps, map(columns, maps),
                                                               matrix.nrows)
             if z.shape[1]:
                 cs = coarse_mod.galerkin_coarse(matrix, z)
             else:
                 combine = "none"
         except Exception:
-            _factor_local(local, symmetric)  # a failing local block is reported first
+            _factor_local(matrix, maps, symmetric)  # a failing local block is reported first
             raise
-    local_lu = _factor_local(local, symmetric)
+    local_lu = _factor_local(matrix, maps, symmetric)
 
     report = SetupReport(
         n=matrix.nrows,
@@ -309,9 +319,9 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
                           report)
 
 
-def _factor_local(local, symmetric):
-    """The one-level factor: one SuperLU factor of all local blocks."""
-    local_lu, failed = factor_blocks([b.a for b in local], symmetric)
+def _factor_local(matrix, maps, symmetric):
+    """The one-level factor: one SuperLU factor of all local blocks, cut again."""
+    local_lu, failed = factor_blocks((extract_local_blocks(matrix, s).a for s in maps), symmetric)
     if failed is not None:
         raise SubdomainSetupError(failed, "local block is not positive definite" if symmetric
                                   else "local block is numerically singular")

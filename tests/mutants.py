@@ -1,0 +1,110 @@
+"""Mutation check of the test suite: does it notice a wrong result?
+
+Usage, from the root of a checkout:
+
+    python tests/mutants.py          # every mutant
+    python tests/mutants.py 1 4      # mutants by number
+
+Each mutant is a one-line change to ``src/`` that breaks one documented
+behaviour.  For each, the checkout (without ``.git``) is copied to a
+temporary directory, the change is applied there and ``python -m pytest
+tests -x -q`` runs in the copy.  The script prints "caught" and the first
+failing test when the suite fails, and "survived" when every test passes.
+A mutant whose old text is no longer in its file reads "stale", so the table
+cannot drift from the code unnoticed.  A mutant listed with a reason is
+expected to survive: the reason says why no result any input can reach
+changes.  The exit code is 1 when a mutant without a reason survives or
+any is stale.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file, old text, new text, what the mutant breaks, reason it may survive or None)
+MUTANTS = [
+    ("src/tlschwarz/spectral.py",
+     "vals > threshold * (1.0 + TIE_GUARD)", "vals > threshold",
+     "the tie guard: a value a rounding step above the threshold is selected", None),
+    ("src/tlschwarz/krylov.py",
+     "if it % 25 == 0:", "if False:",
+     "PCG's replacement of the recursive residual by the true one", None),
+    ("src/tlschwarz/harness.py",
+     "return max(float(vals[0]), 1.0)", "return float(vals[0])",
+     "lambda_star's clamp to 1",
+     "eigsh can return below 1 only by round-off, and BoundInputs already refuses "
+     "lambda* < 1 - 1e-12, so the clamp moves the bound by at most 1e-12 relative"),
+    ("src/tlschwarz/sparsemat.py",
+     "limit = sizes * np.finfo(float).eps", "limit = 1e6 * sizes * np.finfo(float).eps",
+     "the nonsymmetric pivot limit, raised 10^6-fold", None),
+    ("src/tlschwarz/precond.py",
+     "y[self.overlap_rows] = 0.0", "pass",
+     "RAS's zeroing outside the interiors", None),
+    ("src/tlschwarz/coarse.py",
+     "a00 = 0.5 * (a00 + a00.T)", "a00 = a00",
+     "the symmetrized coarse operator", None),
+    ("src/tlschwarz/coarse.py",
+     "DROP_TOL = 1e-10", "DROP_TOL = 1e-8",
+     "the rank filter's drop tolerance", None),
+    ("src/tlschwarz/harness.py",
+     "(2 * kc + 1) * nu", "(2 * kc) * nu",
+     "the bound's factor 2 k_c + 1", None),
+    ("src/tlschwarz/spectral.py",
+     "float(self.all_values[k])", "float(self.all_values[k - 1])",
+     "the largest unselected value, read one place too early", None),
+    ("src/tlschwarz/precond.py",
+     "return qr_ + w - self.coarse_apply(self.matrix.matvec(w))", "return qr_ + w",
+     "the deflated apply's last coarse correction", None),
+]
+
+
+def run_mutant(path, old, new):
+    """'caught' with the first failing test, 'survived' or 'stale', and the seconds taken."""
+    source = (ROOT / path).read_text()
+    if source.count(old) != 1:
+        return "stale", "", 0.0
+    with tempfile.TemporaryDirectory(prefix="tlschwarz-mutant-") as tmp:
+        copy = Path(tmp) / "tree"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out"))
+        (copy / path).write_text(source.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "tests", "-x", "-q", "-o", "addopts=",
+             "-p", "no:cacheprovider"],
+            cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        seconds = time.perf_counter() - t0
+    if proc.returncode == 0:
+        return "survived", "", seconds
+    failed = next((line for line in proc.stdout.splitlines()
+                   if line.startswith(("FAILED", "ERROR"))), proc.stdout.strip()[-200:])
+    return "caught", failed, seconds
+
+
+def main(argv):
+    chosen = [int(a) for a in argv] or range(1, len(MUTANTS) + 1)
+    bad = False
+    for number in chosen:
+        path, old, new, breaks, reason = MUTANTS[number - 1]
+        verdict, detail, seconds = run_mutant(path, old, new)
+        print(f"{number:2d} {verdict:8s} {seconds:5.1f} s  {path}: {breaks}")
+        if detail:
+            print(f"   {detail}")
+        if verdict == "survived" and reason:
+            print(f"   expected: {reason}")
+        bad |= verdict == "stale" or (verdict == "survived" and not reason)
+        sys.stdout.flush()
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

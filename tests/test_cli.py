@@ -201,7 +201,7 @@ def test_module_entry_point():
 @pytest.mark.parametrize("n_subdomains", ["1", "2"])
 def test_stdout_carries_only_the_report(tmp_path, n_subdomains):
     # SuperLU, given this structurally singular matrix, writes BLAS parameter
-    # errors to fd 1 unless setup refuses the block before it is factored
+    # errors to fd 1 unless setup refuses the matrix before it is factored
     import subprocess
     import sys
 
@@ -213,8 +213,9 @@ def test_stdout_carries_only_the_report(tmp_path, n_subdomains):
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == ("error_type = SubdomainSetupError\n"
-                           "message = subdomain 0: local block is numerically singular\n")
+    assert proc.stderr == ("error_type = ValueError\n"
+                           "message = matrix is structurally singular: "
+                           "structural rank 23 < n = 24\n")
 
 
 def test_nonsymmetric_preconditioner_defaults_to_gmres(capsys, monkeypatch):

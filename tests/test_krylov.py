@@ -93,6 +93,14 @@ class TestPcg:
         assert not report.converged
         assert report.true_residual == true_rel
 
+    def test_last_residual_replaced_by_true_residual(self):
+        # iteration 25 replaces the recursive residual by the true one, so a
+        # solve stopped there reports the same number twice, bit for bit
+        mat, b = generate(ProblemSpec("poisson2d", 40))
+        _, report = pcg(mat, None, b, tol=1e-12, maxit=25)
+        assert report.stop_reason == "maxit" and report.iterations == 25
+        assert report.residuals[-1] == report.true_residual
+
     def test_zero_rhs(self):
         mat = laplace1d(10)
         x, report = pcg(mat, None, np.zeros(10))

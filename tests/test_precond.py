@@ -1,8 +1,10 @@
 import ctypes
+import gc
 import multiprocessing
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -357,6 +359,23 @@ class TestLocalFactorErrors:
         assert info.value.subdomain == 1
 
 
+class TestStructurallySingularMatrix:
+    @pytest.mark.parametrize("coarse", ["auto", "none"])
+    def test_refused_before_any_factorization(self, monkeypatch, coarse):
+        # an empty row and column: no local block is at fault, the matrix is
+        def refuse(*args, **kwargs):
+            raise AssertionError("a structurally singular matrix reached SuperLU")
+
+        monkeypatch.setattr(sparsemat, "splu", refuse)
+        mat, _ = generate(ProblemSpec("poisson2d", 12))
+        a = mat.scipy().tolil()
+        a[5, :] = 0.0
+        a[:, 5] = 0.0
+        with pytest.raises(ValueError, match=r"^matrix is structurally singular: "
+                                             r"structural rank 143 < n = 144$"):
+            setup(SparseMat(a.tocsr(), symmetric=True), 4, coarse=coarse)
+
+
 class TestCoarseFactorErrors:
     def test_indefinite_coarse_operator_raises_coarse_setup_error(self):
         # after the shift by 100 every local block is still positive definite
@@ -391,6 +410,33 @@ class TestStageOrder:
         mat, _ = generate(ProblemSpec("poisson2d", 20))
         setup(mat, 8)
         assert calls == ["galerkin_coarse", "galerkin_coarse returned", "factor_blocks"]
+
+    def test_setup_inputs_are_freed_before_the_coarse_operator(self, monkeypatch):
+        # the graph, the partition and every local block cut for the coarse
+        # columns are garbage once the Galerkin product starts
+        refs, seen = [], []
+
+        def keep_ref(make):
+            def made(*args):
+                obj = make(*args)
+                refs.append(weakref.ref(obj))
+                return obj
+            return made
+
+        galerkin = coarse_mod.galerkin_coarse
+
+        def check_galerkin(*args):
+            gc.collect()
+            seen.append([type(ref()).__name__ for ref in refs if ref() is not None])
+            return galerkin(*args)
+
+        for name in ("symmetrized_graph", "partition_graph", "extract_local_blocks"):
+            monkeypatch.setattr(precond_mod, name, keep_ref(getattr(precond_mod, name)))
+        monkeypatch.setattr(coarse_mod, "galerkin_coarse", check_galerkin)
+        mat, _ = generate(ProblemSpec("poisson2d", 20))
+        setup(mat, 8)
+        assert len(refs) == 2 + 2 * 8  # each block is cut again for the one-level factor
+        assert seen == [[]]
 
     def test_failing_local_block_wins_over_coarse_error(self):
         # the negative diagonal entry makes subdomain 0's block indefinite and

@@ -382,6 +382,15 @@ class TestFactorBlocks:
         assert sparsemat.BLOCK_DIAGONAL_OPTIONS == {"panel_size": 1}
         assert seen == [1, 1, 1, None]
 
+    @pytest.mark.parametrize("delta, failed", [(1e-12, None), (2.0**-52, 0)])
+    def test_nonsymmetric_pivot_limit(self, delta, failed):
+        # the limit is n * eps * max|U| = 4.4e-16 for this block: a pivot of
+        # 1e-12 passes, and one of 2**-52 is refused by the limit, not by
+        # SuperLU, which factors it (lu is not None)
+        block = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + delta]]))
+        lu, result = factor_blocks([block], False)
+        assert lu is not None and result == failed
+
     @given(n=st.integers(1, 12), density=st.floats(0.0, 0.4), zero_diagonal=st.booleans(),
            seed=st.integers(0, 2**16))
     def test_structural_shortcut_decides_as_structural_rank(self, n, density, zero_diagonal,

@@ -15,7 +15,7 @@ from tlschwarz import (
     sym_gevp,
     symmetrized_graph,
 )
-from tlschwarz.spectral import _fix_signs
+from tlschwarz.spectral import _fix_signs, _select_above
 
 from conftest import full_harmonic_pencil, interior_mask, laplace1d, random_partition, random_spd
 
@@ -164,6 +164,14 @@ class TestPouModes:
         )
         with pytest.raises(ValueError):
             select_pou_modes(ns, 1.5)
+
+
+def test_select_above_guards_ties():
+    # a value a rounding step above the threshold is a tie and stays out; one
+    # clearly above it is kept
+    threshold = 0.3
+    vals = threshold * np.array([1.0 + 1e-11, 1.0 + 1e-13, 1.0])
+    assert np.array_equal(_select_above(vals, np.eye(3), threshold), np.eye(3)[:, :1])
 
 
 class TestHarmonicModes:
