@@ -117,11 +117,12 @@ def _pivots(block):
 def galerkin_operator(matrix, z):
     """The coarse operator A00 = Z^T A Z as a scipy CSC matrix.
 
-    The sparse product is symmetrized when the fine matrix carries the
-    verified symmetry flag, and its zeros are dropped.  Its indices are left
-    in the order the product made them.
+    A Z goes to CSC before the product, as scipy's CSC x CSR product would
+    convert it, so the CSR A Z is freed before A00 is allocated.  A00 is
+    symmetrized when the fine matrix carries the verified symmetry flag; its
+    zeros are dropped and its indices left in the order the product made them.
     """
-    a00 = z.T @ (matrix.scipy() @ z)
+    a00 = z.T @ (matrix.scipy() @ z).tocsc()
     if matrix.symmetric:
         # not scaled in place: scipy sizes the sum's arrays for nnz(A00) +
         # nnz(A00^T) entries, and the scaled copy is compact
@@ -135,11 +136,11 @@ def galerkin_coarse(matrix, z):
 
     A00 is sorted in place and handed to SuperLU without a copy; only its
     factor is kept, and A00 is freed as soon as SuperLU returns, so the
-    pivot read's copies of L and U can take its memory.  The heap is given
-    back three times: what the basis assembly freed before the product, what
-    the product freed before the factorization, and the pivot read's after
-    it.  The factor must show A00 positive definite (symmetric) or
-    numerically nonsingular.  ``z`` must have at least one column.
+    pivot read's copies of L and U, the only ones it makes, can take its
+    memory.  The heap is given back three times: what the basis assembly freed
+    before the product, what the product freed before the factorization, and
+    the pivot read's after it.  The factor must show A00 positive definite
+    (symmetric) or numerically nonsingular.  ``z`` must have at least one column.
     """
     release_free_heap()
     owned = [galerkin_operator(matrix, z)]  # A00's only reference, which _factor_owned drops

@@ -162,7 +162,8 @@ def factor_blocks(blocks, symmetric):
     n * eps * max|U| of that block.  Elimination never couples two blocks.
     More than one block is factored with ``BLOCK_DIAGONAL_OPTIONS``, one
     block with SuperLU's defaults.
-    The factor keeps no copy of L or U: its ``.L`` and ``.U`` are empty.
+    The pivot read holds scipy's CSC copies of L and U and nothing more; the
+    factor keeps neither: its ``.L`` and ``.U`` are empty.
     """
     return _factor_owned(list(blocks), symmetric)
 
@@ -170,9 +171,10 @@ def factor_blocks(blocks, symmetric):
 def _factor_owned(blocks, symmetric, options=None):
     """``factor_blocks`` on a list this call owns: it empties the list once
     SuperLU has returned, so a block the caller holds no other reference to
-    is freed before the pivot read makes its CSC copies of L and U.  The
-    search for a failing block factors each block with the ``options`` the
-    whole was factored with."""
+    is freed before the pivot read makes its CSC copies of L and U.  max|U| is
+    taken in place in U's copy by a ``reduceat`` over its columns (each stores
+    its pivot).  The search for a failing block factors each block with the
+    ``options`` the whole was factored with."""
     if options is None:
         options = BLOCK_DIAGONAL_OPTIONS if len(blocks) > 1 else {}
     sizes = np.array([b.shape[0] for b in blocks])
@@ -204,7 +206,9 @@ def _factor_owned(blocks, symmetric, options=None):
     if symmetric:
         bad = (lu.perm_r != lu.perm_c) | (pivots <= 0)
     else:
-        colmax = abs(lu.U).max(axis=0).toarray().ravel()[lu.perm_c]
+        u = lu.U  # the cached copy emptied below: |U| is taken in its own data
+        assert np.diff(u.indptr).all(), "every column of U stores its pivot"
+        colmax = np.maximum.reduceat(np.abs(u.data, out=u.data), u.indptr[:-1])[lu.perm_c]
         limit = sizes * np.finfo(float).eps * np.maximum.reduceat(colmax, starts)
         bad = np.abs(pivots) <= np.repeat(limit, sizes)
     for cached in (lu.L, lu.U):  # CSC copies scipy made at the first read; solve never reads them

@@ -45,6 +45,9 @@ MUTANTS = [
     ("src/tlschwarz/sparsemat.py",
      "limit = sizes * np.finfo(float).eps", "limit = 1e6 * sizes * np.finfo(float).eps",
      "the nonsymmetric pivot limit, raised 10^6-fold", None),
+    ("src/tlschwarz/sparsemat.py",
+     "np.maximum.reduceat(np.abs(u.data, out=u.data),", "np.maximum.reduceat(u.data,",
+     "the nonsymmetric pivot limit from U's column maxima taken without abs", None),
     ("src/tlschwarz/precond.py",
      "y[self.overlap_rows] = 0.0", "pass",
      "RAS's zeroing outside the interiors", None),

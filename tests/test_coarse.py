@@ -1,5 +1,6 @@
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -369,6 +370,35 @@ class TestGalerkin:
             tracemalloc.stop()
         assert space.nnz == nnz
         assert held < 0.01 * 12 * nnz
+
+    def test_fine_product_freed_before_galerkin_product(self):
+        # scipy's CSC x CSR product converts A Z to CSC; the CSR A Z (12 bytes
+        # per stored entry) must be gone before the product allocates A00
+        mat, _ = generate(ProblemSpec("advection2d", 30))
+        z = setup(mat, 4).coarse.basis
+        refs, alive = [], []
+
+        class Fine(sp.csr_matrix):
+            def __matmul__(self, other):
+                refs.append(weakref.ref(product := super().__matmul__(other)))
+                return product
+
+        class Transposed(sp.csc_matrix):
+            def _matmul_sparse(self, other):
+                alive.append(refs[0]() is not None)
+                return super()._matmul_sparse(other)
+
+        class Basis(sp.csr_matrix):
+            def transpose(self, axes=None, copy=False):
+                return Transposed(super().transpose(axes, copy))
+
+        fine = SimpleNamespace(scipy=lambda: Fine(mat.scipy()), symmetric=False)
+        a00 = galerkin_operator(fine, Basis(z))
+        assert alive == [False]
+        expected = z.T @ (mat.scipy() @ z)  # the product with scipy's own conversion
+        expected.eliminate_zeros()
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(a00, name), getattr(expected, name))
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_coarse_operator_freed_before_pivot_read(self, monkeypatch, symmetric):

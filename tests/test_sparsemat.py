@@ -14,7 +14,9 @@ from scipy.sparse.linalg import splu
 
 from tlschwarz import (
     MatrixMarketError,
+    ProblemSpec,
     SparseMat,
+    generate,
     read_matrix_market,
     read_vector,
     symmetrized_graph,
@@ -456,6 +458,31 @@ class TestFactorBlocks:
         np.testing.assert_array_equal(x, fresh.solve(rhs))
         default = splu(a).solve(rhs)
         assert np.linalg.norm(x - default) <= 1e-12 * np.linalg.norm(default)
+
+    def test_nonsymmetric_pivot_read_makes_no_copy_of_u(self):
+        # the read's peak is the input and scipy's CSC copies of L and U (12
+        # bytes per stored entry each); |U| taken as a new matrix adds another
+        # 12 bytes per entry of U
+        a = generate(ProblemSpec("advection2d", 55))[0].scipy().tocsc()  # 3025 rows
+        fresh = splu(a)
+        copies, u_nnz = 12 * (a.nnz + fresh.L.nnz + fresh.U.nnz), fresh.U.nnz
+        del fresh
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lu, failed = factor_blocks([a], False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert failed is None
+        assert peak < copies + 6 * u_nnz
+
+    def test_nonsymmetric_pivot_limit_reads_magnitudes(self):
+        # U's entries here are all negative: the limit must come from |U|,
+        # else it is negative and the 2**-52 pivot passes
+        block = sp.csc_matrix(-np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]))
+        lu, failed = factor_blocks([block], False)
+        assert lu is not None and failed == 0
 
 
 class TestVectors:

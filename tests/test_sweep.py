@@ -5,21 +5,27 @@ subdomain and the overlap up to covering the whole graph.  Each example
 checks the built operator against the dense oracle and every subdomain's
 boundary-pencil selection against the full local pencil.  A sweep over
 coefficient contrast checks that no subdomain loses its coarse columns.
+A sweep over random nonsymmetric and structurally singular matrices checks
+that each either converges with GMRES or raises one of the library's
+errors, and that none writes to file descriptors 1 or 2.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from tlschwarz import (
+    CoarseSetupError,
     ProblemSpec,
     SparseMat,
+    SubdomainSetupError,
     build_harmonic,
     extract_local_blocks,
     generate,
+    gmres,
     pcg,
     select_harmonic_modes,
     setup,
@@ -27,6 +33,7 @@ from tlschwarz import (
 
 from conftest import dense_oracle, full_harmonic_pencil, interior_mask, random_spd
 from test_precond import dense_apply
+from test_sparsemat import fd_output
 
 TAU = 0.1
 
@@ -80,3 +87,58 @@ def test_coefficient_contrast_keeps_local_columns(contrast, channel_seed):
                 assert count > 0
         _, report = pcg(matrix, pre, b, tol=1e-8)
         assert report.converged
+
+
+@st.composite
+def general_systems(draw, kind):
+    """(matrix, n_subdomains, overlap) for a random B + shift I (``kind``
+    "shifted"), the same with its rows permuted ("permuted": nonsingular, but
+    a local block may be structurally singular) or with r of its rows (or
+    columns) confined to r - 1 columns (rows) ("singular": no perfect
+    matching; r = 1 empties a row or column)."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    b = sp.random(n, n, density=min(draw(st.floats(1.0, 6.0)) / n, 1.0), random_state=rng,
+                  data_rvs=rng.standard_normal)
+    dense = b.toarray() + draw(st.floats(0.1, 10.0)) * np.eye(n)
+    if kind == "permuted":
+        dense = dense[rng.permutation(n)]
+    if kind != "singular":
+        # a shift near an eigenvalue of -B leaves no float64 solve within tol
+        assume(np.linalg.cond(dense) < 1e6)
+    else:
+        r = draw(st.integers(1, min(n, 3)))
+        rows, cols = rng.choice(n, r, replace=False), rng.choice(n, r - 1, replace=False)
+        dense[rows] = 0.0
+        dense[np.ix_(rows, cols)] = rng.uniform(1.0, 2.0, (r, r - 1))
+        if draw(st.booleans()):
+            dense = dense.T
+    # a few subdomains leave room for a coarse space; one per row is the edge case
+    n_subdomains = draw(st.one_of(st.integers(2, max(2, n // 5)), st.integers(1, n)))
+    return SparseMat.from_dense(dense), n_subdomains, draw(st.integers(1, 2))
+
+
+@pytest.mark.parametrize("kind", ["shifted", "permuted", "singular"])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_general_matrix_converges_or_is_refused_quietly(kind, data):
+    matrix, n_subdomains, overlap = data.draw(general_systems(kind))
+    rhs = np.random.default_rng(matrix.nrows).standard_normal(matrix.nrows)
+
+    def solve():
+        try:
+            pre = setup(matrix, n_subdomains, overlap=overlap)
+        except (ValueError, SubdomainSetupError, CoarseSetupError) as exc:
+            return exc
+        return gmres(matrix, pre, rhs)
+
+    result, written = fd_output(solve)
+    assert written == b""
+    if kind == "singular":
+        assert isinstance(result, ValueError) and "structurally singular" in str(result)
+    elif isinstance(result, Exception):
+        assert isinstance(result, (SubdomainSetupError, CoarseSetupError)), result
+    else:
+        x, report = result
+        assert report.converged
+        assert np.linalg.norm(rhs - matrix.matvec(x)) <= 1e-7 * np.linalg.norm(rhs)
