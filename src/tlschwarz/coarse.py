@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import qr
 
 from .sparsemat import _factor_owned, release_free_heap
@@ -28,10 +29,14 @@ from .spectral import select_harmonic_modes, select_pou_modes, svd_harmonic_mode
 from .subdomain import build_harmonic
 
 DROP_TOL = 1e-10
+# Largest 1-norm condition number of a coarse operator factored without the positive
+# definiteness test: a coarse solve then keeps at least half the digits.  Past it the
+# deflated start x0 = Q b cancels more than GMRES's tolerance allows (README).
+COND_LIMIT = 1.0 / np.sqrt(np.finfo(float).eps)
 
 
 class CoarseSetupError(RuntimeError):
-    """A00 = Z^T A Z is not positive definite (symmetric A) or numerically singular."""
+    """A00 = Z^T A Z failed its factor test: not positive definite, or numerically singular."""
 
 
 @dataclass
@@ -119,8 +124,8 @@ def galerkin_operator(matrix, z):
 
     A Z goes to CSC before the product, as scipy's CSC x CSR product would
     convert it, so the CSR A Z is freed before A00 is allocated.  A00 is
-    symmetrized when the fine matrix carries the verified symmetry flag; its
-    zeros are dropped and its indices left in the order the product made them.
+    symmetrized when the fine matrix is symmetric; its zeros are dropped and
+    its indices left in the order the product made them.
     """
     a00 = z.T @ (matrix.scipy() @ z).tocsc()
     if matrix.symmetric:
@@ -131,7 +136,7 @@ def galerkin_operator(matrix, z):
     return a00
 
 
-def galerkin_coarse(matrix, z):
+def galerkin_coarse(matrix, z, spd=None):
     """Form and factor the coarse operator A00 = Z^T A Z.
 
     A00 is sorted in place and handed to SuperLU without a copy; only its
@@ -139,17 +144,30 @@ def galerkin_coarse(matrix, z):
     pivot read's copies of L and U, the only ones it makes, can take its
     memory.  The heap is given back three times: what the basis assembly freed
     before the product, what the product freed before the factorization, and
-    the pivot read's after it.  The factor must show A00 positive definite
-    (symmetric) or numerically nonsingular.  ``z`` must have at least one column.
+    the pivot read's after it.  With ``spd`` (None: the matrix is symmetric)
+    the factor must show A00 positive definite.  Without it the factor must
+    pass the pivot test, and a lower bound on the 1-norm condition number of
+    A00, ||A00||_1 times ``_inverse_norm``, must not exceed ``COND_LIMIT``.
+    ``z`` must have at least one column.
     """
+    spd = matrix.symmetric if spd is None else spd
     release_free_heap()
     owned = [galerkin_operator(matrix, z)]  # A00's only reference, which _factor_owned drops
     owned[0].sum_duplicates()  # sorts in place and marks it canonical: SuperLU takes it as is
-    nnz = owned[0].nnz
+    nnz, n = owned[0].nnz, owned[0].shape[0]
+    norm = None if spd else spla.norm(owned[0], 1)
     release_free_heap()
-    lu, failed = _factor_owned(owned, matrix.symmetric)
+    lu, failed = _factor_owned(owned, spd)
     release_free_heap()
-    if failed is not None:
-        raise CoarseSetupError("coarse operator is not positive definite" if matrix.symmetric
+    if failed is not None or not spd and norm * _inverse_norm(lu, n) > COND_LIMIT:
+        raise CoarseSetupError("coarse operator is not positive definite" if spd
                                else "coarse operator is numerically singular")
     return CoarseSpace(z, z.T, lu, nnz)
+
+
+def _inverse_norm(lu, n):
+    """A lower bound on ||A^{-1}||_1 from the SuperLU factor ``lu`` of the n x n
+    A: the Hager-Higham estimate from a few solves (Higham and Tisseur, SIAM J.
+    Matrix Anal. Appl. 21, 2000).  With one column it draws no random vector."""
+    return spla.onenormest(spla.LinearOperator((n, n), matvec=lu.solve, dtype=float,
+                                               rmatvec=lambda v: lu.solve(v, trans="T")), t=1)

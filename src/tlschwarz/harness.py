@@ -53,7 +53,7 @@ def generate(spec):
     return matrix, matrix.matvec(np.ones(matrix.nrows))
 
 
-def _stencil_matrix(m, dim, centre, neighbours, symmetric):
+def _stencil_matrix(m, dim, centre, neighbours):
     """Matrix of a (2*dim+1)-point stencil on the m^dim grid.
 
     Grid point (i, j, ...) is unknown i + j*m + ...  ``centre`` is the
@@ -71,14 +71,14 @@ def _stencil_matrix(m, dim, centre, neighbours, symmetric):
         cols.append(np.roll(grid, -step, axis)[inside])
         vals.append(np.broadcast_to(coupling, grid.shape)[inside])
     return SparseMat.from_coo(grid.size, grid.size, np.concatenate(rows), np.concatenate(cols),
-                              np.concatenate(vals), symmetric=symmetric)
+                              np.concatenate(vals))
 
 
 def _laplacian(m, dim):
     """Five-point (2-D) or seven-point (3-D) Laplacian scaled by 1/h^2."""
     h2 = (m + 1) ** 2
     neighbours = {(axis, step): -1.0 * h2 for axis in range(dim) for step in (-1, 1)}
-    return _stencil_matrix(m, dim, 2.0 * dim * h2, neighbours, symmetric=True)
+    return _stencil_matrix(m, dim, 2.0 * dim * h2, neighbours)
 
 
 def _hetero2d(spec):
@@ -106,7 +106,7 @@ def _hetero2d(spec):
         # an edge to the Dirichlet boundary carries the point's own coefficient
         diag += np.where(np.isnan(c), kappa, c)
         neighbours[axis, step] = -c * h2
-    return _stencil_matrix(m, 2, diag * h2, neighbours, symmetric=True)
+    return _stencil_matrix(m, 2, diag * h2, neighbours)
 
 
 def _advection2d(spec):
@@ -123,7 +123,7 @@ def _advection2d(spec):
         (1, -1): -eps * h2 - (vy / h if vy > 0 else 0.0),
         (1, 1): -eps * h2 + (vy / h if vy < 0 else 0.0),
     }
-    return _stencil_matrix(m, 2, diag, neighbours, symmetric=False)
+    return _stencil_matrix(m, 2, diag, neighbours)
 
 
 # -- theory-side quantities --------------------------------------------------
@@ -257,8 +257,6 @@ class ExperimentResult:
 def _load_problem(config):
     if config.matrix_path:
         matrix = load_matrix_market(config.matrix_path)
-        if matrix.is_numerically_symmetric():
-            matrix = matrix.as_symmetric()
         if config.rhs_path:
             rhs = load_vector(config.rhs_path)
             if rhs.size != matrix.nrows:

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -211,7 +211,9 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     Parameters
     ----------
     matrix : SparseMat
-        System matrix; the symmetry flag decides the SPD vs. general paths.
+        System matrix.  Its symmetry, read from its values, picks the
+        defaults below; the chosen method decides which factors must be
+        positive definite.
     n_subdomains : int
         Number of subdomains; the partition is computed from the sparsity
         graph.
@@ -263,9 +265,13 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     if combine not in COMBINE_KINDS:
         raise ValueError(f"unknown combination {combine!r}")
     if coarse == "none":
-        combine = "none"
+        combine, nu = "none", None  # no coarse space: no pencil to test for
     if nu is not None and not symmetric:
         raise ValueError("partition-of-unity modes require a symmetric matrix")
+    # positive definiteness is tested where the method relies on it: the pencils
+    # of gevp, full and nu, and the asm, not deflated operator that CG runs on
+    spd = symmetric and (coarse in ("gevp", "full") or nu is not None
+                         or (one_level == "asm" and combine != "deflated"))
 
     graph = symmetrized_graph(matrix)
     if _structurally_singular(matrix.scipy().T):
@@ -278,7 +284,7 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     unselected, cs, mode_counts = [], None, (0,) * len(maps)
     if coarse != "none":
         def columns(smap):
-            blocks = extract_local_blocks(matrix, smap)
+            blocks = replace(extract_local_blocks(matrix, smap), symmetric=spd)
             block, largest_unselected = coarse_mod.subdomain_coarse_columns(blocks, coarse, tau, nu)
             unselected.append(largest_unselected)
             return block
@@ -286,13 +292,14 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
             z, mode_counts = coarse_mod.assemble_coarse_basis(maps, map(columns, maps),
                                                               matrix.nrows)
             if z.shape[1]:
-                cs = coarse_mod.galerkin_coarse(matrix, z)
+                cs = coarse_mod.galerkin_coarse(matrix, z, spd)
             else:
-                combine = "none"
+                combine = "none"  # an asm one level is then the operator CG runs on
+                spd = spd or (symmetric and one_level == "asm")
         except Exception:
-            _factor_local(matrix, maps, symmetric)  # a failing local block is reported first
+            _factor_local(matrix, maps, spd)  # a failing local block is reported first
             raise
-    local_lu = _factor_local(matrix, maps, symmetric)
+    local_lu = _factor_local(matrix, maps, spd)
 
     report = SetupReport(
         n=matrix.nrows,
@@ -308,7 +315,7 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         nnz_matrix=matrix.nnz,
         nnz_coarse=cs.nnz if cs is not None else 0,
         tau=tau,
-        nu=nu if coarse != "none" else None,
+        nu=nu,
         largest_unselected=tuple(v for v in unselected if v is not None),
     )
     gather = np.concatenate([s.indices for s in maps])
@@ -319,10 +326,10 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
                           report)
 
 
-def _factor_local(matrix, maps, symmetric):
+def _factor_local(matrix, maps, spd):
     """The one-level factor: one SuperLU factor of all local blocks, cut again."""
-    local_lu, failed = factor_blocks((extract_local_blocks(matrix, s).a for s in maps), symmetric)
+    local_lu, failed = factor_blocks((extract_local_blocks(matrix, s).a for s in maps), spd)
     if failed is not None:
-        raise SubdomainSetupError(failed, "local block is not positive definite" if symmetric
+        raise SubdomainSetupError(failed, "local block is not positive definite" if spd
                                   else "local block is numerically singular")
     return local_lu

@@ -40,32 +40,27 @@ class MatrixMarketError(ValueError):
 class SparseMat:
     """Immutable real sparse matrix in CSR form.
 
-    Column indices are sorted and duplicate-free within each row.  When
-    ``symmetric=True`` the stored values are verified to equal those of the
-    transpose; construction fails otherwise.
+    Column indices are sorted and duplicate-free within each row.
+    ``symmetric`` is read from the values once, at construction: the matrix
+    is square and every stored value equals that of the transpose exactly.
     """
 
-    def __init__(self, csr, symmetric=False):
+    def __init__(self, csr):
         if not sp.issparse(csr):
             raise TypeError("expected a scipy sparse matrix")
         csr = csr.tocsr().astype(np.float64)
         csr.sum_duplicates()  # sorts the indices first
         if not np.all(np.isfinite(csr.data)):
             raise ValueError("matrix entries must be finite")
-        if symmetric:
-            if csr.shape[0] != csr.shape[1]:
-                raise ValueError("symmetric flag requires a square matrix")
-            if (csr != csr.T).nnz != 0:
-                raise ValueError("symmetric flag set but values are not symmetric")
         self._csr = csr
-        self.symmetric = bool(symmetric)
+        self.symmetric = csr.shape[0] == csr.shape[1] and (csr != csr.T).nnz == 0
         for arr in (csr.data, csr.indices, csr.indptr):
             arr.flags.writeable = False
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_coo(cls, nrows, ncols, rows, cols, vals, symmetric=False):
+    def from_coo(cls, nrows, ncols, rows, cols, vals):
         """Build from triplets; duplicate entries are summed."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -75,12 +70,11 @@ class SparseMat:
         if cols.size and (cols.min() < 0 or cols.max() >= ncols):
             raise ValueError("column index out of range")
         coo = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols))
-        return cls(coo.tocsr(), symmetric=symmetric)
+        return cls(coo.tocsr())
 
     @classmethod
-    def from_dense(cls, arr, symmetric=False):
-        arr = np.asarray(arr, dtype=np.float64)
-        return cls(sp.csr_matrix(arr), symmetric=symmetric)
+    def from_dense(cls, arr):
+        return cls(sp.csr_matrix(np.asarray(arr, dtype=np.float64)))
 
     # -- basic queries -----------------------------------------------------
 
@@ -119,15 +113,6 @@ class SparseMat:
             )
         return self._csr.toarray()
 
-    def is_numerically_symmetric(self):
-        if self.nrows != self.ncols:
-            return False
-        return (self._csr != self._csr.T).nnz == 0
-
-    def as_symmetric(self):
-        """Return a copy with the verified symmetry flag set."""
-        return SparseMat(self._csr, symmetric=True)
-
     def __repr__(self):
         sym = ", symmetric" if self.symmetric else ""
         return f"SparseMat({self.nrows}x{self.ncols}, nnz={self.nnz}{sym})"
@@ -151,24 +136,25 @@ def symmetrized_graph(matrix):
     return pattern
 
 
-def factor_blocks(blocks, symmetric):
+def factor_blocks(blocks, spd):
     """One SuperLU factor of the block-diagonal matrix of square sparse ``blocks``.
 
     Returns ``(lu, failed)``, ``failed`` being the first block that fails its
     test or None (``lu`` is None when a block is exactly singular: structurally
     singular, refused before SuperLU sees it, or with an exactly zero pivot).
-    A symmetric block must keep symmetric pivoting with positive pivots, i.e.
-    be positive definite; any other block must keep every pivot above
-    n * eps * max|U| of that block.  Elimination never couples two blocks.
+    With ``spd`` (symmetric blocks only) a block must keep symmetric pivoting
+    with positive pivots, i.e. be positive definite; without it a block must
+    keep every pivot above n * eps * max|U| of that block.  Elimination never
+    couples two blocks.
     More than one block is factored with ``BLOCK_DIAGONAL_OPTIONS``, one
     block with SuperLU's defaults.
     The pivot read holds scipy's CSC copies of L and U and nothing more; the
     factor keeps neither: its ``.L`` and ``.U`` are empty.
     """
-    return _factor_owned(list(blocks), symmetric)
+    return _factor_owned(list(blocks), spd)
 
 
-def _factor_owned(blocks, symmetric, options=None):
+def _factor_owned(blocks, spd, options=None):
     """``factor_blocks`` on a list this call owns: it empties the list once
     SuperLU has returned, so a block the caller holds no other reference to
     is freed before the pivot read makes its CSC copies of L and U.  max|U| is
@@ -187,7 +173,7 @@ def _factor_owned(blocks, symmetric, options=None):
         # structurally singular is exactly singular; SuperLU may print from BLAS before it says so
         if _structurally_singular(a):
             raise RuntimeError("Factor is exactly singular")
-        if symmetric:
+        if spd:
             lu = splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                       options={"SymmetricMode": True}, **options)
         else:
@@ -195,7 +181,7 @@ def _factor_owned(blocks, symmetric, options=None):
     except RuntimeError:  # exactly singular: find the block on its own
         failed = 0 if len(blocks) == 1 else next(
             (i for i, b in enumerate(blocks)
-             if _factor_owned([b], symmetric, options)[1] is not None), None)
+             if _factor_owned([b], spd, options)[1] is not None), None)
         if failed is None:
             raise
         return None, failed
@@ -203,7 +189,7 @@ def _factor_owned(blocks, symmetric, options=None):
     blocks.clear()
     starts = np.cumsum(sizes) - sizes
     pivots = lu.U.diagonal()[lu.perm_c]  # in the original column order
-    if symmetric:
+    if spd:
         bad = (lu.perm_r != lu.perm_c) | (pivots <= 0)
     else:
         u = lu.U  # the cached copy emptied below: |U| is taken in its own data
@@ -308,7 +294,8 @@ def read_matrix_market(text):
 
     Supports coordinate and array formats, real field, general or symmetric
     storage.  Symmetric storage must list only the lower triangle; it is
-    expanded on read and the result carries the verified symmetry flag.
+    expanded on read.  Whether the result is symmetric is read from its
+    values, as for any ``SparseMat``, whatever the storage.
 
     Each error is a ``MatrixMarketError`` naming a line.  The size line's
     values, in either format, must be integers, none negative (``negative
@@ -368,7 +355,7 @@ def read_matrix_market(text):
         if nrows >= np.iinfo(np.intp).max // 8:  # numpy refuses CSR's nrows + 1 row pointers
             raise too_large
         try:
-            return SparseMat.from_coo(nrows, ncols, rows - 1, cols - 1, vals, symmetric=symmetric)
+            return SparseMat.from_coo(nrows, ncols, rows - 1, cols - 1, vals)
         except MemoryError:
             raise too_large from None
 
@@ -389,7 +376,7 @@ def read_matrix_market(text):
         dense[rows, cols] = dense[cols, rows] = vals
     else:
         dense[:] = vals.reshape((ncols, nrows)).T
-    return SparseMat.from_dense(dense, symmetric=symmetric)
+    return SparseMat.from_dense(dense)
 
 
 def write_matrix_market(matrix):

@@ -38,7 +38,7 @@ class LocalBlocks:
     a: sp.csr_matrix
     n_interior: int
     layer_sizes: tuple
-    symmetric: bool
+    symmetric: bool  # factors must be positive definite: the matrix's symmetry or setup's rule
 
     @property
     def n_local(self):

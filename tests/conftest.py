@@ -65,7 +65,7 @@ def laplace1d(n):
     main = 2.0 * np.ones(n)
     off = -1.0 * np.ones(n - 1)
     mat = sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    return SparseMat(mat, symmetric=True)
+    return SparseMat(mat)
 
 
 def random_spd(n, seed, avg_degree=4):
@@ -94,7 +94,7 @@ def random_spd(n, seed, avg_degree=4):
     symm = symm - sp.diags(symm.diagonal())
     dom = np.asarray(np.abs(symm).sum(axis=1)).ravel() + rng.uniform(0.1, 1.0, size=n)
     full = symm + sp.diags(dom)
-    return SparseMat(full.tocsr(), symmetric=True)
+    return SparseMat(full.tocsr())
 
 
 def random_partition(n, n_subdomains, seed):

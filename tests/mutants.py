@@ -66,6 +66,15 @@ MUTANTS = [
     ("src/tlschwarz/precond.py",
      "return qr_ + w - self.coarse_apply(self.matrix.matvec(w))", "return qr_ + w",
      "the deflated apply's last coarse correction", None),
+    ("src/tlschwarz/sparsemat.py",
+     "(csr != csr.T).nnz == 0", "(csr.astype(bool) != csr.T.astype(bool)).nnz == 0",
+     "symmetry read from the sparsity pattern alone (advection2d's is symmetric)", None),
+    ("src/tlschwarz/precond.py",
+     'spd = symmetric and (coarse in ("gevp", "full") or nu is not None\n'
+     '                         or (one_level == "asm" and combine != "deflated"))',
+     "spd = symmetric",
+     "every factor of a symmetric matrix tested for positive definiteness, whatever the method",
+     None),
 ]
 
 

@@ -141,6 +141,25 @@ def test_symmetric_storage_file_takes_the_cg_path(capsys, tmp_path, monkeypatch)
     np.testing.assert_array_equal(x_symmetric, x_general)
 
 
+def test_symmetric_indefinite_file_takes_the_general_options(capsys, tmp_path):
+    # an exactly symmetric 40x40 band with lambda_min -4.56 and condition number 128
+    rng = np.random.default_rng(1)
+    off = [rng.standard_normal(40 - k) for k in (1, 2)]
+    mat = SparseMat(sp.diags([*off, rng.uniform(-3.0, 5.0, 40), *off], [1, 2, 0, -1, -2]))
+    assert mat.symmetric and np.linalg.eigvalsh(mat.to_dense())[0] < 0
+    path = tmp_path / "indefinite.mtx"
+    save_matrix_market(str(path), mat)
+    code, out, err = run(capsys, "--matrix", str(path), "--N", "4", "--coarse", "svd",
+                         "--one-level", "ras", "--combine", "deflated")
+    assert code == 0, err
+    assert "symmetric = True" in out and "converged = True" in out
+    # the defaults ask for positive definite blocks
+    code, out, err = run(capsys, "--matrix", str(path), "--N", "4")
+    assert (code, out) == (1, "")
+    assert err == ("error_type = SubdomainSetupError\n"
+                   "message = subdomain 0: local block is not positive definite\n")
+
+
 def test_missing_source_is_usage_error(capsys):
     code, out, err = run(capsys)
     assert code == 2

@@ -31,7 +31,7 @@ from tlschwarz import (
     write_matrix_market,
 )
 from tlschwarz import coarse, sparsemat
-from tlschwarz.coarse import DROP_TOL
+from tlschwarz.coarse import COND_LIMIT, DROP_TOL
 
 from conftest import random_partition, random_spd
 
@@ -438,7 +438,7 @@ class TestGalerkin:
         np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),  # zero diagonal
     ])
     def test_indefinite_symmetric_coarse_operator_raises(self, dense):
-        mat = SparseMat.from_dense(dense, symmetric=True)
+        mat = SparseMat.from_dense(dense)
         z = whole_graph_basis(mat)
         with pytest.raises(RuntimeError, match="not positive definite"):
             galerkin_coarse(mat, z)
@@ -449,3 +449,29 @@ class TestGalerkin:
         z = whole_graph_basis(mat)
         with pytest.raises(RuntimeError, match="numerically singular"):
             galerkin_coarse(mat, z)
+
+    @pytest.mark.parametrize("gap", [1e-8, 1e-6])
+    def test_nonsymmetric_coarse_condition_limit(self, gap):
+        # both pass the pivot test; the 1-norm condition number, 12 / gap to
+        # first order, is refused above COND_LIMIT = eps^(-1/2) = 6.7e7
+        mat = SparseMat.from_dense([[1.0, 2.0], [1.0, 2.0 + gap]])
+        z = whole_graph_basis(mat)
+        assert (12.0 / gap > COND_LIMIT) == (gap == 1e-8)
+        if gap == 1e-8:
+            with pytest.raises(coarse.CoarseSetupError, match="numerically singular"):
+                galerkin_coarse(mat, z)
+        else:
+            rhs = np.array([1.0, -1.0])
+            np.testing.assert_allclose(galerkin_coarse(mat, z).lu.solve(rhs),
+                                       np.linalg.solve(mat.to_dense(), rhs), rtol=1e-9)
+
+    def test_inverse_norm_is_a_repeatable_lower_bound(self):
+        rng = np.random.default_rng(5)
+        for a in (np.array([[1.0, 2.0], [1.0, 2.5]]), rng.standard_normal((40, 40))):
+            lu = splu(sp.csc_matrix(a))
+            exact = np.abs(np.linalg.inv(a)).sum(axis=0).max()
+            state = np.random.get_state()[1].copy()
+            estimate = coarse._inverse_norm(lu, a.shape[0])
+            assert 0.3 * exact <= estimate <= exact * (1 + 1e-12)
+            assert coarse._inverse_norm(lu, a.shape[0]) == estimate
+            assert np.array_equal(np.random.get_state()[1], state)  # no global draw

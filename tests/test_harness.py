@@ -142,7 +142,7 @@ class TestLambdaStar:
         from tlschwarz import SparseMat
 
         block = sp.block_diag([laplace1d(8).scipy(), laplace1d(8).scipy()]).tocsr()
-        mat = SparseMat(block, symmetric=True)
+        mat = SparseMat(block)
         part = Partition(2, np.array([0] * 8 + [1] * 8))
         maps = extend_overlap(symmetrized_graph(mat), part, 2)
         # overlap cannot cross components, so the stacked sum is the matrix

@@ -191,7 +191,7 @@ class TestGmres:
         assert np.all(r[1:] <= r[:-1] * (1 + 1e-12))
 
     def test_identity_converges_immediately(self):
-        mat = SparseMat(sp.identity(20, format="csr"), symmetric=True)
+        mat = SparseMat(sp.identity(20, format="csr"))
         rng = np.random.default_rng(6)
         b = rng.standard_normal(20)
         x, report = gmres(mat, None, b, tol=1e-12)
@@ -453,7 +453,7 @@ class TestConditionEstimate:
             estimate_condition(laplace1d(10), Negated())
 
     def test_rejects_indefinite_matrix(self):
-        mat = SparseMat.from_dense(np.diag([1.0, -1.0]), symmetric=True)
+        mat = SparseMat.from_dense(np.diag([1.0, -1.0]))
         with pytest.raises(ValueError,
                            match="^preconditioned operator is not positive definite$"):
             estimate_condition(mat)

@@ -61,7 +61,7 @@ class TestPartition:
         block = sp.block_diag([laplace1d(6).scipy(), laplace1d(3).scipy()]).tocsr()
         from tlschwarz import SparseMat
 
-        g = symmetrized_graph(SparseMat(block, symmetric=True))
+        g = symmetrized_graph(SparseMat(block))
         part = partition_graph(g, 3)
         # components must not be split across owners they do not contain
         owners_a = set(part.owner[:6].tolist())
@@ -215,7 +215,7 @@ class TestColoring:
         block = sp.block_diag([laplace1d(4).scipy(), laplace1d(4).scipy()]).tocsr()
         from tlschwarz import SparseMat
 
-        g = symmetrized_graph(SparseMat(block, symmetric=True))
+        g = symmetrized_graph(SparseMat(block))
         part = Partition(2, np.array([0] * 4 + [1] * 4))
         k_c, _ = color_subdomains(extend_overlap(g, part, 2))
         assert k_c == 1

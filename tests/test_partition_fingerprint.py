@@ -39,13 +39,13 @@ def _disconnected():
     """Three components of sizes 16, 12 and 5 (n = 33)."""
     grid, _ = generate(ProblemSpec("poisson2d", 4))
     blocks = [grid.scipy(), random_spd(12, seed=3).scipy(), laplace1d(5).scipy()]
-    return SparseMat(sp.block_diag(blocks).tocsr(), symmetric=True)
+    return SparseMat(sp.block_diag(blocks).tocsr())
 
 
 def _isolated():
     """A poisson2d m=20 block plus 300 identity rows, one isolated node each."""
     grid, _ = generate(ProblemSpec("poisson2d", 20))
-    return SparseMat(sp.block_diag([grid.scipy(), sp.identity(300)]).tocsr(), symmetric=True)
+    return SparseMat(sp.block_diag([grid.scipy(), sp.identity(300)]).tocsr())
 
 
 def _problem(kind, m):

@@ -55,7 +55,7 @@ class TestOneLevel:
         )
 
     def test_identity_matrix_ras_is_identity(self):
-        mat = SparseMat(sp.identity(16, format="csr"), symmetric=True)
+        mat = SparseMat(sp.identity(16, format="csr"))
         pre = setup(mat, 4, overlap=1, coarse="none", one_level="ras")
         rng = np.random.default_rng(1)
         r = rng.standard_normal(16)
@@ -108,8 +108,8 @@ class TestEdgeCases:
     @pytest.mark.parametrize("mat, n_sub, overlap, n_coarse", [
         pytest.param(P5, 25, 2, 25, id="one node per subdomain"),
         pytest.param(P5, 4, 30, 0, id="overlap covers the graph"),
-        pytest.param(SparseMat(sp.csr_matrix([[3.0]]), symmetric=True), 1, 2, 0, id="1x1 system"),
-        pytest.param(SparseMat(sp.block_diag([P5.scipy(), P5.scipy()]).tocsr(), symmetric=True),
+        pytest.param(SparseMat(sp.csr_matrix([[3.0]])), 1, 2, 0, id="1x1 system"),
+        pytest.param(SparseMat(sp.block_diag([P5.scipy(), P5.scipy()]).tocsr()),
                      4, 2, 10, id="disconnected blocks"),
     ])
     def test_converges_and_matches_oracle(self, mat, n_sub, overlap, n_coarse):
@@ -252,6 +252,40 @@ class TestDeflation:
         )
 
 
+class TestPositiveDefiniteTests:
+    """The chosen method, not the matrix, decides which factors must be positive definite."""
+
+    GENERAL = {"coarse": "svd", "one_level": "ras", "combine": "deflated"}
+
+    @pytest.mark.parametrize("kind, n_subdomains, options, spd", [
+        ("poisson2d", 4, {}, True),
+        ("poisson2d", 4, GENERAL, False),
+        ("poisson2d", 4, {"coarse": "svd"}, True),  # asm, additive: the operator CG runs on
+        ("poisson2d", 4, {**GENERAL, "coarse": "gevp"}, True),  # the harmonic pencil
+        ("poisson2d", 4, {**GENERAL, "coarse": "full"}, True),
+        ("poisson2d", 4, {**GENERAL, "nu": 1.5}, True),  # the partition-of-unity pencil
+        ("poisson2d", 4, {**GENERAL, "one_level": "asm"}, False),
+        ("poisson2d", 4, {"coarse": "none"}, True),
+        ("poisson2d", 4, {"coarse": "none", "one_level": "ras"}, False),
+        ("poisson2d", 4, {"coarse": "none", "one_level": "ras", "nu": 1.5}, False),  # no pencil
+        ("poisson2d", 1, {**GENERAL, "one_level": "asm"}, True),  # no coarse column: asm alone
+        ("advection2d", 4, {}, False),
+        ("advection2d", 4, {"one_level": "asm", "combine": "additive"}, False),
+    ])
+    def test_every_factor_follows_the_method(self, monkeypatch, kind, n_subdomains, options,
+                                             spd):
+        modes = []
+
+        def recording(a, **kwargs):
+            modes.append(kwargs.get("options", {}).get("SymmetricMode", False))
+            return splu(a, **kwargs)
+
+        monkeypatch.setattr(sparsemat, "splu", recording)
+        mat, _ = generate(ProblemSpec(kind, 12))
+        setup(mat, n_subdomains, **options)
+        assert modes and set(modes) == {spd}
+
+
 class TestDefaultsAndErrors:
     def test_symmetric_defaults(self):
         mat, _ = generate(ProblemSpec("poisson2d", 6))
@@ -329,9 +363,9 @@ class TestDefaultsAndErrors:
         np.testing.assert_allclose(pre.apply(r), pre.apply_one_level(r))
 
 
-def two_components(good, bad, symmetric):
+def two_components(good, bad):
     """Block-diagonal matrix whose second 4-node component is ``bad``."""
-    return SparseMat(sp.csr_matrix(sp.block_diag([good, bad])), symmetric=symmetric)
+    return SparseMat(sp.csr_matrix(sp.block_diag([good, bad])))
 
 
 class TestLocalFactorErrors:
@@ -340,7 +374,7 @@ class TestLocalFactorErrors:
     def test_singular_nonsymmetric_block_names_subdomain(self):
         good = np.array([[4.0, -1, 0, 0], [-2, 4, -1, 0], [0, -2, 4, -1], [0, 0, -2, 4]])
         bad = np.array([[2.0, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, -1, 2, -1]])
-        mat = two_components(good, bad, symmetric=False)
+        mat = two_components(good, bad)
         with pytest.raises(SubdomainSetupError, match="subdomain 1") as info:
             setup(mat, 2, overlap=1)
         assert info.value.subdomain == 1
@@ -353,7 +387,7 @@ class TestLocalFactorErrors:
     def test_symmetric_block_not_positive_definite_names_subdomain(self, diag, off):
         bad = np.diag(diag) + off * (np.eye(4, k=1) + np.eye(4, k=-1))
         good = laplace1d(4).to_dense()
-        mat = two_components(good, bad, symmetric=True)
+        mat = two_components(good, bad)
         with pytest.raises(SubdomainSetupError, match="subdomain 1") as info:
             setup(mat, 2, overlap=1)
         assert info.value.subdomain == 1
@@ -373,7 +407,7 @@ class TestStructurallySingularMatrix:
         a[:, 5] = 0.0
         with pytest.raises(ValueError, match=r"^matrix is structurally singular: "
                                              r"structural rank 143 < n = 144$"):
-            setup(SparseMat(a.tocsr(), symmetric=True), 4, coarse=coarse)
+            setup(SparseMat(a.tocsr()), 4, coarse=coarse)
 
 
 class TestCoarseFactorErrors:
@@ -381,11 +415,19 @@ class TestCoarseFactorErrors:
         # after the shift by 100 every local block is still positive definite
         # (their smallest eigenvalues are larger), the global operator and A00 not
         mat, _ = generate(ProblemSpec("poisson2d", 60))
-        shifted = SparseMat(mat.scipy() - 100.0 * sp.identity(mat.nrows, format="csr"),
-                            symmetric=True)
+        shifted = SparseMat(mat.scipy() - 100.0 * sp.identity(mat.nrows, format="csr"))
         with pytest.raises(CoarseSetupError, match="coarse operator is not positive definite"):
             setup(shifted, 16)
         assert issubclass(CoarseSetupError, RuntimeError)
+
+    def test_numerically_singular_coarse_operator_raises_coarse_setup_error(self):
+        # A's condition number is 32.8, but A00 (18x18) has sigma_min / sigma_max
+        # = 7.9e-17 and passes the pivot test; its condition bound does not
+        rng = np.random.default_rng(385)
+        b = sp.random(29, 29, density=3 / 29, random_state=rng, data_rvs=rng.standard_normal)
+        a = (b.toarray() + 1.9 * np.eye(29))[rng.permutation(29)]
+        with pytest.raises(CoarseSetupError, match="coarse operator is numerically singular"):
+            setup(SparseMat.from_dense(a), 2, overlap=1)
 
 
 class TestStageOrder:
@@ -446,7 +488,7 @@ class TestStageOrder:
         a[22, 22] = -50.0
         with pytest.raises(SubdomainSetupError, match="subdomain 0: local block is not "
                                                       "positive definite") as info:
-            setup(SparseMat(a.tocsr(), symmetric=True), 4)
+            setup(SparseMat(a.tocsr()), 4)
         assert info.value.subdomain == 0
 
 

@@ -162,16 +162,18 @@ class TestSparseMat:
             cols = neighbors(banded7.scipy(), i)
             assert np.all(np.diff(cols) > 0)
 
-    def test_symmetric_flag_verified(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            SparseMat.from_coo(2, 2, [0, 1], [1, 0], [1.0, 2.0], symmetric=True)
+    def test_symmetry_read_from_values(self):
+        assert SparseMat.from_coo(2, 2, [0, 1], [1, 0], [2.0, 2.0]).symmetric
+        assert not SparseMat.from_coo(2, 2, [0, 1], [1, 0], [1.0, 2.0]).symmetric
+        # a symmetric pattern is not enough, and neither is a nearly equal value
+        assert not SparseMat.from_dense([[1.0, 1.0], [1.0 + 2.0 ** -52, 1.0]]).symmetric
 
     def test_matvec_dimension_mismatch(self, banded7):
         with pytest.raises(ValueError, match="dimension mismatch"):
             banded7.matvec(np.ones(6))
 
     def test_matvec_identity(self):
-        eye = SparseMat(sp.identity(5, format="csr"), symmetric=True)
+        eye = SparseMat(sp.identity(5, format="csr"))
         v = np.arange(5.0)
         np.testing.assert_array_equal(eye.matvec(v), v)
 
@@ -182,7 +184,7 @@ class TestSparseMat:
         np.testing.assert_allclose(mat.matvec(v), mat.to_dense() @ v, rtol=1e-13, atol=1e-13)
 
     def test_dense_guard(self):
-        big = SparseMat(sp.identity(5001, format="csr"), symmetric=True)
+        big = SparseMat(sp.identity(5001, format="csr"))
         with pytest.raises(ValueError, match="guard"):
             big.to_dense()
 
@@ -193,8 +195,6 @@ class TestSparseMat:
     def test_constructor_validation(self):
         with pytest.raises(TypeError, match="expected a scipy sparse matrix"):
             SparseMat(np.eye(2))
-        with pytest.raises(ValueError, match="symmetric flag requires a square matrix"):
-            SparseMat(sp.csr_matrix((2, 3)), symmetric=True)
 
     @pytest.mark.parametrize("rows, cols, message", [
         ([2], [0], "row index out of range"),
@@ -206,8 +206,9 @@ class TestSparseMat:
         with pytest.raises(ValueError, match=message):
             SparseMat.from_coo(2, 3, rows, cols, [1.0])
 
-    def test_rectangular_is_not_numerically_symmetric(self):
-        assert not SparseMat.from_coo(2, 3, [0], [0], [1.0]).is_numerically_symmetric()
+    def test_rectangular_is_not_symmetric(self):
+        assert not SparseMat.from_coo(2, 3, [0], [0], [1.0]).symmetric
+        assert not SparseMat(sp.csr_matrix((2, 3))).symmetric
 
     def test_immutability(self, banded7):
         with pytest.raises(ValueError):
@@ -595,7 +596,7 @@ def reference_read(text):
                 ri.append(j - 1)
                 ci.append(i - 1)
                 vi.append(v)
-        return SparseMat.from_coo(nrows, ncols, ri, ci, vi, symmetric=(symmetry == "symmetric"))
+        return SparseMat.from_coo(nrows, ncols, ri, ci, vi)
 
     if len(size_toks) != 2:
         raise MatrixMarketError(size_lineno, "array size line needs 'rows cols'")
@@ -618,7 +619,7 @@ def reference_read(text):
         cols, rows = np.triu_indices(nrows)
         dense[rows, cols] = vals
         dense[cols, rows] = vals
-    return SparseMat.from_dense(dense, symmetric=(symmetry == "symmetric"))
+    return SparseMat.from_dense(dense)
 
 
 def reference_read_vector(text):
@@ -878,6 +879,6 @@ class TestRoundTripStorage:
                 dense[j - 1, i - 1] = v
         np.testing.assert_array_equal(mat.scipy().toarray(), dense)
         again = read_matrix_market(write_matrix_market(mat))
-        assert not again.symmetric
+        assert again.symmetric == mat.symmetric  # read from the values, not the storage
         assert again.shape == mat.shape
         assert_same_arrays(again, mat)

@@ -95,7 +95,7 @@ class TestLocalBlocks:
 
     def test_dense_copy_refused_above_guard(self):
         n = DENSE_GUARD + 1
-        mat = SparseMat(sp.identity(n, format="csr"), symmetric=True)
+        mat = SparseMat(sp.identity(n, format="csr"))
         smap = SubdomainMap(index=7, n_global=n, interior=np.arange(n), layers=())
         blocks = extract_local_blocks(mat, smap)
         assert sp.issparse(blocks.a) and blocks.n_local == n

@@ -7,7 +7,9 @@ boundary-pencil selection against the full local pencil.  A sweep over
 coefficient contrast checks that no subdomain loses its coarse columns.
 A sweep over random nonsymmetric and structurally singular matrices checks
 that each either converges with GMRES or raises one of the library's
-errors, and that none writes to file descriptors 1 or 2.
+errors, and that none writes to file descriptors 1 or 2.  A sweep over
+random symmetric indefinite matrices checks that the defaults refuse them
+and the explicit general options solve them, again without output.
 """
 
 import numpy as np
@@ -44,7 +46,7 @@ def systems(draw):
     sizes = draw(st.lists(st.integers(1, 15), min_size=1, max_size=3))
     seed = draw(st.integers(0, 2**16))
     blocks = [random_spd(size, seed + k).scipy() for k, size in enumerate(sizes)]
-    matrix = SparseMat(sp.block_diag(blocks, format="csr"), symmetric=True)
+    matrix = SparseMat(sp.block_diag(blocks, format="csr"))
     n = matrix.nrows
     # small overlaps leave boundary rings to select from; large ones cover the graph
     overlap = draw(st.one_of(st.integers(1, 2), st.integers(1, n)))
@@ -140,5 +142,46 @@ def test_general_matrix_converges_or_is_refused_quietly(kind, data):
         assert isinstance(result, (SubdomainSetupError, CoarseSetupError)), result
     else:
         x, report = result
+        assert report.converged
+        assert np.linalg.norm(rhs - matrix.matvec(x)) <= 1e-7 * np.linalg.norm(rhs)
+
+
+@st.composite
+def indefinite_systems(draw):
+    """(matrix, n_subdomains, overlap) for a random B + B^T + shift I with at
+    least one negative eigenvalue and a condition number below 1e6."""
+    n = draw(st.integers(10, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    b = sp.random(n, n, density=min(draw(st.floats(1.0, 6.0)) / n, 1.0), random_state=rng,
+                  data_rvs=rng.standard_normal)
+    dense = (b + b.T).toarray() + draw(st.floats(-3.0, 3.0)) * np.eye(n)
+    eigenvalues = np.abs(np.linalg.eigvalsh(dense))
+    assume(np.linalg.eigvalsh(dense)[0] < 0 and eigenvalues.max() < 1e6 * eigenvalues.min())
+    n_subdomains = draw(st.one_of(st.integers(2, max(2, n // 5)), st.integers(1, n)))
+    return SparseMat.from_dense(dense), n_subdomains, draw(st.integers(1, 2))
+
+
+@settings(max_examples=20)
+@given(indefinite_systems())
+def test_symmetric_indefinite_matrix_needs_the_general_options(system):
+    matrix, n_subdomains, overlap = system
+    rhs = np.random.default_rng(matrix.nrows).standard_normal(matrix.nrows)
+
+    def solve(**options):
+        try:
+            pre = setup(matrix, n_subdomains, overlap=overlap, **options)
+        except (SubdomainSetupError, CoarseSetupError) as exc:
+            return exc
+        return gmres(matrix, pre, rhs)
+
+    (defaults, general), written = fd_output(
+        lambda: (solve(), solve(coarse="svd", one_level="ras", combine="deflated")))
+    assert written == b""
+    assert matrix.symmetric
+    assert isinstance(defaults, (SubdomainSetupError, CoarseSetupError)), defaults
+    if isinstance(general, Exception):  # an indefinite block can be numerically singular
+        assert isinstance(general, (SubdomainSetupError, CoarseSetupError)), general
+    else:
+        x, report = general
         assert report.converged
         assert np.linalg.norm(rhs - matrix.matvec(x)) <= 1e-7 * np.linalg.norm(rhs)
