@@ -29,10 +29,12 @@ from .spectral import select_harmonic_modes, select_pou_modes, svd_harmonic_mode
 from .subdomain import build_harmonic
 
 DROP_TOL = 1e-10
-# Largest 1-norm condition number of a coarse operator factored without the positive
-# definiteness test: a coarse solve then keeps at least half the digits.  Past it the
-# deflated start x0 = Q b cancels more than GMRES's tolerance allows (README).
-COND_LIMIT = 1.0 / np.sqrt(np.finfo(float).eps)
+# Largest 1-norm of the coarse correction's residual projector A Q, Q = Z A00^{-1} Z^T,
+# for a coarse operator factored without the positive definiteness test.  On a
+# symmetric positive definite A, ||A Q||_1 <= sqrt(n kappa_2(A)): only an A with
+# kappa_2(A) > 1/(n eps) can exceed it.  Past it the deflated start x0 = Q b cancels
+# more than half the digits (README).
+PROJECTOR_LIMIT = 1.0 / np.sqrt(np.finfo(float).eps)
 
 
 class CoarseSetupError(RuntimeError):
@@ -136,7 +138,7 @@ def galerkin_operator(matrix, z):
     return a00
 
 
-def galerkin_coarse(matrix, z, spd=None):
+def galerkin_coarse(matrix, z, spd):
     """Form and factor the coarse operator A00 = Z^T A Z.
 
     A00 is sorted in place and handed to SuperLU without a copy; only its
@@ -144,30 +146,30 @@ def galerkin_coarse(matrix, z, spd=None):
     pivot read's copies of L and U, the only ones it makes, can take its
     memory.  The heap is given back three times: what the basis assembly freed
     before the product, what the product freed before the factorization, and
-    the pivot read's after it.  With ``spd`` (None: the matrix is symmetric)
-    the factor must show A00 positive definite.  Without it the factor must
-    pass the pivot test, and a lower bound on the 1-norm condition number of
-    A00, ||A00||_1 times ``_inverse_norm``, must not exceed ``COND_LIMIT``.
-    ``z`` must have at least one column.
+    the pivot read's after it.  With ``spd`` the factor must show A00 positive
+    definite.  Without it the factor must pass the pivot test, and a lower
+    bound on ||A Z A00^{-1} Z^T||_1, ``_projector_norm``, must not exceed
+    ``PROJECTOR_LIMIT``.  ``z`` must have at least one column.
     """
-    spd = matrix.symmetric if spd is None else spd
     release_free_heap()
     owned = [galerkin_operator(matrix, z)]  # A00's only reference, which _factor_owned drops
     owned[0].sum_duplicates()  # sorts in place and marks it canonical: SuperLU takes it as is
-    nnz, n = owned[0].nnz, owned[0].shape[0]
-    norm = None if spd else spla.norm(owned[0], 1)
+    nnz = owned[0].nnz
     release_free_heap()
     lu, failed = _factor_owned(owned, spd)
     release_free_heap()
-    if failed is not None or not spd and norm * _inverse_norm(lu, n) > COND_LIMIT:
+    if failed is not None or not spd and _projector_norm(matrix, z, lu) > PROJECTOR_LIMIT:
         raise CoarseSetupError("coarse operator is not positive definite" if spd
                                else "coarse operator is numerically singular")
     return CoarseSpace(z, z.T, lu, nnz)
 
 
-def _inverse_norm(lu, n):
-    """A lower bound on ||A^{-1}||_1 from the SuperLU factor ``lu`` of the n x n
-    A: the Hager-Higham estimate from a few solves (Higham and Tisseur, SIAM J.
-    Matrix Anal. Appl. 21, 2000).  With one column it draws no random vector."""
-    return spla.onenormest(spla.LinearOperator((n, n), matvec=lu.solve, dtype=float,
-                                               rmatvec=lambda v: lu.solve(v, trans="T")), t=1)
+def _projector_norm(matrix, z, lu):
+    """A lower bound on ||A Q||_1, Q = Z A00^{-1} Z^T with ``lu`` the SuperLU
+    factor of A00: the Hager-Higham estimate from a few products with A Q and
+    its transpose (Higham and Tisseur, SIAM J. Matrix Anal. Appl. 21, 2000).
+    With one column it draws no random vector."""
+    a, zt = matrix.scipy(), z.T
+    return spla.onenormest(spla.LinearOperator(
+        a.shape, dtype=float, matvec=lambda v: a @ (z @ lu.solve(zt @ v)),
+        rmatvec=lambda v: z @ lu.solve(zt @ (a.T @ v), trans="T")), t=1)

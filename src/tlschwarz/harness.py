@@ -144,7 +144,7 @@ def lambda_star(matrix, maps):
     if len(maps) == 1:
         return 1.0
     gather = np.concatenate([s.indices for s in maps])
-    local = sp.block_diag([extract_local_blocks(matrix, s).a for s in maps], format="coo")
+    local = sp.block_diag([extract_local_blocks(matrix, s, True).a for s in maps], format="coo")
     stacked = sp.csr_matrix((local.data, (gather[local.row], gather[local.col])), shape=(n, n))
     v0 = np.random.default_rng(12345).standard_normal(n)
     vals = eigsh(stacked, k=1, M=matrix.scipy(), which="LA", v0=v0, return_eigenvectors=False)
@@ -213,7 +213,7 @@ def derive_bound_inputs(precond):
                          "'full' or 'gevp' coarse space")
     report = precond.report
     threshold = np.inf if report.nu is None else report.nu
-    nu = max([1.0] + [select_pou_modes(extract_local_blocks(precond.matrix, s),
+    nu = max([1.0] + [select_pou_modes(extract_local_blocks(precond.matrix, s, True),
                                        threshold).largest_unselected for s in precond.maps])
     tau = max(report.largest_unselected, default=0.0)
     lam = lambda_star(precond.matrix, precond.maps)

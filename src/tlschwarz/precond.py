@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -164,7 +164,7 @@ class Preconditioner:
     @property
     def is_symmetric(self):
         """Whether the preconditioner itself is a symmetric operator."""
-        return self.matrix.symmetric and self.one_level == "asm" and self.combine != "deflated"
+        return _is_symmetric(self.matrix.symmetric, self.one_level, self.combine)
 
     def apply_one_level(self, r):
         y = self.local_lu.solve(r[self.gather])
@@ -265,13 +265,12 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     if combine not in COMBINE_KINDS:
         raise ValueError(f"unknown combination {combine!r}")
     if coarse == "none":
-        combine, nu = "none", None  # no coarse space: no pencil to test for
+        combine = "none"
     if nu is not None and not symmetric:
         raise ValueError("partition-of-unity modes require a symmetric matrix")
-    # positive definiteness is tested where the method relies on it: the pencils
-    # of gevp, full and nu, and the asm, not deflated operator that CG runs on
-    spd = symmetric and (coarse in ("gevp", "full") or nu is not None
-                         or (one_level == "asm" and combine != "deflated"))
+    # positive definiteness is tested where the method relies on it: the pencils and CG
+    pencil = symmetric and (coarse in ("gevp", "full") or nu is not None and coarse != "none")
+    spd = pencil or _is_symmetric(symmetric, one_level, combine)
 
     graph = symmetrized_graph(matrix)
     if _structurally_singular(matrix.scipy().T):
@@ -284,7 +283,7 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     unselected, cs, mode_counts = [], None, (0,) * len(maps)
     if coarse != "none":
         def columns(smap):
-            blocks = replace(extract_local_blocks(matrix, smap), symmetric=spd)
+            blocks = extract_local_blocks(matrix, smap, spd)
             block, largest_unselected = coarse_mod.subdomain_coarse_columns(blocks, coarse, tau, nu)
             unselected.append(largest_unselected)
             return block
@@ -294,12 +293,11 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
             if z.shape[1]:
                 cs = coarse_mod.galerkin_coarse(matrix, z, spd)
             else:
-                combine = "none"  # an asm one level is then the operator CG runs on
-                spd = spd or (symmetric and one_level == "asm")
+                combine = "none"
         except Exception:
             _factor_local(matrix, maps, spd)  # a failing local block is reported first
             raise
-    local_lu = _factor_local(matrix, maps, spd)
+    local_lu = _factor_local(matrix, maps, pencil or _is_symmetric(symmetric, one_level, combine))
 
     report = SetupReport(
         n=matrix.nrows,
@@ -315,7 +313,7 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         nnz_matrix=matrix.nnz,
         nnz_coarse=cs.nnz if cs is not None else 0,
         tau=tau,
-        nu=nu,
+        nu=nu if coarse != "none" else None,
         largest_unselected=tuple(v for v in unselected if v is not None),
     )
     gather = np.concatenate([s.indices for s in maps])
@@ -326,9 +324,14 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
                           report)
 
 
+def _is_symmetric(symmetric, one_level, combine):
+    """Whether these options build a symmetric operator, the one CG runs on."""
+    return symmetric and one_level == "asm" and combine != "deflated"
+
+
 def _factor_local(matrix, maps, spd):
     """The one-level factor: one SuperLU factor of all local blocks, cut again."""
-    local_lu, failed = factor_blocks((extract_local_blocks(matrix, s).a for s in maps), spd)
+    local_lu, failed = factor_blocks((extract_local_blocks(matrix, s, spd).a for s in maps), spd)
     if failed is not None:
         raise SubdomainSetupError(failed, "local block is not positive definite" if spd
                                   else "local block is numerically singular")

@@ -98,7 +98,7 @@ def select_pou_modes(blocks, threshold):
     ever draws from the last group since the threshold must exceed one.
     The pencil is dense, so a block above ``DENSE_GUARD`` nodes is refused.
     """
-    if not blocks.symmetric:
+    if not blocks.spd:
         raise ValueError("partition-of-unity modes require a symmetric block")
     if threshold <= 1.0:
         raise ValueError("threshold must exceed 1")
@@ -121,7 +121,7 @@ def select_harmonic_modes(blocks, extension, threshold):
     the block's inner product.  Values are the n_boundary A-weighted singular
     values (square roots of the boundary pencil's eigenvalues).
     """
-    if not blocks.symmetric:
+    if not blocks.spd:
         raise ValueError("harmonic-pencil modes require a symmetric block")
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")

@@ -38,7 +38,7 @@ class LocalBlocks:
     a: sp.csr_matrix
     n_interior: int
     layer_sizes: tuple
-    symmetric: bool  # factors must be positive definite: the matrix's symmetry or setup's rule
+    spd: bool  # its factors must show it positive definite
 
     @property
     def n_local(self):
@@ -58,11 +58,11 @@ class LocalBlocks:
         return (np.arange(self.n_local) < self.n_interior).astype(np.float64)
 
 
-def extract_local_blocks(matrix, smap):
+def extract_local_blocks(matrix, smap, spd):
     """Sparse (CSR) principal submatrix of the subdomain in its local ordering."""
     idx = smap.indices
     return LocalBlocks(smap.index, matrix.scipy()[idx][:, idx], smap.interior.size,
-                       tuple(l.size for l in smap.layers), matrix.symmetric)
+                       tuple(l.size for l in smap.layers), spd)
 
 
 def build_harmonic(blocks):
@@ -81,10 +81,10 @@ def build_harmonic(blocks):
     extension[ni:] = np.eye(nb)
     if ni and nb:
         a = sp.csc_array(blocks.a)
-        lu, failed = factor_blocks([a[:ni, :ni]], blocks.symmetric)
+        lu, failed = factor_blocks([a[:ni, :ni]], blocks.spd)
         if failed is not None:
             raise SubdomainSetupError(
-                blocks.subdomain, "inner block is not positive definite" if blocks.symmetric
+                blocks.subdomain, "inner block is not positive definite" if blocks.spd
                 else "inner block is numerically singular")
         extension[:ni] = -lu.solve(a[:ni, ni:].toarray())
     return extension

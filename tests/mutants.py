@@ -70,9 +70,8 @@ MUTANTS = [
      "(csr != csr.T).nnz == 0", "(csr.astype(bool) != csr.T.astype(bool)).nnz == 0",
      "symmetry read from the sparsity pattern alone (advection2d's is symmetric)", None),
     ("src/tlschwarz/precond.py",
-     'spd = symmetric and (coarse in ("gevp", "full") or nu is not None\n'
-     '                         or (one_level == "asm" and combine != "deflated"))',
-     "spd = symmetric",
+     'pencil = symmetric and (coarse in ("gevp", "full") or nu is not None and coarse != "none")',
+     "pencil = symmetric",
      "every factor of a symmetric matrix tested for positive definiteness, whatever the method",
      None),
 ]

@@ -54,7 +54,7 @@ def test_criterion_1_projection_and_splitting():
         n_sub = int(rng.integers(2, 6))
         mat, maps = subdomain_suite(n, n_sub, delta, seed=trial)
         for smap in maps:
-            blocks = extract_local_blocks(mat, smap)
+            blocks = extract_local_blocks(mat, smap, mat.symmetric)
             ext = build_harmonic(blocks)
             m, ni, a = blocks.n_local, blocks.n_inner, blocks.a.toarray()
             pi = np.zeros((m, m))
@@ -85,7 +85,7 @@ def test_criterion_2_pencil_multiplicities():
     for trial in range(10):
         mat, maps = subdomain_suite(60 + 8 * trial, 3 + trial % 3, 1 + trial % 2, seed=200 + trial)
         for smap in maps:
-            blocks = extract_local_blocks(mat, smap)
+            blocks = extract_local_blocks(mat, smap, mat.symmetric)
             mask = interior_mask(smap)
             vals = select_pou_modes(blocks, 1e9).all_values
             d, a = np.diag(mask), blocks.a.toarray()
@@ -116,7 +116,7 @@ def test_criterion_3_color_sum():
         k_c, _ = color_subdomains(maps)
         stacked = np.zeros((n, n))
         for smap in maps:
-            blocks = extract_local_blocks(mat, smap)
+            blocks = extract_local_blocks(mat, smap, mat.symmetric)
             tilde = spsd_splitting(blocks, build_harmonic(blocks))
             ix = np.ix_(smap.indices, smap.indices)
             stacked[ix] += tilde
@@ -221,7 +221,7 @@ def test_criterion_7_mode_decay_with_overlap():
         maps = extend_overlap(g, part, delta)
         per = []
         for smap in maps:
-            blocks = extract_local_blocks(mat, smap)
+            blocks = extract_local_blocks(mat, smap, mat.symmetric)
             basis = select_harmonic_modes(blocks, build_harmonic(blocks), 0.1)
             per.append(basis.n_selected)
         counts[delta] = per

@@ -31,7 +31,7 @@ from tlschwarz import (
     write_matrix_market,
 )
 from tlschwarz import coarse, sparsemat
-from tlschwarz.coarse import COND_LIMIT, DROP_TOL
+from tlschwarz.coarse import DROP_TOL, PROJECTOR_LIMIT
 
 from conftest import random_partition, random_spd
 
@@ -39,8 +39,8 @@ from conftest import random_partition, random_spd
 def pipeline(mat, part, delta, tau=0.1, coarse="gevp"):
     g = symmetrized_graph(mat)
     maps = extend_overlap(g, part, delta)
-    column_blocks = [subdomain_coarse_columns(extract_local_blocks(mat, smap), coarse, tau)[0]
-                     for smap in maps]
+    column_blocks = [subdomain_coarse_columns(extract_local_blocks(mat, smap, mat.symmetric),
+                                              coarse, tau)[0] for smap in maps]
     return maps, column_blocks, assemble_coarse_basis(maps, column_blocks, mat.nrows)
 
 
@@ -75,7 +75,7 @@ class TestColumns:
         part = Partition(2, np.array([0, 0, 0, 1, 1, 1, 1]))
         maps = extend_overlap(g, part, 1)
         smap = maps[0]
-        blocks = extract_local_blocks(banded7, smap)
+        blocks = extract_local_blocks(banded7, smap, banded7.symmetric)
         cols, largest_unselected = subdomain_coarse_columns(blocks, "full", 0.1)
         assert largest_unselected is None
         ni = blocks.n_inner
@@ -89,7 +89,7 @@ class TestColumns:
         part = random_partition(40, 3, seed=9)
         maps = extend_overlap(symmetrized_graph(mat), part, 2)
         smap = maps[0]
-        blocks = extract_local_blocks(mat, smap)
+        blocks = extract_local_blocks(mat, smap, mat.symmetric)
         ext = build_harmonic(blocks)
         basis = select_harmonic_modes(blocks, ext, 0.05)
         cols, largest_unselected = subdomain_coarse_columns(blocks, "gevp", 0.05)
@@ -105,7 +105,7 @@ class TestColumns:
         # view would keep the full-height extension alive with the block
         mat = random_spd(40, seed=8)
         smap = extend_overlap(symmetrized_graph(mat), random_partition(40, 3, seed=9), 2)[1]
-        blocks = extract_local_blocks(mat, smap)
+        blocks = extract_local_blocks(mat, smap, mat.symmetric)
         ext = build_harmonic(blocks)
         pou = [select_pou_modes(blocks, nu).vectors] if nu is not None else []
         for kind, select in [("full", None), ("gevp", select_harmonic_modes),
@@ -334,13 +334,13 @@ class TestGalerkin:
         expected = dense_b.T @ mat.to_dense() @ dense_b
         np.testing.assert_allclose(a00.toarray(), expected, atol=1e-10)
         assert a00.nnz == np.count_nonzero(expected)
-        assert galerkin_coarse(mat, z).nnz == a00.nnz
+        assert galerkin_coarse(mat, z, mat.symmetric).nnz == a00.nnz
 
     def test_solve_inverts_operator(self):
         mat = random_spd(35, seed=32)
         part = random_partition(35, 3, seed=33)
         _, _, (z, _) = pipeline(mat, part, 1, coarse="gevp")
-        space = galerkin_coarse(mat, z)
+        space = galerkin_coarse(mat, z, mat.symmetric)
         rng = np.random.default_rng(1)
         rhs = rng.standard_normal(z.shape[1])
         y = space.lu.solve(rhs)
@@ -353,7 +353,7 @@ class TestGalerkin:
         a00 = galerkin_operator(mat, z).toarray()
         np.testing.assert_allclose(a00, a00.T, atol=1e-12)
         assert np.linalg.eigvalsh(a00).min() > 0
-        galerkin_coarse(mat, z)
+        galerkin_coarse(mat, z, mat.symmetric)
 
     def test_keeps_no_coarse_operator(self):
         # an apply reads Z and the factor only: A00 (12 bytes per stored
@@ -364,7 +364,7 @@ class TestGalerkin:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            space = galerkin_coarse(mat, z)
+            space = galerkin_coarse(mat, z, mat.symmetric)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -428,7 +428,7 @@ class TestGalerkin:
 
         monkeypatch.setattr(coarse, "galerkin_operator", operator)
         monkeypatch.setattr(sparsemat, "splu", lambda a, **kw: Factor(splu(a, **kw)))
-        space = galerkin_coarse(mat, whole_graph_basis(mat))
+        space = galerkin_coarse(mat, whole_graph_basis(mat), mat.symmetric)
         assert alive_at_read and not any(alive_at_read)
         rhs = np.random.default_rng(2).standard_normal(mat.nrows)
         np.testing.assert_allclose(mat.matvec(space.lu.solve(rhs)), rhs, atol=1e-9)
@@ -441,37 +441,49 @@ class TestGalerkin:
         mat = SparseMat.from_dense(dense)
         z = whole_graph_basis(mat)
         with pytest.raises(RuntimeError, match="not positive definite"):
-            galerkin_coarse(mat, z)
+            galerkin_coarse(mat, z, mat.symmetric)
 
     @pytest.mark.parametrize("last", [2.0, 2.0 + 2.0 ** -51])  # exactly, numerically
     def test_singular_nonsymmetric_coarse_operator_raises(self, last):
         mat = SparseMat.from_dense([[1.0, 2.0], [1.0, last]])
         z = whole_graph_basis(mat)
         with pytest.raises(RuntimeError, match="numerically singular"):
-            galerkin_coarse(mat, z)
+            galerkin_coarse(mat, z, mat.symmetric)
 
-    @pytest.mark.parametrize("gap", [1e-8, 1e-6])
-    def test_nonsymmetric_coarse_condition_limit(self, gap):
-        # both pass the pivot test; the 1-norm condition number, 12 / gap to
-        # first order, is refused above COND_LIMIT = eps^(-1/2) = 6.7e7
-        mat = SparseMat.from_dense([[1.0, 2.0], [1.0, 2.0 + gap]])
-        z = whole_graph_basis(mat)
-        assert (12.0 / gap > COND_LIMIT) == (gap == 1e-8)
-        if gap == 1e-8:
+    @pytest.mark.parametrize("t", [1e-9, 1e-7])
+    def test_coarse_projector_limit(self, t):
+        # A is a permutation (condition number 1) and A00 = Z^T A Z = [2 t] is
+        # 1 x 1 (condition number 1), yet A Q = A z z^T / (2 t) has 1-norm
+        # (1 + t) / (2 t): refused above PROJECTOR_LIMIT = eps^(-1/2) = 6.7e7
+        mat = SparseMat.from_dense([[0.0, 1.0], [1.0, 0.0]])
+        z = sp.csr_matrix([[1.0], [t]])
+        assert ((1 + t) / (2 * t) > PROJECTOR_LIMIT) == (t == 1e-9)
+        if t == 1e-9:
             with pytest.raises(coarse.CoarseSetupError, match="numerically singular"):
-                galerkin_coarse(mat, z)
+                galerkin_coarse(mat, z, False)
         else:
-            rhs = np.array([1.0, -1.0])
-            np.testing.assert_allclose(galerkin_coarse(mat, z).lu.solve(rhs),
-                                       np.linalg.solve(mat.to_dense(), rhs), rtol=1e-9)
+            solved = galerkin_coarse(mat, z, False).lu.solve(np.array([1.0]))
+            np.testing.assert_allclose(solved, [0.5 / t], rtol=1e-12)
 
-    def test_inverse_norm_is_a_repeatable_lower_bound(self):
+    def test_projector_norm_is_a_repeatable_lower_bound(self):
         rng = np.random.default_rng(5)
-        for a in (np.array([[1.0, 2.0], [1.0, 2.5]]), rng.standard_normal((40, 40))):
-            lu = splu(sp.csc_matrix(a))
-            exact = np.abs(np.linalg.inv(a)).sum(axis=0).max()
-            state = np.random.get_state()[1].copy()
-            estimate = coarse._inverse_norm(lu, a.shape[0])
-            assert 0.3 * exact <= estimate <= exact * (1 + 1e-12)
-            assert coarse._inverse_norm(lu, a.shape[0]) == estimate
-            assert np.array_equal(np.random.get_state()[1], state)  # no global draw
+        a = sp.csr_matrix(rng.standard_normal((40, 40)))
+        z = sp.random(40, 8, density=0.3, random_state=rng, format="csr")
+        a00 = (z.T @ a @ z).toarray()
+        lu = splu(sp.csc_matrix(a00))
+        exact = np.abs(a @ z.toarray() @ np.linalg.solve(a00, z.T.toarray())).sum(axis=0).max()
+        state = np.random.get_state()[1].copy()
+        estimate = coarse._projector_norm(SparseMat(a), z, lu)
+        assert 0.3 * exact <= estimate <= exact * (1 + 1e-12)
+        assert coarse._projector_norm(SparseMat(a), z, lu) == estimate
+        assert np.array_equal(np.random.get_state()[1], state)  # no global draw
+
+    def test_projector_norm_bounded_by_spd_conditioning(self):
+        # on a symmetric positive definite A, ||A Q||_1 <= sqrt(n kappa_2(A)),
+        # so only a numerically singular A can exceed PROJECTOR_LIMIT
+        mat, _ = generate(ProblemSpec("hetero-diffusion2d", 16, contrast=1e8))
+        z = setup(mat, 4, coarse="svd", one_level="ras", combine="deflated").coarse.basis
+        eigenvalues = np.linalg.eigvalsh(mat.to_dense())
+        bound = np.sqrt(mat.nrows * eigenvalues[-1] / eigenvalues[0])
+        assert bound > 1e5
+        assert coarse._projector_norm(mat, z, galerkin_coarse(mat, z, False).lu) <= bound

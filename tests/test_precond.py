@@ -208,7 +208,7 @@ class TestSparseSetup:
         pre = setup(mat, 4, overlap=2, coarse=coarse)
         assert pre.report.n_coarse > 0
         with pytest.raises(AssertionError, match="densified"):
-            extract_local_blocks(mat, pre.maps[0]).a.toarray()
+            extract_local_blocks(mat, pre.maps[0], mat.symmetric).a.toarray()
 
     def test_setup_traced_peak(self):
         # traced allocations (numpy buffers and Python objects, not SuperLU's
@@ -308,6 +308,8 @@ class TestDefaultsAndErrors:
             setup(mat, 2, coarse="full")
         with pytest.raises(ValueError):
             setup(mat, 2, nu=1.5)
+        with pytest.raises(ValueError, match="partition-of-unity"):
+            setup(mat, 2, coarse="none", nu=1.5)
 
     def test_unknown_kinds(self):
         mat = laplace1d(10)
@@ -420,9 +422,18 @@ class TestCoarseFactorErrors:
             setup(shifted, 16)
         assert issubclass(CoarseSetupError, RuntimeError)
 
+    def test_high_contrast_spd_matrix_builds_under_the_general_options(self):
+        # kappa_1(A00) reads 1.1e9 here, but the deflated start does not cancel:
+        # ||A Z A00^{-1} Z^T||_1 reads 5.5, far below the coarse projector limit
+        mat, rhs = generate(ProblemSpec("hetero-diffusion2d", 30, contrast=1e8))
+        pre = setup(mat, 4, coarse="svd", one_level="ras", combine="deflated")
+        x, report = gmres(mat, pre, rhs)
+        assert report.converged
+        assert np.linalg.norm(rhs - mat.matvec(x)) <= 1e-8 * np.linalg.norm(rhs)
+
     def test_numerically_singular_coarse_operator_raises_coarse_setup_error(self):
         # A's condition number is 32.8, but A00 (18x18) has sigma_min / sigma_max
-        # = 7.9e-17 and passes the pivot test; its condition bound does not
+        # = 7.9e-17 and passes the pivot test; ||A Z A00^{-1} Z^T||_1 reads 4.6e15
         rng = np.random.default_rng(385)
         b = sp.random(29, 29, density=3 / 29, random_state=rng, data_rvs=rng.standard_normal)
         a = (b.toarray() + 1.9 * np.eye(29))[rng.permutation(29)]

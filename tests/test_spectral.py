@@ -27,7 +27,7 @@ def subdomain_pieces(n, n_sub, delta, seed):
     maps = extend_overlap(symmetrized_graph(mat), random_partition(n, n_sub, seed=seed + 1), delta)
     out = []
     for smap in maps:
-        blocks = extract_local_blocks(mat, smap)
+        blocks = extract_local_blocks(mat, smap, mat.symmetric)
         out.append((blocks, interior_mask(smap), build_harmonic(blocks)))
     return out
 
@@ -110,7 +110,7 @@ class TestPouModes:
 
     def test_all_ones_mask_gives_unit_spectrum(self):
         # every node interior: D = I, so the pencil is (A, A)
-        blocks = extract_local_blocks(laplace1d(3), make_map([0, 1, 2], [], 3))
+        blocks = extract_local_blocks(laplace1d(3), make_map([0, 1, 2], [], 3), True)
         basis = select_pou_modes(blocks, threshold=1.1)
         np.testing.assert_allclose(basis.all_values, 1.0, atol=1e-13)
         assert basis.n_selected == 0
@@ -160,7 +160,7 @@ class TestPouModes:
         with pytest.raises(ValueError):
             select_pou_modes(blocks, 1.0)
         ns = type(blocks)(
-            subdomain=0, a=blocks.a, n_interior=2, layer_sizes=(1,), symmetric=False
+            subdomain=0, a=blocks.a, n_interior=2, layer_sizes=(1,), spd=False
         )
         with pytest.raises(ValueError):
             select_pou_modes(ns, 1.5)
@@ -234,7 +234,7 @@ class TestHarmonicModes:
     def test_rejects_nonsymmetric(self):
         blocks, ext = fixture_1d3()
         ns = type(blocks)(
-            subdomain=0, a=blocks.a, n_interior=2, layer_sizes=(1,), symmetric=False
+            subdomain=0, a=blocks.a, n_interior=2, layer_sizes=(1,), spd=False
         )
         with pytest.raises(ValueError, match="require a symmetric block"):
             select_harmonic_modes(ns, ext, 0.1)
@@ -245,7 +245,7 @@ class TestHarmonicModes:
         mat, _ = generate(ProblemSpec("poisson2d", 20))
         pre = setup(mat, 16, tau=0.1)
         for smap in pre.maps:
-            blocks = extract_local_blocks(mat, smap)
+            blocks = extract_local_blocks(mat, smap, mat.symmetric)
             ext = build_harmonic(blocks)
             basis = select_harmonic_modes(blocks, ext, 0.1)
             sigmas, oracle = full_harmonic_pencil(blocks, interior_mask(smap), ext, 0.1)
@@ -293,7 +293,7 @@ class TestSvdModes:
     def test_empty_boundary(self):
         mat = laplace1d(4)
         smap = make_map(np.arange(4), [np.array([], dtype=np.int64)], 4)
-        blocks = extract_local_blocks(mat, smap)
+        blocks = extract_local_blocks(mat, smap, mat.symmetric)
         basis = svd_harmonic_modes(blocks, build_harmonic(blocks), 0.1)
         assert basis.n_selected == 0
         assert basis.vectors.shape == (4, 0)
@@ -310,7 +310,7 @@ def test_mode_counts_shrink_with_more_overlap():
         maps = extend_overlap(g, part, delta)
         count = 0
         for smap in maps:
-            blocks = extract_local_blocks(mat, smap)
+            blocks = extract_local_blocks(mat, smap, mat.symmetric)
             basis = select_harmonic_modes(blocks, build_harmonic(blocks), 0.1)
             count += basis.n_selected
         totals.append(count)

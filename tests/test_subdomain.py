@@ -29,7 +29,7 @@ def spsd_splitting(blocks, extension):
     Schur-complement construction whenever there are at least two layers,
     and reduces to the block itself when the boundary ring is empty.
     """
-    if not blocks.symmetric:
+    if not blocks.spd:
         raise ValueError("positive-semidefinite splitting requires a symmetric block")
     if blocks.n_boundary == 0:
         return blocks.a.toarray()
@@ -55,7 +55,7 @@ def fixture_1d3():
     """Tridiagonal (-1, 2, -1) on three nodes, interior {0, 1}, ring {2}."""
     mat = laplace1d(3)
     smap = make_map([0, 1], [[2]], 3)
-    blocks = extract_local_blocks(mat, smap)
+    blocks = extract_local_blocks(mat, smap, mat.symmetric)
     return blocks, build_harmonic(blocks)
 
 
@@ -64,7 +64,7 @@ class TestLocalBlocks:
         g = symmetrized_graph(banded7)
         part = Partition(2, np.array([0, 0, 0, 1, 1, 1, 1]))
         maps = extend_overlap(g, part, 1)
-        blocks = extract_local_blocks(banded7, maps[0])
+        blocks = extract_local_blocks(banded7, maps[0], banded7.symmetric)
         np.testing.assert_array_equal(blocks.a.toarray()[0], [1, 2, 0, 0])
         assert blocks.n_interior == 3
         assert blocks.layer_sizes == (1,)
@@ -76,7 +76,7 @@ class TestLocalBlocks:
         maps = extend_overlap(symmetrized_graph(mat), random_partition(30, 3, seed=4), 2)
         dense = mat.to_dense()
         for smap in maps:
-            blocks = extract_local_blocks(mat, smap)
+            blocks = extract_local_blocks(mat, smap, mat.symmetric)
             np.testing.assert_array_equal(blocks.a.toarray(),
                                           dense[np.ix_(smap.indices, smap.indices)])
 
@@ -84,20 +84,21 @@ class TestLocalBlocks:
         mat = random_spd(30, seed=3)
         maps = extend_overlap(symmetrized_graph(mat), random_partition(30, 3, seed=4), 2)
         for smap in maps:
-            weights = extract_local_blocks(mat, smap).pou_weights
+            weights = extract_local_blocks(mat, smap, mat.symmetric).pou_weights
             assert weights.dtype == np.float64
             np.testing.assert_array_equal(weights, np.isin(smap.indices, smap.interior))
 
-    def test_symmetric_flag_propagates(self):
+    def test_spd_flag_propagates(self):
         mat = random_spd(12, seed=5)
         smap = make_map(np.arange(12), [], 12)
-        assert extract_local_blocks(mat, smap).symmetric
+        assert extract_local_blocks(mat, smap, True).spd
+        assert not extract_local_blocks(mat, smap, False).spd
 
     def test_dense_copy_refused_above_guard(self):
         n = DENSE_GUARD + 1
         mat = SparseMat(sp.identity(n, format="csr"))
         smap = SubdomainMap(index=7, n_global=n, interior=np.arange(n), layers=())
-        blocks = extract_local_blocks(mat, smap)
+        blocks = extract_local_blocks(mat, smap, mat.symmetric)
         assert sp.issparse(blocks.a) and blocks.n_local == n
         message = f"subdomain 7 has {n} nodes; dense guard is {DENSE_GUARD}"
         with pytest.raises(ValueError, match=message):
@@ -115,7 +116,7 @@ class TestHarmonicExtension:
         mat = random_spd(50, seed=7)
         maps = extend_overlap(symmetrized_graph(mat), random_partition(50, 4, seed=8), 2)
         for smap in maps:
-            blocks = extract_local_blocks(mat, smap)
+            blocks = extract_local_blocks(mat, smap, mat.symmetric)
             ext = build_harmonic(blocks)
             pi = np.zeros((blocks.n_local, blocks.n_local))
             pi[:, blocks.n_inner:] = ext
@@ -127,7 +128,7 @@ class TestHarmonicExtension:
         for delta in (1, 2, 3):
             maps = extend_overlap(symmetrized_graph(mat), random_partition(60, 4, seed=10), delta)
             for smap in maps:
-                blocks = extract_local_blocks(mat, smap)
+                blocks = extract_local_blocks(mat, smap, mat.symmetric)
                 ext = build_harmonic(blocks)
                 pi = np.zeros((blocks.n_local, blocks.n_local))
                 pi[:, blocks.n_inner:] = ext
@@ -144,18 +145,18 @@ class TestHarmonicExtension:
     def test_empty_boundary(self):
         mat = laplace1d(4)
         smap = make_map(np.arange(4), [np.array([], dtype=np.int64)], 4)
-        blocks = extract_local_blocks(mat, smap)
+        blocks = extract_local_blocks(mat, smap, mat.symmetric)
         ext = build_harmonic(blocks)
         assert ext.shape == (4, 0)
         np.testing.assert_array_equal(ext @ np.ones(4)[blocks.n_inner:], np.zeros(4))
 
-    @pytest.mark.parametrize("a, symmetric", [
+    @pytest.mark.parametrize("a, spd", [
         ([[1.0, 2.0, 0.0], [2.0, 1.0, 1.0], [0.0, 1.0, 3.0]], True),  # indefinite inner block
         ([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]], False),  # singular inner block
     ])
-    def test_failing_inner_block_names_subdomain(self, a, symmetric):
+    def test_failing_inner_block_names_subdomain(self, a, spd):
         blocks = LocalBlocks(subdomain=3, a=sp.csr_matrix(a), n_interior=2, layer_sizes=(1,),
-                             symmetric=symmetric)
+                             spd=spd)
         with pytest.raises(SubdomainSetupError, match="subdomain 3") as info:
             build_harmonic(blocks)
         assert info.value.subdomain == 3
@@ -173,7 +174,7 @@ class TestSplitting:
         for delta in (1, 2, 3):
             maps = extend_overlap(symmetrized_graph(mat), random_partition(50, 4, seed=12), delta)
             for smap in maps:
-                blocks = extract_local_blocks(mat, smap)
+                blocks = extract_local_blocks(mat, smap, mat.symmetric)
                 tilde = spsd_splitting(blocks, build_harmonic(blocks))
                 a = blocks.a.toarray()
                 scale = np.abs(a).max()
@@ -186,7 +187,7 @@ class TestSplitting:
         mat = random_spd(60, seed=13)
         maps = extend_overlap(symmetrized_graph(mat), random_partition(60, 3, seed=14), 2)
         for smap in maps:
-            blocks = extract_local_blocks(mat, smap)
+            blocks = extract_local_blocks(mat, smap, mat.symmetric)
             if blocks.n_boundary == 0 or blocks.layer_sizes[0] == 0:
                 continue
             tilde = spsd_splitting(blocks, build_harmonic(blocks))
@@ -212,7 +213,7 @@ class TestSplitting:
     def test_no_boundary_returns_block(self):
         mat = laplace1d(5)
         smap = make_map(np.arange(5), [], 5)
-        blocks = extract_local_blocks(mat, smap)
+        blocks = extract_local_blocks(mat, smap, mat.symmetric)
         tilde = spsd_splitting(blocks, build_harmonic(blocks))
         np.testing.assert_array_equal(tilde, blocks.a.toarray())
 
@@ -223,6 +224,6 @@ class TestSplitting:
         dense = rng.standard_normal((6, 6)) + 6 * np.eye(6)
         mat = SparseMat.from_dense(dense)
         smap = make_map(np.arange(4), [[4], [5]], 6)
-        blocks = extract_local_blocks(mat, smap)
+        blocks = extract_local_blocks(mat, smap, mat.symmetric)
         with pytest.raises(ValueError, match="symmetric"):
             spsd_splitting(blocks, build_harmonic(blocks))

@@ -61,7 +61,7 @@ def test_operator_and_boundary_pencil(system):
     np.testing.assert_allclose(dense_apply(pre), oracle, rtol=0,
                                atol=1e-12 * np.abs(oracle).max())
     for smap in pre.maps:
-        blocks = extract_local_blocks(matrix, smap)
+        blocks = extract_local_blocks(matrix, smap, matrix.symmetric)
         ext = build_harmonic(blocks)
         basis = select_harmonic_modes(blocks, ext, TAU)
         _, selected = full_harmonic_pencil(blocks, interior_mask(smap), ext, TAU)
@@ -80,7 +80,7 @@ def test_coefficient_contrast_keeps_local_columns(contrast, channel_seed):
     for coarse in ("gevp", "full"):
         pre = setup(matrix, 16, overlap=2, tau=TAU, coarse=coarse)
         for count, smap in zip(pre.report.mode_counts, pre.maps):
-            blocks = extract_local_blocks(matrix, smap)
+            blocks = extract_local_blocks(matrix, smap, matrix.symmetric)
             ext = build_harmonic(blocks)
             if coarse == "gevp":
                 basis = select_harmonic_modes(blocks, ext, TAU)
