@@ -54,7 +54,7 @@ class CoarseSpace:
 
 def subdomain_coarse_columns(blocks, kind, tau, nu=None):
     """One subdomain's coarse columns and the largest value its harmonic
-    selection left out (None for the "full" kind, which selects nothing).
+    selection left out (0.0 for the "full" kind, which leaves nothing out).
 
     The columns are the harmonic extension E (kind "full") or its "gevp" or
     "svd" modes above ``tau``, then the partition-of-unity modes above ``nu``
@@ -62,7 +62,7 @@ def subdomain_coarse_columns(blocks, kind, tau, nu=None):
     the Boolean partition of unity zeroes every other row of Z.
     """
     extension = build_harmonic(blocks)
-    vectors, largest_unselected = extension, None
+    vectors, largest_unselected = extension, 0.0
     if kind != "full":
         select = select_harmonic_modes if kind == "gevp" else svd_harmonic_modes
         basis = select(blocks, extension, tau)

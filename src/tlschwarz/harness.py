@@ -215,7 +215,7 @@ def derive_bound_inputs(precond):
     threshold = np.inf if report.nu is None else report.nu
     nu = max([1.0] + [select_pou_modes(extract_local_blocks(precond.matrix, s, True),
                                        threshold).largest_unselected for s in precond.maps])
-    tau = max(report.largest_unselected, default=0.0)
+    tau = max(report.largest_unselected)
     lam = lambda_star(precond.matrix, precond.maps)
     return BoundInputs(k_c=report.k_c, nu=nu, tau=tau, lam_star=lam)
 

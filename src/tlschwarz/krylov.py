@@ -193,6 +193,8 @@ def gmres(matrix, precond, b, tol=1e-8, maxit=500):
             hess[: j + 1, j] += c
         hnext = float(np.linalg.norm(w))
         hess[j + 1, j] = hnext
+        # invariant when hnext is negligible beside ||A M^{-1} v_j||, the unrotated column's norm
+        invariant = hnext <= 1e-14 * np.linalg.norm(hess[: j + 2, j])
         # apply stored rotations, then create the new one
         for i in range(j):
             t = cs[i] * hess[i, j] + sn[i] * hess[i + 1, j]
@@ -210,7 +212,7 @@ def gmres(matrix, precond, b, tol=1e-8, maxit=500):
         if history[-1] <= tol:
             stop = "tol"
             break
-        if hnext <= 1e-14 * bnorm:  # the Krylov space is invariant
+        if invariant:
             stop = "invariant"
             break
         basis[j + 1] = w / hnext

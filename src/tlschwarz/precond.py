@@ -29,11 +29,12 @@ the levels meet only in the apply, so the coarse factorization runs without
 the one-level factor.  The one-level factor runs at SuperLU panel width 1
 (``sparsemat.BLOCK_DIAGONAL_OPTIONS``): its block diagonal stacks every
 subdomain's rows, and SuperLU's panel work arrays grow with the row count
-times the panel width.  The coarse factorization, with its pivot read, is
-then setup's memory peak (README has the phase peaks).  The graph and the
-partition are gone by then, each local block lived only while its coarse
-columns were made, and the one-level factor cuts the blocks again.  A
-failing local block is still reported before a coarse error.
+times the panel width.  Setup's memory peak is then the coarse factorization
+with its pivot read or the one-level factor, by problem (README has the
+phase peaks).  The graph and the partition are gone by then, each local
+block lived only while its coarse columns were made, and the one-level
+factor cuts the blocks again.  A failing local block is still reported
+before a coarse error.
 
 The two levels of the additive apply are independent, so the coarse solve
 runs on one private worker thread while the calling thread runs the
@@ -61,8 +62,7 @@ from scipy.sparse import csgraph
 
 from . import coarse as coarse_mod
 from .partition import color_subdomains, extend_overlap, partition_graph
-from .sparsemat import (SparseMat, _structurally_singular, factor_blocks, release_free_heap,
-                        symmetrized_graph)
+from .sparsemat import SparseMat, _structurally_singular, factor_blocks, symmetrized_graph
 from .subdomain import SubdomainSetupError, extract_local_blocks
 
 ONE_LEVEL_KINDS = ("asm", "ras")
@@ -90,8 +90,9 @@ class SetupReport:
 
     ``nu`` is the partition-of-unity threshold that was applied (None when
     no such modes were selected) and ``largest_unselected`` holds, per
-    subdomain, the largest value the harmonic selection left out (empty
-    when no selection ran); they are what the bound check needs.
+    subdomain, the largest value the harmonic selection left out (0.0 for
+    "full", which leaves nothing out; empty for "none"); they are what the
+    bound check needs.
     """
 
     n: int
@@ -245,9 +246,6 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     the coarse factorization holds no local block or one-level factor.  If
     the coarse stage raises, a failing local block raises
     ``SubdomainSetupError`` instead.
-    Setup ends by giving the heap's free memory back to the OS, as
-    ``galerkin_coarse`` does before the Galerkin product and around the
-    coarse factorization.
     """
     if coarse not in COARSE_KINDS:
         raise ValueError(f"unknown coarse kind {coarse!r}")
@@ -269,7 +267,7 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
     if nu is not None and not symmetric:
         raise ValueError("partition-of-unity modes require a symmetric matrix")
     # positive definiteness is tested where the method relies on it: the pencils and CG
-    pencil = symmetric and (coarse in ("gevp", "full") or nu is not None and coarse != "none")
+    pencil = coarse in ("gevp", "full") or nu is not None and coarse != "none"
     spd = pencil or _is_symmetric(symmetric, one_level, combine)
 
     graph = symmetrized_graph(matrix)
@@ -314,12 +312,11 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
         nnz_coarse=cs.nnz if cs is not None else 0,
         tau=tau,
         nu=nu if coarse != "none" else None,
-        largest_unselected=tuple(v for v in unselected if v is not None),
+        largest_unselected=tuple(unselected),
     )
     gather = np.concatenate([s.indices for s in maps])
     overlap_rows = np.flatnonzero(np.concatenate([np.arange(s.n_local) >= s.interior.size
                                                   for s in maps]))
-    release_free_heap()  # what the stages freed, which glibc would keep resident
     return Preconditioner(matrix, maps, gather, overlap_rows, local_lu, cs, one_level, combine,
                           report)
 

@@ -229,8 +229,8 @@ def release_free_heap():
     """Give the heap's free memory back to the OS.
 
     glibc serves large temporaries from its heap once its mmap threshold has
-    risen, and keeps them resident after they are freed; setup calls this
-    where it has just dropped large ones.  A no-op without ``malloc_trim``.
+    risen, and keeps them resident after they are freed; ``galerkin_coarse`` calls
+    this where it has just dropped large ones.  A no-op without ``malloc_trim``.
     """
     if _malloc_trim is not None:
         _malloc_trim(0)

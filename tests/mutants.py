@@ -70,10 +70,14 @@ MUTANTS = [
      "(csr != csr.T).nnz == 0", "(csr.astype(bool) != csr.T.astype(bool)).nnz == 0",
      "symmetry read from the sparsity pattern alone (advection2d's is symmetric)", None),
     ("src/tlschwarz/precond.py",
-     'pencil = symmetric and (coarse in ("gevp", "full") or nu is not None and coarse != "none")',
+     'pencil = coarse in ("gevp", "full") or nu is not None and coarse != "none"',
      "pencil = symmetric",
      "every factor of a symmetric matrix tested for positive definiteness, whatever the method",
      None),
+    ("src/tlschwarz/krylov.py",
+     "invariant = hnext <= 1e-14 * np.linalg.norm(hess[: j + 2, j])",
+     "invariant = hnext <= 1e-14 * bnorm",
+     "GMRES's invariance test against the scale of b instead of the operator's", None),
 ]
 
 

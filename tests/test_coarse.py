@@ -77,7 +77,7 @@ class TestColumns:
         smap = maps[0]
         blocks = extract_local_blocks(banded7, smap, banded7.symmetric)
         cols, largest_unselected = subdomain_coarse_columns(blocks, "full", 0.1)
-        assert largest_unselected is None
+        assert largest_unselected == 0.0
         ni = blocks.n_inner
         assert ni == smap.interior.size
         a = blocks.a.toarray()
@@ -116,7 +116,7 @@ class TestColumns:
             assert cols.shape == (smap.interior.size, sum(v.shape[1] for v in offered))
             np.testing.assert_array_equal(cols, np.hstack(offered)[:smap.interior.size])
             assert cols.base is None
-            assert largest_unselected == (None if basis is None else basis.largest_unselected)
+            assert largest_unselected == (0.0 if basis is None else basis.largest_unselected)
 
 
 class TestAssembly:

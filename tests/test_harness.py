@@ -220,7 +220,7 @@ class TestBounds:
     def test_full_coarse_space_has_zero_tau(self):
         mat, _ = generate(ProblemSpec("poisson2d", 8))
         pre = setup(mat, 2, overlap=2, coarse="full")
-        assert pre.report.largest_unselected == ()
+        assert pre.report.largest_unselected == (0.0, 0.0)
         assert derive_bound_inputs(pre).tau == 0.0
 
     @pytest.mark.parametrize("coarse", ["svd", "none"])

@@ -397,6 +397,21 @@ class TestStopReason:
         assert report.stop_reason == "invariant"
         assert report.residuals[-1] > 1e-15 and report.iterations == 2
 
+    @pytest.mark.parametrize("kind, m", [("poisson2d", 20), ("advection2d", 20),
+                                         ("hetero-diffusion2d", 30)])
+    def test_gmres_stop_is_scale_free(self, kind, m):
+        # A and b scaled by c leave A M^{-1} and every relative residual as
+        # they were, so the iterations and the exit must not move either
+        mat, b = generate(ProblemSpec(kind, m))
+        runs = []
+        for c in (1e-10, 1.0, 1e10):
+            scaled = SparseMat(c * mat.scipy())
+            pre = setup(scaled, 4, coarse="svd", one_level="ras", combine="deflated")
+            _, report = gmres(scaled, pre, c * b)
+            runs.append((report.iterations, report.stop_reason, report.converged))
+        assert runs == [runs[1]] * 3
+        assert runs[1][1:] == ("tol", True)
+
     def test_gmres_maxit(self):
         _, report = gmres(laplace1d(200), None, np.ones(200), tol=1e-14, maxit=3)
         assert report.stop_reason == "maxit" and report.iterations == 3

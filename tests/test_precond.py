@@ -524,10 +524,10 @@ def _no_c_library(name):
 
 
 class TestReleaseFreeHeap:
-    """setup gives the heap's free memory back before the Galerkin product,
-    before and after the coarse factorization and at its end."""
+    """setup gives the heap's free memory back before the Galerkin product and
+    before and after the coarse factorization, and nowhere else."""
 
-    @pytest.mark.parametrize("coarse, releases", [("auto", 4), ("none", 1)])
+    @pytest.mark.parametrize("coarse, releases", [("auto", 3), ("none", 0)])
     def test_release_points(self, monkeypatch, coarse, releases):
         calls = []
         monkeypatch.setattr(sparsemat, "_malloc_trim", calls.append)
@@ -672,3 +672,12 @@ class TestReport:
         k2 = estimate_condition(mat, two)
         k1 = estimate_condition(mat, one)
         assert k2 < k1
+
+    @pytest.mark.parametrize("coarse", ["full", "gevp", "svd", "none"])
+    def test_one_largest_unselected_per_subdomain(self, coarse):
+        # "full" leaves nothing out: 0.0, as a selection that keeps every value
+        mat, _ = generate(ProblemSpec("poisson2d", 10))
+        rep = setup(mat, 4, overlap=1, coarse=coarse).report
+        assert len(rep.largest_unselected) == (0 if coarse == "none" else 4)
+        if coarse == "full":
+            assert rep.largest_unselected == (0.0,) * 4
