@@ -26,7 +26,7 @@ from scipy.linalg import qr
 
 from .sparsemat import _factor_owned, release_free_heap
 from .spectral import select_harmonic_modes, select_pou_modes, svd_harmonic_modes
-from .subdomain import build_harmonic
+from .subdomain import GENERAL_OPTIONS_HINT, build_harmonic
 
 DROP_TOL = 1e-10
 # Largest 1-norm of the coarse correction's residual projector A Q, Q = Z A00^{-1} Z^T,
@@ -159,8 +159,8 @@ def galerkin_coarse(matrix, z, spd):
     lu, failed = _factor_owned(owned, spd)
     release_free_heap()
     if failed is not None or not spd and _projector_norm(matrix, z, lu) > PROJECTOR_LIMIT:
-        raise CoarseSetupError("coarse operator is not positive definite" if spd
-                               else "coarse operator is numerically singular")
+        raise CoarseSetupError("coarse operator is not positive definite" + GENERAL_OPTIONS_HINT
+                               if spd else "coarse operator is numerically singular")
     return CoarseSpace(z, z.T, lu, nnz)
 
 

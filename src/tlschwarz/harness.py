@@ -255,6 +255,10 @@ class ExperimentResult:
 
 
 def _load_problem(config):
+    if config.matrix_path and config.kind:
+        raise ValueError("give a matrix file or a problem kind, not both")
+    if config.rhs_path and not config.matrix_path:
+        raise ValueError("a right-hand side file needs a matrix file")
     if config.matrix_path:
         matrix = load_matrix_market(config.matrix_path)
         if config.rhs_path:

@@ -63,7 +63,7 @@ from scipy.sparse import csgraph
 from . import coarse as coarse_mod
 from .partition import color_subdomains, extend_overlap, partition_graph
 from .sparsemat import SparseMat, _structurally_singular, factor_blocks, symmetrized_graph
-from .subdomain import SubdomainSetupError, extract_local_blocks
+from .subdomain import GENERAL_OPTIONS_HINT, SubdomainSetupError, extract_local_blocks
 
 ONE_LEVEL_KINDS = ("asm", "ras")
 COMBINE_KINDS = ("additive", "deflated")
@@ -330,6 +330,7 @@ def _factor_local(matrix, maps, spd):
     """The one-level factor: one SuperLU factor of all local blocks, cut again."""
     local_lu, failed = factor_blocks((extract_local_blocks(matrix, s, spd).a for s in maps), spd)
     if failed is not None:
-        raise SubdomainSetupError(failed, "local block is not positive definite" if spd
+        raise SubdomainSetupError(failed, "local block is not positive definite"
+                                  + GENERAL_OPTIONS_HINT if spd
                                   else "local block is numerically singular")
     return local_lu

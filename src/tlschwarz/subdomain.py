@@ -21,6 +21,10 @@ import scipy.sparse as sp
 
 from .sparsemat import factor_blocks
 
+# Appended where a positive definiteness test fails: the options that need no such test.
+GENERAL_OPTIONS_HINT = ('; a symmetric indefinite matrix needs coarse="svd", one_level="ras", '
+                        'combine="deflated" (--coarse svd --one-level ras --combine deflated)')
+
 
 class SubdomainSetupError(RuntimeError):
     """A subdomain block could not be factored; carries the subdomain index."""
@@ -84,7 +88,7 @@ def build_harmonic(blocks):
         lu, failed = factor_blocks([a[:ni, :ni]], blocks.spd)
         if failed is not None:
             raise SubdomainSetupError(
-                blocks.subdomain, "inner block is not positive definite" if blocks.spd
-                else "inner block is numerically singular")
+                blocks.subdomain, "inner block is not positive definite" + GENERAL_OPTIONS_HINT
+                if blocks.spd else "inner block is numerically singular")
         extension[:ni] = -lu.solve(a[:ni, ni:].toarray())
     return extension

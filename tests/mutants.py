@@ -78,6 +78,15 @@ MUTANTS = [
      "invariant = hnext <= 1e-14 * np.linalg.norm(hess[: j + 2, j])",
      "invariant = hnext <= 1e-14 * bnorm",
      "GMRES's invariance test against the scale of b instead of the operator's", None),
+    ("src/tlschwarz/harness.py",
+     "    if config.matrix_path and config.kind:\n"
+     '        raise ValueError("give a matrix file or a problem kind, not both")\n'
+     "    if config.rhs_path and not config.matrix_path:\n"
+     '        raise ValueError("a right-hand side file needs a matrix file")\n', "",
+     "the refusal of a mixed problem source (part of it would be ignored)", None),
+    ("src/tlschwarz/subdomain.py",
+     "GENERAL_OPTIONS_HINT = (", 'GENERAL_OPTIONS_HINT = "" and (',
+     "the general options named in a positive definiteness refusal", None),
 ]
 
 

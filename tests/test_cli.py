@@ -157,7 +157,28 @@ def test_symmetric_indefinite_file_takes_the_general_options(capsys, tmp_path):
     code, out, err = run(capsys, "--matrix", str(path), "--N", "4")
     assert (code, out) == (1, "")
     assert err == ("error_type = SubdomainSetupError\n"
-                   "message = subdomain 0: local block is not positive definite\n")
+                   "message = subdomain 0: local block is not positive definite; a symmetric "
+                   'indefinite matrix needs coarse="svd", one_level="ras", combine="deflated" '
+                   "(--coarse svd --one-level ras --combine deflated)\n")
+
+
+def test_rhs_file_without_matrix_file_is_refused(capsys, tmp_path):
+    # the right-hand side of a generated problem is A * ones; a file would be ignored
+    rhs = tmp_path / "b.txt"
+    rhs.write_text(write_vector(np.ones(3)))
+    code, out, err = run(capsys, "--kind", "poisson2d", "--m", "8", "--N", "4", "--rhs", str(rhs))
+    assert (code, out) == (1, "")
+    assert err == "error_type = ValueError\nmessage = a right-hand side file needs a matrix file\n"
+
+
+def test_matrix_file_with_problem_kind_is_refused(capsys, tmp_path):
+    mat, _ = generate(ProblemSpec("poisson2d", 6))
+    path = tmp_path / "a.mtx"
+    save_matrix_market(str(path), mat)
+    code, out, err = run(capsys, "--matrix", str(path), "--kind", "advection2d", "--N", "2")
+    assert (code, out) == (1, "")
+    assert err == ("error_type = ValueError\n"
+                   "message = give a matrix file or a problem kind, not both\n")
 
 
 def test_missing_source_is_usage_error(capsys):

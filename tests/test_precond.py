@@ -17,6 +17,7 @@ from tlschwarz import (
     ProblemSpec,
     SparseMat,
     SubdomainSetupError,
+    build_harmonic,
     estimate_condition,
     extract_local_blocks,
     galerkin_operator,
@@ -439,6 +440,37 @@ class TestCoarseFactorErrors:
         a = (b.toarray() + 1.9 * np.eye(29))[rng.permutation(29)]
         with pytest.raises(CoarseSetupError, match="coarse operator is numerically singular"):
             setup(SparseMat.from_dense(a), 2, overlap=1)
+
+
+def shifted_poisson(sigma):
+    """poisson2d m=30 minus sigma I: symmetric, and indefinite for these shifts."""
+    mat, _ = generate(ProblemSpec("poisson2d", 30))
+    return SparseMat(mat.scipy() - sigma * sp.identity(mat.nrows, format="csr"))
+
+
+class TestRefusalNamesTheGeneralOptions:
+    HINT = ('a symmetric indefinite matrix needs coarse="svd", one_level="ras", '
+            'combine="deflated" (--coarse svd --one-level ras --combine deflated)')
+
+    @pytest.mark.parametrize("sigma, error", [(100.0, CoarseSetupError),
+                                              (500.0, SubdomainSetupError)])
+    def test_default_refusal_names_options_that_solve_it(self, sigma, error):
+        mat = shifted_poisson(sigma)
+        with pytest.raises(error, match="not positive definite; ") as info:
+            setup(mat, 16)
+        assert str(info.value).endswith(self.HINT)
+        rhs = mat.matvec(np.ones(mat.nrows))
+        pre = setup(mat, 16, coarse="svd", one_level="ras", combine="deflated")
+        x, report = gmres(mat, pre, rhs)
+        assert report.converged
+
+    def test_inner_block_refusal_names_them(self):
+        mat = shifted_poisson(500.0)
+        blocks = extract_local_blocks(mat, setup(mat, 16, coarse="none", one_level="ras").maps[0],
+                                      True)
+        with pytest.raises(SubdomainSetupError, match="inner block is not positive definite; ") as info:
+            build_harmonic(blocks)
+        assert str(info.value).endswith(self.HINT)
 
 
 class TestStageOrder:
