@@ -33,7 +33,7 @@ DROP_TOL = 1e-10
 # for a coarse operator factored without the positive definiteness test.  On a
 # symmetric positive definite A, ||A Q||_1 <= sqrt(n kappa_2(A)): only an A with
 # kappa_2(A) > 1/(n eps) can exceed it.  Past it the deflated start x0 = Q b cancels
-# more than half the digits (README).
+# more than half the digits.
 PROJECTOR_LIMIT = 1.0 / np.sqrt(np.finfo(float).eps)
 
 

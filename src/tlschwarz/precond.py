@@ -30,24 +30,23 @@ the one-level factor.  The one-level factor runs at SuperLU panel width 1
 (``sparsemat.BLOCK_DIAGONAL_OPTIONS``): its block diagonal stacks every
 subdomain's rows, and SuperLU's panel work arrays grow with the row count
 times the panel width.  Setup's memory peak is then the coarse factorization
-with its pivot read or the one-level factor, by problem (README has the
-phase peaks).  The graph and the partition are gone by then, each local
-block lived only while its coarse columns were made, and the one-level
-factor cuts the blocks again.  A failing local block is still reported
-before a coarse error.
+with its pivot read or the one-level factor, by problem.  The graph and the
+partition are gone by then, each local block lived only while its coarse
+columns were made, and the one-level factor cuts the blocks again.  A
+failing local block is still reported before a coarse error.
 
 The two levels of the additive apply are independent, so the coarse solve
 runs on one private worker thread while the calling thread runs the
 one-level solve, and each BLAS call stays single-threaded.  The levels
 overlap while both threads are in compiled code: a SuperLU solve or a
-sparse product waits for the GIL whenever the other thread runs Python
-(README has the measurements).  The sum is formed in the serial order, so
-the result is bit-identical to the serial one, and ``apply`` returns or
-raises only once the coarse task has finished.  The deflated combination is
-sequential by construction (each level needs the other's output).  Nothing
-about this is configurable.  Only vector-sized work may go on the worker
-thread: it allocates from a second malloc arena, where a large allocation
-(a factorization, say) stays resident beside the main arena.
+sparse product waits for the GIL whenever the other thread runs Python.
+The sum is formed in the serial order, so the result is bit-identical to
+the serial one, and ``apply`` returns or raises only once the coarse task
+has finished.  The deflated combination is sequential by construction
+(each level needs the other's output).  Nothing about this is
+configurable.  Only vector-sized work may go on the worker thread: it
+allocates from a second malloc arena, where a large allocation (a
+factorization, say) stays resident beside the main arena.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ DENSE_GUARD = 5000
 # SuperLU options for a block diagonal of more than one block.  SuperLU's panel work arrays
 # hold the row count times the panel width (Demmel, Eisenstat, Gilbert, Li and Liu, SIAM J.
 # Matrix Anal. Appl. 20, 1999), and the one-level matrix stacks every subdomain's rows: a
-# panel one column wide keeps its fill and cuts SuperLU's transient memory (README).
+# panel one column wide keeps its fill and cuts SuperLU's transient memory.
 BLOCK_DIAGONAL_OPTIONS = {"panel_size": 1}
 
 
