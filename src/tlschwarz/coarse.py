@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import qr
+from scipy.linalg import blas, lapack, qr
 
-from .sparsemat import _factor_owned, release_free_heap
+from .sparsemat import DENSE_GUARD, _factor_owned, release_free_heap
 from .spectral import select_harmonic_modes, select_pou_modes, svd_harmonic_modes
 from .subdomain import GENERAL_OPTIONS_HINT, build_harmonic
 
@@ -35,6 +35,12 @@ DROP_TOL = 1e-10
 # kappa_2(A) > 1/(n eps) can exceed it.  Past it the deflated start x0 = Q b cancels
 # more than half the digits.
 PROJECTOR_LIMIT = 1.0 / np.sqrt(np.finfo(float).eps)
+# Least share of its n^2 entries that A00 (at most DENSE_GUARD rows) stores to be factored
+# dense.  Sparse, SuperLU's L+U takes 12 B per entry, fill times nnz(A00) of them (1.26 on
+# poisson3d, 1.42 on advection2d), and the pivot read copies it; dense, the 8 n^2 B array
+# sits beside A00's CSC arrays (12 B per entry) until LAPACK factors it in place.  At a fill
+# of 4/3 the two peaks, 24 * 4/3 nnz and 8 n^2 + 12 nnz, meet at nnz = 0.4 n^2.
+DENSE_SHARE = 0.4
 
 
 class CoarseSetupError(RuntimeError):
@@ -43,13 +49,31 @@ class CoarseSetupError(RuntimeError):
 
 @dataclass
 class CoarseSpace:
-    """Coarse basis Z (CSR), Z^T (a CSC view of the same arrays), the SuperLU
-    factor of A00 = Z^T A Z and the number of entries A00 stored."""
+    """Coarse basis Z (CSR), Z^T (a CSC view of the same arrays), the factor of A00 = Z^T A Z
+    (SuperLU's or a ``DenseFactor``) and the number of entries A00 stored."""
 
     basis: sp.csr_matrix
     basis_t: sp.csc_matrix
     lu: object
     nnz: int
+
+
+class DenseFactor:
+    """LAPACK's factor of a dense A00 with SuperLU's ``solve(b, trans="N"|"T")``: Cholesky
+    A00 = U^T U (``perm`` None) or LU A00[perm] = L U, unit L below U; two ``dtrsv`` solve it."""
+
+    def __init__(self, factor, perm=None):
+        self.factor, self.perm = factor, perm
+
+    def solve(self, b, trans="N"):
+        f, trsv = self.factor, blas.dtrsv
+        if self.perm is None:  # U^T U is symmetric: trans changes nothing
+            return trsv(f, trsv(f, b, trans=1), overwrite_x=1)
+        if trans == "N":
+            return trsv(f, trsv(f, b[self.perm], lower=1, diag=1, overwrite_x=1), overwrite_x=1)
+        y = np.empty_like(b)
+        y[self.perm] = trsv(f, trsv(f, b, trans=1), lower=1, trans=1, diag=1, overwrite_x=1)
+        return y
 
 
 def subdomain_coarse_columns(blocks, kind, tau, nu=None):
@@ -141,22 +165,25 @@ def galerkin_operator(matrix, z):
 def galerkin_coarse(matrix, z, spd):
     """Form and factor the coarse operator A00 = Z^T A Z.
 
-    A00 is sorted in place and handed to SuperLU without a copy; only its
-    factor is kept, and A00 is freed as soon as SuperLU returns, so the
-    pivot read's copies of L and U, the only ones it makes, can take its
-    memory.  The heap is given back three times: what the basis assembly freed
-    before the product, what the product freed before the factorization, and
-    the pivot read's after it.  With ``spd`` the factor must show A00 positive
-    definite.  Without it the factor must pass the pivot test, and a lower
-    bound on ||A Z A00^{-1} Z^T||_1, ``_projector_norm``, must not exceed
+    Only A00's factor is kept.  A sparse A00 goes to SuperLU sorted in place,
+    not copied, and is freed once SuperLU returns, so the pivot read's copies
+    of L and U can take its memory; a dense one (``DENSE_SHARE``) is copied to
+    a Fortran-ordered array and freed before LAPACK factors that array.  The
+    heap is given back before the product, before the factorization and after
+    it.  With ``spd`` the factor must show A00 positive definite.  Without it
+    the factor must pass the pivot test, and a lower bound on
+    ||A Z A00^{-1} Z^T||_1, ``_projector_norm``, must not exceed
     ``PROJECTOR_LIMIT``.  ``z`` must have at least one column.
     """
     release_free_heap()
-    owned = [galerkin_operator(matrix, z)]  # A00's only reference, which _factor_owned drops
-    owned[0].sum_duplicates()  # sorts in place and marks it canonical: SuperLU takes it as is
-    nnz = owned[0].nnz
+    owned = [galerkin_operator(matrix, z)]  # A00's only reference, which the factor drops
+    nnz, n = owned[0].nnz, z.shape[1]
+    if dense := n <= DENSE_GUARD and nnz >= DENSE_SHARE * n * n:
+        owned[0] = owned[0].toarray(order="F")
+    else:
+        owned[0].sum_duplicates()  # sorts in place and marks it canonical: SuperLU takes it as is
     release_free_heap()
-    lu, failed = _factor_owned(owned, spd)
+    lu, failed = _factor_dense(owned.pop(), spd) if dense else _factor_owned(owned, spd)
     release_free_heap()
     if failed is not None or not spd and _projector_norm(matrix, z, lu) > PROJECTOR_LIMIT:
         raise CoarseSetupError("coarse operator is not positive definite" + GENERAL_OPTIONS_HINT
@@ -164,9 +191,23 @@ def galerkin_coarse(matrix, z, spd):
     return CoarseSpace(z, z.T, lu, nnz)
 
 
+def _factor_dense(a, spd):
+    """``(DenseFactor, failed)`` of the Fortran-ordered A00 ``a``, factored in ``a``: ``failed``
+    is 0 if Cholesky (``spd``) fails or an LU pivot is at most n * eps * max|U|, else None."""
+    if spd:
+        u, info = lapack.dpotrf(a, overwrite_a=1, clean=0)
+        return DenseFactor(u), 0 if info else None
+    lu, piv, info = lapack.dgetrf(a, overwrite_a=1)
+    limit = a.shape[0] * np.finfo(float).eps * lapack.dlantr("M", lu)  # max|U|
+    perm = np.arange(a.shape[0])
+    for i, p in enumerate(piv):  # LAPACK's row swaps, in order
+        perm[i], perm[p] = perm[p], perm[i]
+    return DenseFactor(lu, perm), 0 if info or (np.abs(lu.diagonal()) <= limit).any() else None
+
+
 def _projector_norm(matrix, z, lu):
-    """A lower bound on ||A Q||_1, Q = Z A00^{-1} Z^T with ``lu`` the SuperLU
-    factor of A00: the Hager-Higham estimate from a few products with A Q and
+    """A lower bound on ||A Q||_1, Q = Z A00^{-1} Z^T with ``lu`` the factor
+    of A00: the Hager-Higham estimate from a few products with A Q and
     its transpose (Higham and Tisseur, SIAM J. Matrix Anal. Appl. 21, 2000).
     With one column it draws no random vector."""
     a, zt = matrix.scipy(), z.T

@@ -228,7 +228,7 @@ class ExperimentConfig:
     matrix_path: str | None = None
     rhs_path: str | None = None
     kind: str | None = None
-    m: int = 20
+    m: int | None = None  # grid size of a generated problem: 20 when None
     n_subdomains: int = 4
     overlap: int = 2
     tau: float = 0.1
@@ -240,7 +240,7 @@ class ExperimentConfig:
     tol: float = 1e-8
     maxit: int = 500
     report_path: str | None = None
-    seed: int = 0
+    seed: int | None = None  # channel seed of a generated problem: 0 when None
 
 
 @dataclass
@@ -259,6 +259,8 @@ def _load_problem(config):
         raise ValueError("give a matrix file or a problem kind, not both")
     if config.rhs_path and not config.matrix_path:
         raise ValueError("a right-hand side file needs a matrix file")
+    if config.matrix_path and (config.m, config.seed) != (None, None):
+        raise ValueError("a grid size or seed shapes a generated problem, not a matrix file")
     if config.matrix_path:
         matrix = load_matrix_market(config.matrix_path)
         if config.rhs_path:
@@ -271,7 +273,7 @@ def _load_problem(config):
     if not config.kind:
         raise ValueError("either a matrix file or a problem kind is required")
     kind = {"hetero2d": "hetero-diffusion2d"}.get(config.kind, config.kind)
-    spec = ProblemSpec(kind=kind, m=config.m, channel_seed=config.seed)
+    spec = ProblemSpec(kind, 20 if config.m is None else config.m, channel_seed=config.seed or 0)
     return generate(spec)
 
 

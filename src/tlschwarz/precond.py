@@ -17,12 +17,12 @@ Two-level combinations with the coarse solve Q r = Z A00^{-1} Z^T r:
   two each (balancing = A-DEF2; Tang, Nabben, Vuik and Erlangga, J. Sci.
   Comput. 39, 2009).
 
-Each level has one SuperLU factor.  The one-level part sum_i R_i^T D_i
-A_i^{-1} R_i is a gather, one block-diagonal solve and a scatter-add: the
+Each level has one factor.  The one-level part sum_i R_i^T D_i A_i^{-1}
+R_i is a gather, one block-diagonal SuperLU solve and a scatter-add: the
 solve takes r[gather], with ``gather`` every subdomain's global indices
 stacked, ras zeroes the result off the interiors (D_i = I for asm), and
-``np.bincount`` adds it back in stacked order.  The coarse operator A00
-stays sparse, and only its factor is kept.
+``np.bincount`` adds it back in stacked order.  Only A00's factor is kept:
+SuperLU's, or LAPACK's for a dense A00 (``coarse.DENSE_SHARE``).
 
 ``setup`` builds the coarse level before it factors the one-level blocks:
 the levels meet only in the apply, so the coarse factorization runs without
@@ -38,14 +38,14 @@ failing local block is still reported before a coarse error.
 The two levels of the additive apply are independent, so the coarse solve
 runs on one private worker thread while the calling thread runs the
 one-level solve, and each BLAS call stays single-threaded.  The levels
-overlap while both threads are in compiled code: a SuperLU solve or a
-sparse product waits for the GIL whenever the other thread runs Python.
-The sum is formed in the serial order, so the result is bit-identical to
-the serial one, and ``apply`` returns or raises only once the coarse task
-has finished.  The deflated combination is sequential by construction
-(each level needs the other's output).  Nothing about this is
-configurable.  Only vector-sized work may go on the worker thread: it
-allocates from a second malloc arena, where a large allocation (a
+overlap in part: scipy's sparse products (Z^T r, Z y) release the GIL, a
+SuperLU solve holds it for most of its run, and the BLAS triangular solves
+of a dense A00 hold it throughout.  The sum is formed in the serial order,
+so the result is bit-identical to the serial one, and ``apply`` returns or
+raises only once the coarse task has finished.  The deflated combination is
+sequential by construction (each level needs the other's output).  Nothing
+about this is configurable.  Only vector-sized work may go on the worker
+thread: it allocates from a second malloc arena, where a large allocation (a
 factorization, say) stays resident beside the main arena.
 """
 

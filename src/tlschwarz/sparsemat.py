@@ -18,8 +18,8 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
-# Largest row count for which an explicit dense copy is allowed: SparseMat.to_dense and
-# spectral.select_pou_modes, the one place that densifies a whole local block, check it.
+# Largest row count of an explicit dense copy: SparseMat.to_dense, spectral.select_pou_modes
+# (the one place that densifies a whole local block) and coarse.galerkin_coarse check it.
 DENSE_GUARD = 5000
 
 # SuperLU options for a block diagonal of more than one block.  SuperLU's panel work arrays

@@ -60,6 +60,16 @@ def banded7_text():
     return BANDED7_TEXT
 
 
+@pytest.fixture(params=["dense", "sparse"])
+def a00_form(request, monkeypatch):
+    """Every coarse operator factored in one form: LAPACK's dense factor
+    (``coarse.DENSE_SHARE`` 0) or SuperLU's (a share no A00 reaches)."""
+    from tlschwarz import coarse
+
+    monkeypatch.setattr(coarse, "DENSE_SHARE", 0.0 if request.param == "dense" else 2.0)
+    return request.param
+
+
 def laplace1d(n):
     """Tridiagonal (-1, 2, -1), symmetric positive definite."""
     main = 2.0 * np.ones(n)

@@ -87,6 +87,19 @@ MUTANTS = [
     ("src/tlschwarz/subdomain.py",
      "GENERAL_OPTIONS_HINT = (", 'GENERAL_OPTIONS_HINT = "" and (',
      "the general options named in a positive definiteness refusal", None),
+    ("src/tlschwarz/coarse.py",
+     "return DenseFactor(u), 0 if info else None", "return DenseFactor(u), None",
+     "the dense Cholesky's positive definiteness test, potrf's info", None),
+    ("src/tlschwarz/coarse.py",
+     "0 if info or (np.abs(lu.diagonal()) <= limit).any() else None", "0 if info else None",
+     "the dense LU's pivot limit n * eps * max|U|", None),
+    ("src/tlschwarz/coarse.py",
+     "trsv(f, trsv(f, b, trans=1), lower=1, trans=1, diag=1, overwrite_x=1)",
+     "trsv(f, trsv(f, b, lower=1, trans=1, diag=1), trans=1, overwrite_x=1)",
+     "the dense LU's transposed solve, its two triangles swapped", None),
+    ("src/tlschwarz/harness.py",
+     "if config.matrix_path and (config.m, config.seed) != (None, None):", "if False:",
+     "the refusal of a grid size or seed beside a matrix file (both would be ignored)", None),
 ]
 
 

@@ -181,6 +181,18 @@ def test_matrix_file_with_problem_kind_is_refused(capsys, tmp_path):
                    "message = give a matrix file or a problem kind, not both\n")
 
 
+@pytest.mark.parametrize("flags", [["--m", "50"], ["--seed", "3"], ["--m", "50", "--seed", "3"]])
+def test_grid_size_or_seed_with_matrix_file_is_refused(capsys, tmp_path, flags):
+    # both only shape a generated problem; beside a file they would be dropped
+    mat, _ = generate(ProblemSpec("poisson2d", 6))
+    path = tmp_path / "a.mtx"
+    save_matrix_market(str(path), mat)
+    code, out, err = run(capsys, "--matrix", str(path), *flags, "--N", "2")
+    assert (code, out) == (1, "")
+    assert err == ("error_type = ValueError\n"
+                   "message = a grid size or seed shapes a generated problem, not a matrix file\n")
+
+
 def test_missing_source_is_usage_error(capsys):
     code, out, err = run(capsys)
     assert code == 2

@@ -31,7 +31,8 @@ from tlschwarz import (
     write_matrix_market,
 )
 from tlschwarz import coarse, sparsemat
-from tlschwarz.coarse import DROP_TOL, PROJECTOR_LIMIT
+from tlschwarz.coarse import DROP_TOL, PROJECTOR_LIMIT, DenseFactor
+from tlschwarz.subdomain import GENERAL_OPTIONS_HINT
 
 from conftest import random_partition, random_spd
 
@@ -336,15 +337,23 @@ class TestGalerkin:
         assert a00.nnz == np.count_nonzero(expected)
         assert galerkin_coarse(mat, z, mat.symmetric).nnz == a00.nnz
 
-    def test_solve_inverts_operator(self):
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_solve_inverts_operator(self, a00_form, symmetric):
         mat = random_spd(35, seed=32)
+        if not symmetric:
+            mat = SparseMat(mat.scipy() + 5 * sp.random(35, 35, density=0.2, random_state=3))
         part = random_partition(35, 3, seed=33)
-        _, _, (z, _) = pipeline(mat, part, 1, coarse="gevp")
-        space = galerkin_coarse(mat, z, mat.symmetric)
-        rng = np.random.default_rng(1)
-        rhs = rng.standard_normal(z.shape[1])
-        y = space.lu.solve(rhs)
-        np.testing.assert_allclose(galerkin_operator(mat, z) @ y, rhs, atol=1e-9)
+        _, _, (z, _) = pipeline(mat, part, 1, coarse="gevp" if symmetric else "svd")
+        space = galerkin_coarse(mat, z, symmetric)
+        assert isinstance(space.lu, DenseFactor) == (a00_form == "dense")
+        if a00_form == "dense" and not symmetric:  # LU's rows are swapped
+            assert (space.lu.perm != np.arange(z.shape[1])).any()
+        a00 = galerkin_operator(mat, z)
+        rhs = np.random.default_rng(1).standard_normal(z.shape[1])
+        for operator, trans in ((a00, "N"), (a00.T, "T")):
+            np.testing.assert_allclose(operator @ space.lu.solve(rhs, trans=trans), rhs, atol=1e-9)
+            column = space.lu.solve(rhs[:, None], trans=trans)  # onenormest's shape
+            np.testing.assert_allclose(operator @ column[:, 0], rhs, atol=1e-9)
 
     def test_spd_coarse_operator(self):
         mat = random_spd(45, seed=36)
@@ -437,21 +446,22 @@ class TestGalerkin:
         np.diag([1.0, -1.0, 2.0]),  # negative pivot
         np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),  # zero diagonal
     ])
-    def test_indefinite_symmetric_coarse_operator_raises(self, dense):
+    def test_indefinite_symmetric_coarse_operator_raises(self, a00_form, dense):
         mat = SparseMat.from_dense(dense)
         z = whole_graph_basis(mat)
-        with pytest.raises(RuntimeError, match="not positive definite"):
+        with pytest.raises(coarse.CoarseSetupError, match="not positive definite") as info:
             galerkin_coarse(mat, z, mat.symmetric)
+        assert str(info.value).endswith(GENERAL_OPTIONS_HINT)
 
     @pytest.mark.parametrize("last", [2.0, 2.0 + 2.0 ** -51])  # exactly, numerically
-    def test_singular_nonsymmetric_coarse_operator_raises(self, last):
+    def test_singular_nonsymmetric_coarse_operator_raises(self, a00_form, last):
         mat = SparseMat.from_dense([[1.0, 2.0], [1.0, last]])
         z = whole_graph_basis(mat)
-        with pytest.raises(RuntimeError, match="numerically singular"):
+        with pytest.raises(coarse.CoarseSetupError, match="numerically singular"):
             galerkin_coarse(mat, z, mat.symmetric)
 
     @pytest.mark.parametrize("t", [1e-9, 1e-7])
-    def test_coarse_projector_limit(self, t):
+    def test_coarse_projector_limit(self, a00_form, t):
         # A is a permutation (condition number 1) and A00 = Z^T A Z = [2 t] is
         # 1 x 1 (condition number 1), yet A Q = A z z^T / (2 t) has 1-norm
         # (1 + t) / (2 t): refused above PROJECTOR_LIMIT = eps^(-1/2) = 6.7e7
@@ -487,3 +497,53 @@ class TestGalerkin:
         bound = np.sqrt(mat.nrows * eigenvalues[-1] / eigenvalues[0])
         assert bound > 1e5
         assert coarse._projector_norm(mat, z, galerkin_coarse(mat, z, False).lu) <= bound
+
+
+class TestDenseForm:
+    """A00 is factored dense, by LAPACK in place, when it stores at least
+    ``DENSE_SHARE`` of its n^2 entries and has at most ``DENSE_GUARD`` rows."""
+
+    @pytest.mark.parametrize("extra, guard, dense", [
+        (5, 5000, True),  # 10 = 0.4 * 5^2 entries
+        (4, 5000, False),  # 9
+        (5, 4, False),  # above the guard
+    ])
+    def test_form_follows_the_share(self, monkeypatch, extra, guard, dense):
+        a, (rows, cols) = 4.0 * np.eye(5), np.triu_indices(5, 1)
+        a[rows[:extra], cols[:extra]] = 1.0
+        mat = SparseMat.from_dense(a)
+        monkeypatch.setattr(coarse, "DENSE_GUARD", guard)
+        space = galerkin_coarse(mat, whole_graph_basis(mat), False)
+        assert isinstance(space.lu, DenseFactor) == dense
+        rhs = np.arange(5.0)
+        np.testing.assert_allclose(a @ space.lu.solve(rhs), rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["poisson2d", "advection2d"])
+    def test_factored_in_place_once_the_sparse_operator_is_freed(self, monkeypatch, kind):
+        # A00 68 % (poisson2d) and 72 % (advection2d) nonzero: the CSC A00 is
+        # gone before LAPACK runs, which makes no n^2-sized temporary
+        mat, _ = generate(ProblemSpec(kind, 20))
+        z = setup(mat, 8).coarse.basis
+        refs, seen = [], []
+        operator, factor = coarse.galerkin_operator, coarse._factor_dense
+
+        def record_operator(matrix, z):
+            refs.append(weakref.ref(a00 := operator(matrix, z)))
+            return a00
+
+        def record_factor(a, spd):
+            seen.append((refs[0]() is None, a))
+            tracemalloc.start()
+            try:
+                result = factor(a, spd)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.1 * a.nbytes
+            return result
+
+        monkeypatch.setattr(coarse, "galerkin_operator", record_operator)
+        monkeypatch.setattr(coarse, "_factor_dense", record_factor)
+        space = galerkin_coarse(mat, z, mat.symmetric)
+        [(freed, a)] = seen
+        assert freed and a.flags.f_contiguous and space.lu.factor is a

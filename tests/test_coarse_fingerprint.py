@@ -50,19 +50,19 @@ CASES = {
 # (Z^T, A00, mode counts, apply(r))
 EXPECTED = {
     "poisson2d-m20-gevp": ("8a35e2250d4ce2b8", "0e313650ed1bf75a", "6e213b2c0211c257",
-                           "bb18b0d5e8c1aa8d"),
+                           "2bf58420d9c9bd3a"),
     "advection2d-m30-svd": ("7d04c6ac77685c85", "650b1778b2edd6f1", "16011159daa1151c",
-                            "22153a09c7c69428"),
+                            "614c6c3d6d8829a0"),
     "poisson2d-m12-full-nu": ("8cdeeba949cabf10", "159ca028ca013151", "f72c4bcbe5d5d907",
-                              "000fadfea5da9799"),
+                              "1477b60bbea5a344"),
     "hetero2d-m20-nu": ("e64cb545d7e45834", "c3cf260de460cea7", "8e94648a1de6fa25",
-                        "739c7f94d92de2da"),
+                        "2d8303fe1bc974a1"),
     "poisson3d-m16": ("f9125ff3972dc1de", "db3f9097af3ac1dd", "0c23ecab0c98677f",
-                      "a95b1751073050f8"),
+                      "a3342d009827766f"),
     "poisson2d-m200-N256": ("c35b601e1c88ebbb", "01f87dc05fec64c0", "8441064c40d8db1c",
                             "812fbfd549744078"),
     "advection2d-m80-N16": ("88b5301aabc4ae04", "051c7da04293bc10", "68c7d2d155f7885a",
-                            "ef2302478cfd6615"),
+                            "46f0823620deba00"),
 }
 
 

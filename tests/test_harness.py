@@ -290,6 +290,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="length"):
             run_experiment(ExperimentConfig(matrix_path=str(mpath), rhs_path=str(rpath)))
 
+    @pytest.mark.parametrize("shape", [{"m": 50}, {"seed": 3}, {"m": 20, "seed": 0}])
+    def test_grid_size_or_seed_beside_matrix_file_refused(self, tmp_path, shape):
+        # even at the generated problem's defaults: a file run cannot use them
+        mat, _ = generate(ProblemSpec("poisson2d", 6))
+        mpath = tmp_path / "a.mtx"
+        save_matrix_market(str(mpath), mat)
+        with pytest.raises(ValueError, match="shapes a generated problem, not a matrix file"):
+            run_experiment(ExperimentConfig(matrix_path=str(mpath), n_subdomains=2, **shape))
+
+    def test_generated_problem_defaults(self):
+        config = ExperimentConfig(kind="hetero2d")
+        assert (config.m, config.seed) == (None, None)
+        expected, _ = generate(ProblemSpec("hetero-diffusion2d", 20, channel_seed=0))
+        assert (harness._load_problem(config)[0].scipy() != expected.scipy()).nnz == 0
+
     def test_requires_some_source(self):
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig())

@@ -414,7 +414,7 @@ class TestStructurallySingularMatrix:
 
 
 class TestCoarseFactorErrors:
-    def test_indefinite_coarse_operator_raises_coarse_setup_error(self):
+    def test_indefinite_coarse_operator_raises_coarse_setup_error(self, a00_form):
         # after the shift by 100 every local block is still positive definite
         # (their smallest eigenvalues are larger), the global operator and A00 not
         mat, _ = generate(ProblemSpec("poisson2d", 60))
@@ -423,7 +423,7 @@ class TestCoarseFactorErrors:
             setup(shifted, 16)
         assert issubclass(CoarseSetupError, RuntimeError)
 
-    def test_high_contrast_spd_matrix_builds_under_the_general_options(self):
+    def test_high_contrast_spd_matrix_builds_under_the_general_options(self, a00_form):
         # kappa_1(A00) reads 1.1e9 here, but the deflated start does not cancel:
         # ||A Z A00^{-1} Z^T||_1 reads 5.5, far below the coarse projector limit
         mat, rhs = generate(ProblemSpec("hetero-diffusion2d", 30, contrast=1e8))
@@ -432,7 +432,7 @@ class TestCoarseFactorErrors:
         assert report.converged
         assert np.linalg.norm(rhs - mat.matvec(x)) <= 1e-8 * np.linalg.norm(rhs)
 
-    def test_numerically_singular_coarse_operator_raises_coarse_setup_error(self):
+    def test_numerically_singular_coarse_operator_raises_coarse_setup_error(self, a00_form):
         # A's condition number is 32.8, but A00 (18x18) has sigma_min / sigma_max
         # = 7.9e-17 and passes the pivot test; ||A Z A00^{-1} Z^T||_1 reads 4.6e15
         rng = np.random.default_rng(385)
@@ -536,19 +536,27 @@ class TestStageOrder:
 
 
 class TestFactorOptions:
-    """Only the one-level factor, a block diagonal, runs at SuperLU panel width 1."""
+    """Only the one-level factor, a block diagonal, runs at SuperLU panel width 1.
+    A sparse A00 gets SuperLU's defaults, and a dense one is not SuperLU's."""
 
-    @pytest.mark.parametrize("kind", ["poisson2d", "advection2d"])
-    def test_only_the_one_level_factor_gets_panel_width_one(self, monkeypatch, kind):
+    @pytest.mark.parametrize("kind, n_sub, sparse_a00", [
+        ("poisson2d", 16, True),  # A00 is 37 % nonzero
+        ("advection2d", 16, True),  # 39 %
+        ("poisson2d", 8, False),  # 68 %
+    ], ids=["poisson2d-sparse", "advection2d-sparse", "poisson2d-dense"])
+    def test_only_the_one_level_factor_gets_panel_width_one(self, monkeypatch, kind, n_sub,
+                                                            sparse_a00):
         calls = []
         monkeypatch.setattr(sparsemat, "splu",
                             lambda a, **kw: calls.append((a.shape[0], kw)) or splu(a, **kw))
         mat, _ = generate(ProblemSpec(kind, 20))
-        pre = setup(mat, 8)
-        # the inner blocks, A00, then the one-level block diagonal
-        assert len(calls) == 8 + 2
-        assert [kw.get("panel_size") for _, kw in calls] == [None] * 9 + [1]
+        pre = setup(mat, n_sub)
+        # the inner blocks, a sparse A00, then the one-level block diagonal
+        assert len(calls) == n_sub + sparse_a00 + 1
+        assert [kw.get("panel_size") for _, kw in calls] == [None] * (n_sub + sparse_a00) + [1]
         assert calls[-1][0] == pre.gather.size
+        assert (calls[-2][0] == pre.report.n_coarse) == sparse_a00
+        assert isinstance(pre.coarse.lu, coarse_mod.DenseFactor) != sparse_a00
 
 
 def _no_c_library(name):
@@ -625,6 +633,39 @@ class TestConcurrentApply:
 
         monkeypatch.setattr(precond_mod, "_worker", Refuse())
         pre.apply(np.ones(mat.nrows))
+
+    @pytest.mark.parametrize("kind, n_sub, dense", [
+        ("poisson2d", 8, True),  # additive; A00 68 % nonzero
+        ("poisson2d", 16, False),  # 37 %
+        ("advection2d", 8, True),  # deflated; 72 %
+        ("advection2d", 16, False),  # 39 %
+    ])
+    def test_two_threads_apply_one_preconditioner(self, kind, n_sub, dense):
+        # the factors are shared and read-only: each thread gets the serial bits
+        mat, _ = generate(ProblemSpec(kind, 20))
+        pre = setup(mat, n_sub)
+        assert isinstance(pre.coarse.lu, coarse_mod.DenseFactor) == dense
+        rs = np.random.default_rng(11).standard_normal((2, mat.nrows))
+        expected = [pre.apply(r) for r in rs]
+        barrier, got = threading.Barrier(2, timeout=60), ([], [])
+
+        def apply_many(i):
+            barrier.wait()
+            got[i].extend(pre.apply(rs[i]) for _ in range(30))
+
+        threads = [threading.Thread(target=apply_many, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads between most compiled steps
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for want, ys in zip(expected, got):
+            assert len(ys) == 30 and all(np.array_equal(y, want) for y in ys)
 
     def test_coarse_error_propagates(self):
         mat, _ = generate(ProblemSpec("poisson2d", 16))
