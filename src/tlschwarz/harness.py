@@ -166,13 +166,13 @@ class BoundInputs:
     lam_star: float = 1.0
 
     def __post_init__(self):
-        if self.k_c < 1:
+        if not self.k_c >= 1:
             raise ValueError("coloring constant must be at least 1")
-        if self.nu < 1.0:
+        if not self.nu >= 1.0:
             raise ValueError("nu must be at least 1")
-        if self.tau < 0.0:
+        if not self.tau >= 0.0:
             raise ValueError("tau must be nonnegative")
-        if self.lam_star < 1.0 - 1e-12:
+        if not self.lam_star >= 1.0 - 1e-12:
             raise ValueError("lambda_star must be at least 1")
 
 

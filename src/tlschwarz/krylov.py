@@ -25,9 +25,8 @@ from scipy.linalg import LinAlgError, cholesky, eigvalsh, eigvalsh_tridiagonal, 
 
 GMRES_MAXIT_CAP = 1000
 GMRES_START_CAPACITY = 16  # rows of the first basis; doubled when full
-# Largest system whose condition number estimate_condition computes densely
-# and whose bound run_experiment checks; read at call time, so larger systems
-# take the Lanczos estimate and go unchecked.
+# Largest system whose exact condition number estimate_condition computes and
+# whose bound run_experiment checks; a larger one has only PCG's lower estimate.
 DENSE_CUTOFF = 400
 
 
@@ -232,33 +231,28 @@ def _grown(a, rows, cols, alloc):
 
 
 def estimate_condition(matrix, precond=None):
-    """Condition number of the preconditioned operator (symmetric case).
+    """Exact condition number of the preconditioned operator (symmetric case).
 
-    Up to ``DENSE_CUTOFF`` rows this is the exact extreme-eigenvalue ratio of
-    L^T A L, where L is the lower Cholesky factor of the assembled dense
-    preconditioner C = L L^T (L^T A L is similar to C A); the factorization
-    reads only C's lower triangle.  Beyond it, the Lanczos estimate harvested from
-    a conjugate-gradient run (tolerance 1e-12, at most 400 iterations) on a
-    random right-hand side of seed 0.
+    The extreme-eigenvalue ratio of L^T A L, where L is the lower Cholesky
+    factor of the assembled dense preconditioner C = L L^T (L^T A L is similar
+    to C A); the factorization reads only C's lower triangle.  Above
+    ``DENSE_CUTOFF`` rows it raises ``ValueError``: there a PCG report's
+    ``cond_estimate`` is the condition number on offer, a lower estimate.
     """
     if not matrix.symmetric:
         raise ValueError("condition estimation is defined for symmetric matrices")
     if precond is not None and not getattr(precond, "is_symmetric", False):
         raise ValueError("condition estimation needs a symmetric preconditioner")
     n = matrix.nrows
-    if n <= DENSE_CUTOFF:
-        c = np.empty((n, n))
-        eye = np.eye(n)
-        for j in range(n):
-            c[:, j] = _apply_precond(precond, eye[:, j])
-        try:
-            low = cholesky(c, lower=True)
-        except LinAlgError:
-            raise ValueError("preconditioner is not positive definite") from None
-        lam = eigvalsh(low.T @ matrix.to_dense() @ low)
-        if lam[0] <= 0:
-            raise ValueError("preconditioned operator is not positive definite")
-        return float(lam[-1] / lam[0])
-    b = np.random.default_rng(0).standard_normal(n)
-    _, report = pcg(matrix, precond, b, tol=1e-12, maxit=min(n, 400))
-    return report.cond_estimate
+    if n > DENSE_CUTOFF:
+        raise ValueError(f"{n} rows exceed DENSE_CUTOFF = {DENSE_CUTOFF}; a PCG report's "
+                         "cond_estimate estimates the condition number from below")
+    c = np.column_stack([_apply_precond(precond, e) for e in np.eye(n)])
+    try:
+        low = cholesky(c, lower=True)
+    except LinAlgError:
+        raise ValueError("preconditioner is not positive definite") from None
+    lam = eigvalsh(low.T @ matrix.to_dense() @ low)
+    if lam[0] <= 0:
+        raise ValueError("preconditioned operator is not positive definite")
+    return float(lam[-1] / lam[0])

@@ -167,6 +167,9 @@ class Preconditioner:
         return _is_symmetric(self.matrix.symmetric, self.one_level, self.combine)
 
     def apply_one_level(self, r):
+        if np.shape(r) != (self.n,):
+            raise ValueError(f"dimension mismatch: matrix is {self.matrix.shape}, "
+                             f"vector has shape {np.shape(r)}")
         y = self.local_lu.solve(r[self.gather])
         if self.one_level == "ras":
             y[self.overlap_rows] = 0.0

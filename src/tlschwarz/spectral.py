@@ -100,7 +100,7 @@ def select_pou_modes(blocks, threshold):
     """
     if not blocks.spd:
         raise ValueError("partition-of-unity modes require a symmetric block")
-    if threshold <= 1.0:
+    if not threshold > 1.0:
         raise ValueError("threshold must exceed 1")
     if blocks.n_local > DENSE_GUARD:
         raise ValueError(f"subdomain {blocks.subdomain} has {blocks.n_local} nodes; "
@@ -123,7 +123,7 @@ def select_harmonic_modes(blocks, extension, threshold):
     """
     if not blocks.spd:
         raise ValueError("harmonic-pencil modes require a symmetric block")
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise ValueError("threshold must be positive")
     masked = extension * blocks.pou_weights[:, None]
     lhs = masked.T @ (blocks.a @ masked)
@@ -140,7 +140,7 @@ def svd_harmonic_modes(blocks, extension, threshold):
     interior rows only, so the returned vectors are full local vectors that
     vanish off the interior and are Euclidean-orthonormal.
     """
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise ValueError("threshold must be positive")
     ni = blocks.n_interior
     u, s, _ = np.linalg.svd(extension[:ni], full_matrices=False)

@@ -100,6 +100,25 @@ MUTANTS = [
     ("src/tlschwarz/harness.py",
      "if config.matrix_path and (config.m, config.seed) != (None, None):", "if False:",
      "the refusal of a grid size or seed beside a matrix file (both would be ignored)", None),
+    ("src/tlschwarz/krylov.py",
+     "    if n > DENSE_CUTOFF:\n"
+     '        raise ValueError(f"{n} rows exceed DENSE_CUTOFF = {DENSE_CUTOFF}; a PCG report\'s "\n'
+     '                         "cond_estimate estimates the condition number from below")\n', "",
+     "estimate_condition's refusal above DENSE_CUTOFF (it would build an n x n dense matrix)",
+     None),
+    ("src/tlschwarz/harness.py",
+     "if _bound_covers(precond) and matrix.nrows <= krylov.DENSE_CUTOFF:",
+     "if _bound_covers(precond):",
+     "run_experiment's size gate on the bound verdict", None),
+    ("src/tlschwarz/spectral.py",
+     'require a symmetric block")\n    if not threshold > 0.0:',
+     'require a symmetric block")\n    if threshold <= 0.0:',
+     "the harmonic pencil's threshold test, which a NaN threshold passes", None),
+    ("src/tlschwarz/precond.py",
+     "        if np.shape(r) != (self.n,):\n"
+     '            raise ValueError(f"dimension mismatch: matrix is {self.matrix.shape}, "\n'
+     '                             f"vector has shape {np.shape(r)}")\n', "",
+     "the one-level apply's shape check", None),
 ]
 
 

@@ -171,6 +171,12 @@ def test_rhs_file_without_matrix_file_is_refused(capsys, tmp_path):
     assert err == "error_type = ValueError\nmessage = a right-hand side file needs a matrix file\n"
 
 
+def test_nan_threshold_is_refused(capsys):
+    code, out, err = run(capsys, "--kind", "poisson2d", "--m", "6", "--tau", "nan")
+    assert (code, out) == (1, "")
+    assert err == "error_type = ValueError\nmessage = threshold must be positive\n"
+
+
 def test_matrix_file_with_problem_kind_is_refused(capsys, tmp_path):
     mat, _ = generate(ProblemSpec("poisson2d", 6))
     path = tmp_path / "a.mtx"

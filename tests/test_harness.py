@@ -22,7 +22,7 @@ from tlschwarz import (
     theoretical_bound,
     write_vector,
 )
-from tlschwarz import harness
+from tlschwarz import harness, krylov
 
 from conftest import laplace1d, scatter_dense
 
@@ -192,6 +192,12 @@ class TestBounds:
         with pytest.raises(ValueError):
             BoundInputs(1, 1.0, lam_star=0.5)
 
+    @pytest.mark.parametrize("field", ["k_c", "nu", "tau", "lam_star"])
+    def test_nan_input_refused(self, field):
+        # every comparison with NaN is False, so each check is written so NaN fails it
+        with pytest.raises(ValueError, match="must be"):
+            BoundInputs(**{"k_c": 1, "nu": 1.0, field: float("nan")})
+
     def test_derived_constants_are_consistent(self):
         mat, _ = generate(ProblemSpec("poisson2d", 10))
         pre = setup(mat, 4, overlap=2, tau=0.1)
@@ -261,6 +267,15 @@ class TestRunExperiment:
         history = (tmp_path / "run.txt.history").read_text().strip().splitlines()
         assert len(history) == result.solve_report.residuals.size
         assert history[0].split() == ["0", "1"]
+
+    def test_above_dense_cutoff_skips_the_verdict_and_keeps_pcg_kappa(self):
+        # poisson2d m=21 has 441 rows: no exact condition number, so no bound check
+        result = run_experiment(ExperimentConfig(kind="poisson2d", m=21, n_subdomains=4))
+        assert result.matrix.nrows > krylov.DENSE_CUTOFF
+        assert result.solve_report.converged
+        assert result.bound_check is None
+        assert "condition_estimate = " in result.report_text
+        assert "bound_holds" not in result.report_text
 
     def test_matrix_from_files(self, tmp_path):
         mat, rhs = generate(ProblemSpec("poisson2d", 6))

@@ -419,7 +419,11 @@ class TestStopReason:
 
 
 class TestConditionEstimate:
-    def test_unpreconditioned_closed_form(self):
+    def test_unpreconditioned_closed_form(self, monkeypatch):
+        def no_cg(*args, **kwargs):
+            raise AssertionError("estimate_condition ran pcg")
+
+        monkeypatch.setattr(krylov, "pcg", no_cg)  # the exact value needs no solver
         n = 100
         mat = laplace1d(n)
         k = np.arange(1, n + 1)
@@ -427,13 +431,10 @@ class TestConditionEstimate:
         exact = lam[-1] / lam[0]
         assert estimate_condition(mat) == pytest.approx(exact, rel=1e-6)
 
-    def test_lanczos_fallback_agrees(self, monkeypatch):
-        n = 100
-        mat = laplace1d(n)
-        dense = estimate_condition(mat)
-        monkeypatch.setattr(krylov, "DENSE_CUTOFF", 0)
-        lanczos = estimate_condition(mat)
-        assert lanczos == pytest.approx(dense, rel=1e-2)
+    def test_refuses_above_the_dense_cutoff(self):
+        # above it only PCG's lower estimate exists, and the refusal names it
+        with pytest.raises(ValueError, match="cond_estimate"):
+            estimate_condition(laplace1d(krylov.DENSE_CUTOFF + 1))
 
     def test_exact_inverse_gives_unit_condition(self):
         mat = laplace1d(30)

@@ -323,6 +323,18 @@ class TestDefaultsAndErrors:
         with pytest.raises(ValueError, match="banana"):
             setup(mat, 2, coarse="none", combine="banana")
 
+    @pytest.mark.parametrize("options", [{"coarse": "none"}, {"combine": "additive"},
+                                         {"combine": "deflated"}])
+    @pytest.mark.parametrize("shape", [(101,), (99,), (100, 1)])
+    def test_apply_refuses_a_vector_of_the_wrong_shape(self, options, shape):
+        # the scatter's minlength would silently drop the entries of a longer vector
+        mat, _ = generate(ProblemSpec("poisson2d", 10))
+        pre = setup(mat, 4, **options)
+        _, operator = pre.start(np.ones(100))
+        for apply in (pre.apply, operator, pre.apply_one_level):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                apply(np.ones(shape))
+
     def test_coarse_none_forces_combine_none(self):
         mat = laplace1d(12)
         pre = setup(mat, 2, coarse="none", combine="additive")

@@ -166,6 +166,18 @@ class TestPouModes:
             select_pou_modes(ns, 1.5)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tau": float("nan"), "coarse": "gevp"}, "threshold must be positive"),
+    ({"tau": float("nan"), "coarse": "svd"}, "threshold must be positive"),
+    ({"nu": float("nan")}, "threshold must exceed 1"),
+])
+def test_nan_threshold_refused(kwargs, message):
+    # a comparison with NaN is False: a NaN threshold would select nothing
+    mat, _ = generate(ProblemSpec("poisson2d", 12))
+    with pytest.raises(ValueError, match=message):
+        setup(mat, 4, **kwargs)
+
+
 def test_select_above_guards_ties():
     # a value a rounding step above the threshold is a tie and stays out; one
     # clearly above it is kept
