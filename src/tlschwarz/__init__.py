@@ -12,11 +12,8 @@ from .sparsemat import (
     symmetrized_graph,
     read_matrix_market,
     write_matrix_market,
-    load_matrix_market,
-    save_matrix_market,
     read_vector,
     write_vector,
-    load_vector,
 )
 from .partition import (
     Partition,

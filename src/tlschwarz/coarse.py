@@ -98,7 +98,7 @@ def subdomain_coarse_columns(blocks, kind, tau, nu=None):
     return np.hstack([vectors[:ni], pou[:ni]]), largest_unselected
 
 
-def assemble_coarse_basis(maps, column_blocks, n_global):
+def assemble_coarse_basis(maps, column_blocks):
     """Rank-filter each subdomain's interior block and scatter the kept columns.
 
     Identically zero columns are dropped.  The others go through a
@@ -110,6 +110,7 @@ def assemble_coarse_basis(maps, column_blocks, n_global):
     Z takes its entries from one block.  Returns Z as a scipy CSR matrix and
     the tuple of kept column counts, one per subdomain.
     """
+    n_global = maps[0].n_global
     parts = list(column_blocks)
     pivots = [_pivots(block) for block in parts]
     cutoff = DROP_TOL * max((mag.max(initial=0.0) for mag in pivots), default=0.0)

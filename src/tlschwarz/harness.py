@@ -9,6 +9,7 @@ the all-ones exact solution.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,7 +17,7 @@ from scipy.sparse.linalg import eigsh
 
 from . import krylov
 from .precond import setup, Preconditioner
-from .sparsemat import SparseMat, load_matrix_market, load_vector
+from .sparsemat import SparseMat, read_matrix_market, read_vector
 from .spectral import select_pou_modes
 from .subdomain import extract_local_blocks
 
@@ -262,9 +263,9 @@ def _load_problem(config):
     if config.matrix_path and (config.m, config.seed) != (None, None):
         raise ValueError("a grid size or seed shapes a generated problem, not a matrix file")
     if config.matrix_path:
-        matrix = load_matrix_market(config.matrix_path)
+        matrix = read_matrix_market(Path(config.matrix_path).read_text())
         if config.rhs_path:
-            rhs = load_vector(config.rhs_path)
+            rhs = read_vector(Path(config.rhs_path).read_text())
             if rhs.size != matrix.nrows:
                 raise ValueError("right-hand side length does not match the matrix")
         else:
@@ -273,6 +274,8 @@ def _load_problem(config):
     if not config.kind:
         raise ValueError("either a matrix file or a problem kind is required")
     kind = {"hetero2d": "hetero-diffusion2d"}.get(config.kind, config.kind)
+    if config.seed is not None and kind != "hetero-diffusion2d":
+        raise ValueError(f"a seed shapes only a hetero2d problem, not {config.kind}")
     spec = ProblemSpec(kind, 20 if config.m is None else config.m, channel_seed=config.seed or 0)
     return generate(spec)
 

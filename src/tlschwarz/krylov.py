@@ -68,6 +68,13 @@ def _apply_precond(precond, r):
     return precond.apply(r)
 
 
+def _check_stopping(tol, maxit):
+    if not tol > 0:  # also refuses NaN
+        raise ValueError(f"tol must be positive, got {tol}")
+    if maxit < 1:
+        raise ValueError(f"maxit must be at least 1, got {maxit}")
+
+
 def pcg(matrix, precond, b, tol=1e-8, maxit=500):
     """Preconditioned conjugate gradients from the zero start.
 
@@ -77,8 +84,10 @@ def pcg(matrix, precond, b, tol=1e-8, maxit=500):
     The report's ``cond_estimate`` is the condition estimate of the
     preconditioned operator from the underlying three-term recurrence; it is
     None only when no iteration ran (b = 0) or a coefficient is not finite.
+    A tol that is not positive or a maxit below 1 raises ValueError.
     """
     t0 = time.perf_counter()
+    _check_stopping(tol, maxit)
     b = np.asarray(b, dtype=np.float64)
     x = np.zeros_like(b)
     bnorm = float(np.linalg.norm(b))
@@ -147,9 +156,11 @@ def gmres(matrix, precond, b, tol=1e-8, maxit=500):
     keeps z_j = M^{-1} v_j; the iterate x = x0 + Z_k y is the least-squares
     minimizer for any preconditioner, also one that changes between calls.
     After k iterations it stores 2(k+1) vectors of length n, grown by
-    doubling (see the module docstring for the memory bound).
+    doubling (see the module docstring for the memory bound).  A tol that is
+    not positive or a maxit outside 1..GMRES_MAXIT_CAP raises ValueError.
     """
     t0 = time.perf_counter()
+    _check_stopping(tol, maxit)
     if maxit > GMRES_MAXIT_CAP:
         raise ValueError(f"maxit {maxit} exceeds the hard cap {GMRES_MAXIT_CAP}")
     b = np.asarray(b, dtype=np.float64)

@@ -33,7 +33,7 @@ times the panel width.  Setup's memory peak is then the coarse factorization
 with its pivot read or the one-level factor, by problem.  The graph and the
 partition are gone by then, each local block lived only while its coarse
 columns were made, and the one-level factor cuts the blocks again.  A
-failing local block is still reported before a coarse error.
+failing local block is still reported before a failed coarse factor or pencil.
 
 The two levels of the additive apply are independent, so the coarse solve
 runs on one private worker thread while the calling thread runs the
@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import LinAlgError
 from scipy.sparse import csgraph
 
 from . import coarse as coarse_mod
@@ -246,8 +247,9 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
 
     The one-level factor is made last, from the blocks cut again, so that
     the coarse factorization holds no local block or one-level factor.  If
-    the coarse stage raises, a failing local block raises
-    ``SubdomainSetupError`` instead.
+    a factor or pencil test of the coarse stage fails, a failing local block
+    raises ``SubdomainSetupError`` instead; any other error (a dense guard,
+    say) reaches the caller at once.
     """
     if coarse not in COARSE_KINDS:
         raise ValueError(f"unknown coarse kind {coarse!r}")
@@ -288,13 +290,12 @@ def setup(matrix, n_subdomains, overlap=2, tau=0.1, nu=None, coarse="auto",
             unselected.append(largest_unselected)
             return block
         try:
-            z, mode_counts = coarse_mod.assemble_coarse_basis(maps, map(columns, maps),
-                                                              matrix.nrows)
+            z, mode_counts = coarse_mod.assemble_coarse_basis(maps, map(columns, maps))
             if z.shape[1]:
                 cs = coarse_mod.galerkin_coarse(matrix, z, spd)
             else:
                 combine = "none"
-        except Exception:
+        except (SubdomainSetupError, coarse_mod.CoarseSetupError, LinAlgError):
             _factor_local(matrix, maps, spd)  # a failing local block is reported first
             raise
     local_lu = _factor_local(matrix, maps, pencil or _is_symmetric(symmetric, one_level, combine))

@@ -11,7 +11,6 @@ write/read round trip reproduces every float64 exactly.
 from __future__ import annotations
 
 import ctypes
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -390,14 +389,6 @@ def write_matrix_market(matrix):
     ]) + "\n"
 
 
-def load_matrix_market(path):
-    return read_matrix_market(Path(path).read_text())
-
-
-def save_matrix_market(path, matrix):
-    Path(path).write_text(write_matrix_market(matrix))
-
-
 def read_vector(text):
     """Parse a vector from Matrix Market array text or one value per line."""
     if text.lstrip().startswith("%%MatrixMarket"):
@@ -411,7 +402,3 @@ def read_vector(text):
 
 def write_vector(vec):
     return "\n".join(map("{:.17g}".format, np.asarray(vec, dtype=np.float64).tolist())) + "\n"
-
-
-def load_vector(path):
-    return read_vector(Path(path).read_text())

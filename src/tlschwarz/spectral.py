@@ -105,9 +105,10 @@ def select_pou_modes(blocks, threshold):
     if blocks.n_local > DENSE_GUARD:
         raise ValueError(f"subdomain {blocks.subdomain} has {blocks.n_local} nodes; "
                          f"dense guard is {DENSE_GUARD}")
-    d = blocks.pou_weights
     a = blocks.a.toarray()
-    vals, vecs = sym_gevp(a * np.outer(d, d), a)
+    dad = a.copy()
+    dad[blocks.n_interior:] = dad[:, blocks.n_interior:] = 0.0
+    vals, vecs = sym_gevp(dad, a)
     return SpectralBasis(_select_above(vals, vecs, threshold), vals)
 
 
@@ -125,7 +126,8 @@ def select_harmonic_modes(blocks, extension, threshold):
         raise ValueError("harmonic-pencil modes require a symmetric block")
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
-    masked = extension * blocks.pou_weights[:, None]
+    masked = extension.copy()
+    masked[blocks.n_interior:] = 0.0
     lhs = masked.T @ (blocks.a @ masked)
     schur = extension.T @ (blocks.a @ extension)
     vals, vecs = sym_gevp(0.5 * (lhs + lhs.T), 0.5 * (schur + schur.T))

@@ -56,11 +56,6 @@ class LocalBlocks:
     def n_inner(self):
         return self.n_local - self.n_boundary
 
-    @property
-    def pou_weights(self):
-        """The Boolean partition of unity D as 0/1 floats: one on the interior rows."""
-        return (np.arange(self.n_local) < self.n_interior).astype(np.float64)
-
 
 def extract_local_blocks(matrix, smap, spd):
     """Sparse (CSR) principal submatrix of the subdomain in its local ordering."""

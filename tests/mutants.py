@@ -119,6 +119,22 @@ MUTANTS = [
      '            raise ValueError(f"dimension mismatch: matrix is {self.matrix.shape}, "\n'
      '                             f"vector has shape {np.shape(r)}")\n', "",
      "the one-level apply's shape check", None),
+    ("src/tlschwarz/krylov.py",
+     "    if not tol > 0:  # also refuses NaN\n"
+     '        raise ValueError(f"tol must be positive, got {tol}")\n', "",
+     "the solvers' refusal of a tol that is not positive (NaN runs to maxit)", None),
+    ("src/tlschwarz/krylov.py",
+     "    if maxit < 1:\n"
+     '        raise ValueError(f"maxit must be at least 1, got {maxit}")\n', "",
+     "the solvers' refusal of a maxit below 1", None),
+    ("src/tlschwarz/harness.py",
+     'if config.seed is not None and kind != "hetero-diffusion2d":', "if False:",
+     "the refusal of a seed beside a problem kind that reads none (it would be ignored)", None),
+    ("src/tlschwarz/precond.py",
+     "except (SubdomainSetupError, coarse_mod.CoarseSetupError, LinAlgError):",
+     "except (SubdomainSetupError, coarse_mod.CoarseSetupError, LinAlgError, Exception):",
+     "setup's local-block re-check run only after a failed factor or pencil test "
+     "(the tuple keeps its names, so the unused-import check does not catch it first)", None),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import tlschwarz.cli
-from tlschwarz import (ExperimentConfig, ProblemSpec, SparseMat, generate, save_matrix_market,
+from tlschwarz import (ExperimentConfig, ProblemSpec, SparseMat, generate, write_matrix_market,
                        write_vector)
 from tlschwarz.cli import main
 
@@ -93,7 +93,7 @@ def test_generated_problem_exit_zero(capsys, tmp_path):
 def test_file_based_run(capsys, tmp_path):
     mat, rhs = generate(ProblemSpec("poisson2d", 8))
     mpath, rpath = tmp_path / "a.mtx", tmp_path / "b.txt"
-    save_matrix_market(str(mpath), mat)
+    mpath.write_text(write_matrix_market(mat))
     rpath.write_text(write_vector(rhs))
     code, out, err = run(
         capsys, "--matrix", str(mpath), "--rhs", str(rpath), "--N", "2", "--tol", "1e-10"
@@ -122,7 +122,7 @@ def test_symmetric_storage_file_takes_the_cg_path(capsys, tmp_path, monkeypatch)
     mat, rhs = generate(ProblemSpec("poisson2d", 8))
     lower = sp.tril(mat.scipy()).tocoo()
     general, symmetric, rpath = tmp_path / "a.mtx", tmp_path / "lower.mtx", tmp_path / "b.txt"
-    save_matrix_market(str(general), mat)
+    general.write_text(write_matrix_market(mat))
     symmetric.write_text(
         f"%%MatrixMarket matrix coordinate real symmetric\n{mat.nrows} {mat.ncols} {lower.nnz}\n"
         + "".join(f"{i + 1} {j + 1} {v:.17g}\n"
@@ -148,7 +148,7 @@ def test_symmetric_indefinite_file_takes_the_general_options(capsys, tmp_path):
     mat = SparseMat(sp.diags([*off, rng.uniform(-3.0, 5.0, 40), *off], [1, 2, 0, -1, -2]))
     assert mat.symmetric and np.linalg.eigvalsh(mat.to_dense())[0] < 0
     path = tmp_path / "indefinite.mtx"
-    save_matrix_market(str(path), mat)
+    path.write_text(write_matrix_market(mat))
     code, out, err = run(capsys, "--matrix", str(path), "--N", "4", "--coarse", "svd",
                          "--one-level", "ras", "--combine", "deflated")
     assert code == 0, err
@@ -177,10 +177,28 @@ def test_nan_threshold_is_refused(capsys):
     assert err == "error_type = ValueError\nmessage = threshold must be positive\n"
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "nan", "tol must be positive, got nan"),
+    ("--maxit", "-3", "maxit must be at least 1, got -3"),
+])
+def test_bad_stopping_limit_is_refused(capsys, flag, value, message):
+    code, out, err = run(capsys, "--kind", "poisson2d", "--m", "6", flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"error_type = ValueError\nmessage = {message}\n"
+
+
+def test_seed_beside_a_kind_without_one_is_refused(capsys):
+    # only hetero2d reads a seed; poisson2d would print the seed-0 report
+    code, out, err = run(capsys, "--kind", "poisson2d", "--m", "8", "--seed", "5")
+    assert (code, out) == (1, "")
+    assert err == ("error_type = ValueError\n"
+                   "message = a seed shapes only a hetero2d problem, not poisson2d\n")
+
+
 def test_matrix_file_with_problem_kind_is_refused(capsys, tmp_path):
     mat, _ = generate(ProblemSpec("poisson2d", 6))
     path = tmp_path / "a.mtx"
-    save_matrix_market(str(path), mat)
+    path.write_text(write_matrix_market(mat))
     code, out, err = run(capsys, "--matrix", str(path), "--kind", "advection2d", "--N", "2")
     assert (code, out) == (1, "")
     assert err == ("error_type = ValueError\n"
@@ -192,7 +210,7 @@ def test_grid_size_or_seed_with_matrix_file_is_refused(capsys, tmp_path, flags):
     # both only shape a generated problem; beside a file they would be dropped
     mat, _ = generate(ProblemSpec("poisson2d", 6))
     path = tmp_path / "a.mtx"
-    save_matrix_market(str(path), mat)
+    path.write_text(write_matrix_market(mat))
     code, out, err = run(capsys, "--matrix", str(path), *flags, "--N", "2")
     assert (code, out) == (1, "")
     assert err == ("error_type = ValueError\n"
@@ -264,7 +282,7 @@ def test_stdout_carries_only_the_report(tmp_path, n_subdomains):
     import sys
 
     path = tmp_path / "rank_deficient.mtx"
-    save_matrix_market(path, SparseMat.from_coo(24, 24, *RANK_DEFICIENT_BLOCK))
+    path.write_text(write_matrix_market(SparseMat.from_coo(24, 24, *RANK_DEFICIENT_BLOCK)))
     proc = subprocess.run(
         [sys.executable, "-m", "tlschwarz", "--matrix", str(path), "--N", n_subdomains],
         capture_output=True, text=True,

@@ -42,7 +42,7 @@ def pipeline(mat, part, delta, tau=0.1, coarse="gevp"):
     maps = extend_overlap(g, part, delta)
     column_blocks = [subdomain_coarse_columns(extract_local_blocks(mat, smap, mat.symmetric),
                                               coarse, tau)[0] for smap in maps]
-    return maps, column_blocks, assemble_coarse_basis(maps, column_blocks, mat.nrows)
+    return maps, column_blocks, assemble_coarse_basis(maps, column_blocks)
 
 
 def scatter(maps, column_blocks, n_global):
@@ -64,7 +64,7 @@ def column_ranges(counts):
 def whole_graph_basis(mat):
     """Coarse basis spanning every unknown, from one subdomain's identity block."""
     maps = extend_overlap(symmetrized_graph(mat), Partition(1, np.zeros(mat.nrows, int)), 1)
-    z, _ = assemble_coarse_basis(maps, [np.eye(mat.nrows)], mat.nrows)
+    z, _ = assemble_coarse_basis(maps, [np.eye(mat.nrows)])
     return z
 
 
@@ -147,7 +147,7 @@ class TestAssembly:
         maps = extend_overlap(symmetrized_graph(mat), part, 1)
         blocks = [np.zeros((m.interior.size, 2)) for m in maps]
         blocks[0][:, 1] = 1.0  # one real column among zeros
-        z, counts = assemble_coarse_basis(maps, blocks, 20)
+        z, counts = assemble_coarse_basis(maps, blocks)
         assert z.shape[1] == 1
         assert column_ranges(counts) == [(0, 1), (1, 1)]
 
@@ -189,7 +189,7 @@ class TestRankFilter:
         part = random_partition(30, 2, seed=21)
         maps = extend_overlap(symmetrized_graph(mat), part, 1)
         blocks = [np.hstack([b, b[:, :1]]) for b in orthonormal_blocks(maps, 3, seed=1)]
-        z, _ = assemble_coarse_basis(maps, blocks, 30)
+        z, _ = assemble_coarse_basis(maps, blocks)
         before = scatter(maps, blocks, 30)
         assert z.shape[1] == before.shape[1] - len(maps)
         # surviving columns keep their original values
@@ -205,7 +205,7 @@ class TestRankFilter:
             np.hstack([b, b[:, :1] * (1 + 1e-14)])
             for b in orthonormal_blocks(maps, 3, seed=2)
         ]
-        z, _ = assemble_coarse_basis(maps, blocks, 30)
+        z, _ = assemble_coarse_basis(maps, blocks)
         assert z.shape[1] == sum(b.shape[1] for b in blocks) - len(maps)
 
     def test_independent_columns_untouched(self):
@@ -213,7 +213,7 @@ class TestRankFilter:
         part = random_partition(40, 3, seed=25)
         maps = extend_overlap(symmetrized_graph(mat), part, 2)
         blocks = orthonormal_blocks(maps, 4, seed=3)
-        z, _ = assemble_coarse_basis(maps, blocks, 40)
+        z, _ = assemble_coarse_basis(maps, blocks)
         # every offered column survives, with its values
         np.testing.assert_array_equal(z.toarray(), scatter(maps, blocks, 40))
 
@@ -222,13 +222,13 @@ class TestRankFilter:
         part = random_partition(30, 3, seed=29)
         maps = extend_overlap(symmetrized_graph(mat), part, 1)
         blocks = [np.hstack([b, b]) for b in orthonormal_blocks(maps, 3, seed=5)]
-        z, counts = assemble_coarse_basis(maps, blocks, 30)
+        z, counts = assemble_coarse_basis(maps, blocks)
         original = [b.shape[1] // 2 for b in blocks]
         assert list(counts) == original
         assert column_ranges(counts)[-1][1] == z.shape[1]
 
 
-def reference_assembly(maps, column_blocks, n_global):
+def reference_assembly(maps, column_blocks):
     """Oracle for ``assemble_coarse_basis``: the same rank filter on each
     interior block padded with zero overlap rows to its subdomain's height,
     then each subdomain's kept columns as rows of ``kept.T``, one CSC matrix
@@ -259,13 +259,13 @@ def reference_assembly(maps, column_blocks, n_global):
         counts.append(kept.shape[0])
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(col_nnz))])
     z = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr),
-                      shape=(n_global, sum(counts)))
+                      shape=(maps[0].n_global, sum(counts)))
     return z.tocsr(), tuple(counts)
 
 
-def assert_same_assembly(maps, column_blocks, n_global):
-    z, counts = assemble_coarse_basis(maps, column_blocks, n_global)
-    ref, ref_counts = reference_assembly(maps, column_blocks, n_global)
+def assert_same_assembly(maps, column_blocks):
+    z, counts = assemble_coarse_basis(maps, column_blocks)
+    ref, ref_counts = reference_assembly(maps, column_blocks)
     assert counts == ref_counts
     assert z.shape == ref.shape
     for name in ("indptr", "indices", "data"):
@@ -277,8 +277,8 @@ def setup_column_blocks(monkeypatch, kind, m, n_subdomains, **kwargs):
     seen = []
     real = coarse.assemble_coarse_basis
 
-    def record(maps, column_blocks, n_global):
-        seen.append((maps, list(column_blocks), n_global))
+    def record(maps, column_blocks):
+        seen.append((maps, list(column_blocks)))
         return real(*seen[-1])
 
     monkeypatch.setattr(coarse, "assemble_coarse_basis", record)
@@ -308,7 +308,7 @@ def offered_columns(draw):
             scale = draw(st.sampled_from([1.0, 1 + 1e-14, -3.0]))
             block = np.hstack([block, copies * scale])
         blocks.append(block)
-    return maps, blocks, n
+    return maps, blocks
 
 
 class TestAssemblyMatchesReference:

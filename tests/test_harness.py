@@ -16,10 +16,10 @@ from tlschwarz import (
     generate,
     lambda_star,
     run_experiment,
-    save_matrix_market,
     setup,
     symmetrized_graph,
     theoretical_bound,
+    write_matrix_market,
     write_vector,
 )
 from tlschwarz import harness, krylov
@@ -280,7 +280,7 @@ class TestRunExperiment:
     def test_matrix_from_files(self, tmp_path):
         mat, rhs = generate(ProblemSpec("poisson2d", 6))
         mpath, rpath = tmp_path / "a.mtx", tmp_path / "b.txt"
-        save_matrix_market(str(mpath), mat)
+        mpath.write_text(write_matrix_market(mat))
         rpath.write_text(write_vector(rhs))
         config = ExperimentConfig(matrix_path=str(mpath), rhs_path=str(rpath),
                                   n_subdomains=2, tol=1e-10)
@@ -292,7 +292,7 @@ class TestRunExperiment:
     def test_manufactured_rhs_when_file_has_none(self, tmp_path):
         mat, _ = generate(ProblemSpec("poisson2d", 5))
         mpath = tmp_path / "a.mtx"
-        save_matrix_market(str(mpath), mat)
+        mpath.write_text(write_matrix_market(mat))
         result = run_experiment(ExperimentConfig(matrix_path=str(mpath),
                                                  n_subdomains=2, tol=1e-10))
         np.testing.assert_allclose(result.x, 1.0, atol=1e-6)
@@ -300,7 +300,7 @@ class TestRunExperiment:
     def test_rhs_length_mismatch(self, tmp_path):
         mat, _ = generate(ProblemSpec("poisson2d", 5))
         mpath, rpath = tmp_path / "a.mtx", tmp_path / "b.txt"
-        save_matrix_market(str(mpath), mat)
+        mpath.write_text(write_matrix_market(mat))
         rpath.write_text(write_vector(np.ones(7)))
         with pytest.raises(ValueError, match="length"):
             run_experiment(ExperimentConfig(matrix_path=str(mpath), rhs_path=str(rpath)))
@@ -310,9 +310,22 @@ class TestRunExperiment:
         # even at the generated problem's defaults: a file run cannot use them
         mat, _ = generate(ProblemSpec("poisson2d", 6))
         mpath = tmp_path / "a.mtx"
-        save_matrix_market(str(mpath), mat)
+        mpath.write_text(write_matrix_market(mat))
         with pytest.raises(ValueError, match="shapes a generated problem, not a matrix file"):
             run_experiment(ExperimentConfig(matrix_path=str(mpath), n_subdomains=2, **shape))
+
+    @pytest.mark.parametrize("kind", ["poisson2d", "poisson3d", "advection2d"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_seed_beside_a_kind_without_one_refused(self, kind, seed):
+        # even the default seed: only hetero2d reads one
+        with pytest.raises(ValueError, match=f"a seed shapes only a hetero2d problem, not {kind}"):
+            run_experiment(ExperimentConfig(kind=kind, m=8, seed=seed))
+
+    @pytest.mark.parametrize("kind", ["hetero2d", "hetero-diffusion2d"])
+    def test_hetero_problem_reads_the_seed(self, kind):
+        expected, _ = generate(ProblemSpec("hetero-diffusion2d", 8, channel_seed=5))
+        loaded, _ = harness._load_problem(ExperimentConfig(kind=kind, m=8, seed=5))
+        assert (loaded.scipy() != expected.scipy()).nnz == 0
 
     def test_generated_problem_defaults(self):
         config = ExperimentConfig(kind="hetero2d")

@@ -295,6 +295,32 @@ class TestGmres:
         assert true_rel <= 2 * report.residuals[-1] + 1e-12
 
 
+class TestStoppingRefusals:
+    """A tol that is not positive or a maxit below 1 is refused before the
+    solver applies the matrix or the preconditioner."""
+
+    @pytest.mark.parametrize("solver", [pcg, gmres])
+    @pytest.mark.parametrize("limits", [dict(tol=np.nan), dict(tol=0.0), dict(tol=-1.0),
+                                        dict(maxit=0), dict(maxit=-1)],
+                             ids=["tol=nan", "tol=0", "tol=-1", "maxit=0", "maxit=-1"])
+    def test_refused_before_any_work(self, solver, limits):
+        applied = []
+
+        class Counting:
+            def matvec(self, v):
+                applied.append("matvec")
+                return laplace1d(5).matvec(v)
+
+            def apply(self, r):
+                applied.append("apply")
+                return r.copy()
+
+        name = next(iter(limits))
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            solver(Counting(), Counting(), np.ones(5), **limits)
+        assert applied == []
+
+
 class TestDeflatedGmres:
     @pytest.mark.parametrize("kind, m, options, iterations", [
         ("advection2d", 30, {}, 5),

@@ -546,6 +546,18 @@ class TestStageOrder:
             setup(SparseMat(a.tocsr()), 4)
         assert info.value.subdomain == 0
 
+    def test_dense_guard_refusal_skips_the_local_recheck(self, monkeypatch):
+        # no factor or pencil test failed, so no local block is factored
+        # before the refusal reaches the caller
+        calls = []
+        factor = precond_mod.factor_blocks
+        monkeypatch.setattr(precond_mod, "factor_blocks",
+                            lambda *args: calls.append(args) or factor(*args))
+        mat, _ = generate(ProblemSpec("poisson2d", 150))
+        with pytest.raises(ValueError, match="subdomain 0 has 5840 nodes; dense guard is 5000"):
+            setup(mat, 4, nu=2.0)
+        assert calls == []
+
 
 class TestFactorOptions:
     """Only the one-level factor, a block diagonal, runs at SuperLU panel width 1.

@@ -12,7 +12,7 @@ import re
 import shlex
 from pathlib import Path
 
-from tlschwarz import ProblemSpec, generate, save_matrix_market, write_vector
+from tlschwarz import ProblemSpec, generate, write_matrix_market, write_vector
 from tlschwarz.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,7 +64,7 @@ def test_cli_examples_run(capsys, tmp_path):
         for flag, value in zip(argv[:-1], argv[1:]):
             path = tmp_path / value
             if flag == "--matrix":
-                save_matrix_market(str(path), matrix)
+                path.write_text(write_matrix_market(matrix))
             elif flag == "--rhs":
                 path.write_text(write_vector(rhs))
             elif flag in OUTPUTS:

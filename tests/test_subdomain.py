@@ -80,14 +80,6 @@ class TestLocalBlocks:
             np.testing.assert_array_equal(blocks.a.toarray(),
                                           dense[np.ix_(smap.indices, smap.indices)])
 
-    def test_pou_weights_are_the_interior_mask(self):
-        mat = random_spd(30, seed=3)
-        maps = extend_overlap(symmetrized_graph(mat), random_partition(30, 3, seed=4), 2)
-        for smap in maps:
-            weights = extract_local_blocks(mat, smap, mat.symmetric).pou_weights
-            assert weights.dtype == np.float64
-            np.testing.assert_array_equal(weights, np.isin(smap.indices, smap.interior))
-
     def test_spd_flag_propagates(self):
         mat = random_spd(12, seed=5)
         smap = make_map(np.arange(12), [], 12)
